@@ -10,22 +10,25 @@
 // --smoke --json document as every other bench, registered under the
 // bench-smoke CTest label, and swept by tools/bench_smoke_diff.py.
 //
-// The `obs` column is the observability ablation (DESIGN.md §14): `off`
-// rows run the default NullOpStats policy (the zero-cost contract —
-// nothing is instrumented), `on` rows run obs::RegistryOpStats, where
-// every mechanism counter bump is a cacheline-striped relaxed increment
-// into the process-wide metrics registry. The on/off delta is the whole
-// enabled-registry overhead, guarded by the committed smoke baseline.
+// The `obs` column is the observability ablation (DESIGN.md §14), run on
+// both lock-free trees at 1, 2 and 4 threads sharing one tree: `off` rows
+// run the default NullOpStats policy (the zero-cost contract — nothing is
+// instrumented), `on` rows run CountingOpStats, where every mechanism
+// counter bump is one relaxed increment on the bumping thread's own
+// cacheline stripe. The on/off delta per thread count is the whole
+// counter overhead, including any cross-core traffic it causes.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "benchsupport/reporter.h"
 #include "mem/alloc_policy.h"
 #include "mem/arena.h"
-#include "obs/registry.h"
+#include "util/spin_barrier.h"
 #include "util/table.h"
 
 namespace {
@@ -57,7 +60,7 @@ double ns_per_op(std::uint64_t ops, std::uint64_t seed, F&& body) {
 
 template <class Tree>
 void run_rows(Table& table, Tree& tree, const char* alloc_name,
-              const MicroCfg& m, const char* obs_name = "off") {
+              const MicroCfg& m) {
   auto set = adapt(tree);
   prefill(set, m.key_range, 0.5, m.seed);
   const auto range = static_cast<std::uint64_t>(m.key_range);
@@ -75,14 +78,15 @@ void run_rows(Table& table, Tree& tree, const char* alloc_name,
                   sink += set.erase(k);
                 }) /
       2.0;
-  table.add_row(
-      {name, alloc_name, obs_name, "insert+erase", Table::num(upd, 1)});
+  table.add_row({name, alloc_name, "off", "1", "insert+erase",
+                 Table::num(upd, 1)});
 
   const double fnd = ns_per_op(m.ops, m.seed + 2, [&](Xoshiro256& rng) {
     const long k = static_cast<long>(rng.next_bounded(range));
     sink += set.contains(k);
   });
-  table.add_row({name, alloc_name, obs_name, "contains", Table::num(fnd, 1)});
+  table.add_row({name, alloc_name, "off", "1", "contains",
+                 Table::num(fnd, 1)});
 
   for (const long width : m.widths) {
     if (width >= m.key_range) continue;
@@ -94,9 +98,46 @@ void run_rows(Table& table, Tree& tree, const char* alloc_name,
         });
     char op[48];
     std::snprintf(op, sizeof(op), "range_count(%ld)", width);
-    table.add_row({name, alloc_name, obs_name, op, Table::num(scn, 1)});
+    table.add_row({name, alloc_name, "off", "1", op, Table::num(scn, 1)});
   }
   g_sink.fetch_add(sink, std::memory_order_relaxed);
+}
+
+// One obs-ablation row: `threads` threads run the paired insert/erase
+// loop on one shared prefilled heap tree; the cell is the mean
+// per-thread ns per update.
+template <class Tree>
+void run_obs_row(Table& table, const char* obs_name, unsigned threads,
+                 const MicroCfg& m) {
+  Tree tree;
+  auto set = adapt(tree);
+  prefill(set, m.key_range, 0.5, m.seed);
+  const auto range = static_cast<std::uint64_t>(m.key_range);
+  std::vector<double> ns(threads);
+  SpinBarrier start(threads);
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      auto local = adapt(tree);
+      std::uint64_t sink = 0;
+      start.arrive_and_wait();
+      ns[t] = ns_per_op(m.ops, m.seed + 10 + t,
+                        [&](Xoshiro256& rng) {
+                          const long k =
+                              static_cast<long>(rng.next_bounded(range));
+                          sink += local.insert(k);
+                          sink += local.erase(k);
+                        }) /
+              2.0;
+      g_sink.fetch_add(sink, std::memory_order_relaxed);
+    });
+  }
+  for (auto& th : pool) th.join();
+  double mean = 0.0;
+  for (const double v : ns) mean += v / static_cast<double>(threads);
+  table.add_row({SetAdapter<Tree>::kName, mem::HeapAlloc::kName, obs_name,
+                 std::to_string(threads), "insert+erase",
+                 Table::num(mean, 1)});
 }
 
 }  // namespace
@@ -113,7 +154,7 @@ int main(int argc, char** argv) {
   m.widths = smoke ? std::vector<long>{16, 128}
                    : std::vector<long>{128, 1024};
   Reporter rep(cli, "Micro.OPS",
-               "single-op latency (1 thread) + arena/heap ablation");
+               "single-op latency + arena/heap and obs ablations");
   for (const auto& unknown : cli.unknown()) {
     std::fprintf(stderr, "unknown flag: --%s\n", unknown.c_str());
     return 2;
@@ -123,7 +164,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(m.ops));
   rep.preamble(params_string(base, extra));
 
-  Table table({"structure", "alloc", "obs", "op", "ns/op"});
+  Table table({"structure", "alloc", "obs", "threads", "op", "ns/op"});
   {
     PnbBst<long> t;
     run_rows(table, t, mem::HeapAlloc::kName, m);
@@ -158,15 +199,15 @@ int main(int argc, char** argv) {
         t(rec, mem::ArenaAlloc(dom));
     run_rows(table, t, mem::ArenaAlloc::kName, m);
   }
-  // Observability ablation: same two lock-free trees on the heap, with
-  // every mechanism counter wired into the process-global registry.
-  {
-    PnbBst<long, std::less<long>, EpochReclaimer, obs::RegistryOpStats> t;
-    run_rows(table, t, mem::HeapAlloc::kName, m, "on");
-  }
-  {
-    NbBst<long, std::less<long>, EpochReclaimer, obs::RegistryOpStats> t;
-    run_rows(table, t, mem::HeapAlloc::kName, m, "on");
+  using CountedPnb =
+      PnbBst<long, std::less<long>, EpochReclaimer, CountingOpStats>;
+  using CountedNb =
+      NbBst<long, std::less<long>, EpochReclaimer, CountingOpStats>;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    run_obs_row<PnbBst<long>>(table, "off", threads, m);
+    run_obs_row<CountedPnb>(table, "on", threads, m);
+    run_obs_row<NbBst<long>>(table, "off", threads, m);
+    run_obs_row<CountedNb>(table, "on", threads, m);
   }
   rep.emit(table);
   return 0;

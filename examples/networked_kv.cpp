@@ -3,18 +3,20 @@
 // few Client connections drive point traffic, one bulk-loads through
 // BATCH frames, one watches with RANGE queries; then the open-loop load
 // generator measures the service's SLO latency (p50/p99/p999 from the
-// scheduled send time, coordinated-omission-safe) and STATS reports the
-// server- and map-side gauges — including the shed counters that would
-// light up under retired-bytes overload. The server also exposes the
-// observability plane (DESIGN.md §14): a Prometheus /metrics HTTP
-// listener on an ephemeral port, announced as a METRICS_URL= line that
-// tools/obs_scrape.py --spawn parses to scrape and validate the page.
+// scheduled send time, coordinated-omission-safe) and the METRICS page
+// reports the server- and map-side gauges — including the shed counters
+// that would light up under retired-bytes overload. The same page is
+// served over HTTP on the serving port (DESIGN.md §14), announced as a
+// METRICS_URL= line that tools/obs_scrape.py --spawn parses to scrape and
+// validate it.
 //
 //   build/examples/networked_kv [--events=N] [--conns=N] [--qps=N]
 //                               [--linger-ms=N]
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <inttypes.h>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,7 +44,6 @@ int main(int argc, char** argv) {
   net::ServerMap map(RangeSplitter<std::int64_t>{0, kKeySpace});
   net::ServerConfig scfg;
   scfg.loops = 2;
-  scfg.metrics_port = 0;  // ephemeral /metrics HTTP listener
   net::Server server(map, scfg);
   if (!server.start()) return 1;
   std::printf("serving 127.0.0.1:%u (2 event loops, 8 shards)\n",
@@ -64,8 +65,7 @@ int main(int argc, char** argv) {
   Rebalancer<net::ServerMap> rebalancer(map, rcfg);
   rebalancer.start();
 
-  std::printf("METRICS_URL=http://127.0.0.1:%u/metrics\n",
-              server.metrics_port());
+  std::printf("METRICS_URL=http://127.0.0.1:%u/metrics\n", server.port());
   std::fflush(stdout);
 
   // Bulk load through the wire: BATCH frames funnel into
@@ -118,38 +118,39 @@ int main(int argc, char** argv) {
               static_cast<double>(lr.latency_ns.p999()) / 1000.0,
               lr.late_sends);
 
-  // STATS over the wire: server counters plus the map's admission and
-  // lifecycle gauges (sheds would appear as batches_deferred > 0).
-  const auto st = reader.stats();
-  std::printf("stats: ops_served=%" PRIu64 " conns_accepted=%" PRIu64
-              " batch_ops=%" PRIu64 " batches_admitted=%" PRIu64
-              " batches_deferred=%" PRIu64 " batches_shed=%" PRIu64
-              " retired_bytes=%" PRIu64 "\n",
-              st.value_or(net::StatId::kOpsServed, 0),
-              st.value_or(net::StatId::kConnsAccepted, 0),
-              st.value_or(net::StatId::kBatchOpsApplied, 0),
-              st.value_or(net::StatId::kBatchesAdmitted, 0),
-              st.value_or(net::StatId::kBatchesDeferred, 0),
-              st.value_or(net::StatId::kBatchesShed, 0),
-              st.value_or(net::StatId::kRetiredBytes, 0));
-  std::printf("requests: get=%" PRIu64 " put=%" PRIu64 " del=%" PRIu64
-              " batch=%" PRIu64 " range=%" PRIu64 " stats=%" PRIu64
-              " metrics=%" PRIu64 "\n",
-              st.value_or(net::StatId::kReqGet, 0),
-              st.value_or(net::StatId::kReqPut, 0),
-              st.value_or(net::StatId::kReqDel, 0),
-              st.value_or(net::StatId::kReqBatch, 0),
-              st.value_or(net::StatId::kReqRange, 0),
-              st.value_or(net::StatId::kReqStats, 0),
-              st.value_or(net::StatId::kReqMetrics, 0));
-
-  // The binary METRICS opcode serves the same exposition text as the
-  // HTTP listener — print a couple of headline series.
+  // The METRICS opcode returns the Prometheus page GET /metrics serves:
+  // server counters plus the map's admission and lifecycle gauges (sheds
+  // would appear as pnb_admission_deferred_total > 0).
   const auto mr = reader.metrics();
-  if (mr.status == net::Status::kOk) {
-    std::printf("METRICS opcode: %zu bytes of Prometheus text\n",
-                mr.text.size());
+  if (mr.status != net::Status::kOk) return 1;
+  std::printf("METRICS opcode: %zu bytes of Prometheus text\n",
+              mr.text.size());
+  const std::string labels = std::string("{") + port_label;
+  // Value of the sample `name{port="N"<extra>` on the page, or 0.
+  const auto metric = [&](const char* name, const char* extra = "}") {
+    const std::string key = name + labels + extra;
+    const std::size_t at = mr.text.find("\n" + key);
+    if (at == std::string::npos) return 0.0;
+    return std::strtod(mr.text.c_str() + mr.text.find(' ', at + 1), nullptr);
+  };
+  std::printf("server: ops_served=%.0f conns_accepted=%.0f batch_ops=%.0f "
+              "batches_admitted=%.0f batches_deferred=%.0f "
+              "batches_shed=%.0f retired_bytes=%.0f\n",
+              metric("pnb_server_ops_served_total"),
+              metric("pnb_server_conns_accepted_total"),
+              metric("pnb_server_batch_ops_applied_total"),
+              metric("pnb_admission_admitted_total"),
+              metric("pnb_admission_deferred_total"),
+              metric("pnb_admission_shed_total"),
+              metric("pnb_lifecycle_retired_bytes"));
+  std::printf("requests:");
+  for (const char* op : {"get", "put", "del", "batch", "range", "metrics",
+                         "unknown"}) {
+    const std::string sel = std::string(",op=\"") + op + "\"}";
+    std::printf(" %s=%.0f", op,
+                metric("pnb_server_requests_total", sel.c_str()));
   }
+  std::printf("\n");
 
   if (linger_ms > 0) {
     std::fflush(stdout);

@@ -52,10 +52,10 @@ int main() {
         counted(domain);
     for (long k = 0; k < 1000; ++k) counted.insert(k);
     for (long k = 0; k < 1000; ++k) counted.erase(k);
+    const pnbbst::OpStatsSnapshot s = counted.stats().snapshot();
     std::printf("commits=%llu attempts=%llu\n",
-                static_cast<unsigned long long>(counted.stats().commits.load()),
-                static_cast<unsigned long long>(
-                    counted.stats().attempts.load()));
+                static_cast<unsigned long long>(s.commits),
+                static_cast<unsigned long long>(s.attempts));
   }
   domain.quiescent_flush();
   std::printf("reclaimer: retired=%llu freed=%llu pending=%llu\n",

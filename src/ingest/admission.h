@@ -49,7 +49,7 @@ struct AdmissionConfig {
 // not caught up — sustained timeouts are the "raise the watermark or drop
 // snapshots" signal. Containers aggregate these into per-container gauges
 // (ShardedPnbMap::admission_stats) so shed rates are observable beyond the
-// per-call BatchResult, e.g. by a serving layer's STATS command.
+// per-call BatchResult, e.g. on a serving layer's metrics page.
 enum class AdmissionOutcome : std::uint8_t {
   kAdmitted,          // under the watermark; no wait
   kAdmittedAfterWait, // kBlock: waited, reclamation caught up in time

@@ -199,14 +199,6 @@ Client::RangeReply Client::range(std::int64_t lo, std::int64_t hi,
   return r;
 }
 
-std::uint64_t Client::StatsReply::value_or(
-    StatId id, std::uint64_t fallback) const noexcept {
-  for (const auto& [eid, v] : entries) {
-    if (eid == static_cast<std::uint32_t>(id)) return v;
-  }
-  return fallback;
-}
-
 Client::MetricsReply Client::metrics() {
   std::vector<std::uint8_t> frame, body;
   encode_metrics(frame);
@@ -223,27 +215,6 @@ Client::MetricsReply Client::metrics() {
       r.text.push_back(static_cast<char>(rd.u8()));
     }
     if (!rd.done()) r.text.clear();
-  }
-  return r;
-}
-
-Client::StatsReply Client::stats() {
-  std::vector<std::uint8_t> frame, body;
-  encode_stats(frame);
-  StatsReply r;
-  const std::uint8_t st = round_trip(frame, body);
-  if (st == kTransportError) return r;
-  r.status = static_cast<Status>(st);
-  if (r.status == Status::kOk) {
-    WireReader rd(body);
-    rd.u8();
-    const std::uint32_t n = rd.u32();
-    r.entries.reserve(n);
-    for (std::uint32_t i = 0; i < n && rd.ok(); ++i) {
-      const std::uint32_t id = rd.u32();
-      const std::uint64_t v = rd.u64();
-      r.entries.emplace_back(id, v);
-    }
   }
   return r;
 }

@@ -1,7 +1,7 @@
 // Blocking PNB-KV client connection: the counterpart of src/server/.
 //
 // One Client is one TCP connection with simple request/response
-// round-trip helpers (get/put/del/batch/range/stats) plus the raw
+// round-trip helpers (get/put/del/batch/range/metrics) plus the raw
 // send_bytes/recv_frame surface the load generator uses for pipelined
 // traffic and the robustness tests use to inject malformed bytes. Not
 // thread-safe: one Client per thread, like a socket.
@@ -71,20 +71,12 @@ class Client {
   };
   RangeReply range(std::int64_t lo, std::int64_t hi, std::uint32_t limit);
 
-  struct StatsReply {
-    Status status = Status::kBadRequest;
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
-    // First value for `id`, or `fallback` when the server did not send it.
-    std::uint64_t value_or(StatId id, std::uint64_t fallback) const noexcept;
-  };
-  StatsReply stats();
-
   struct MetricsReply {
     Status status = Status::kBadRequest;
     std::string text;  // Prometheus text exposition (empty on error)
   };
   // Full obs registry snapshot over the binary transport (kMetrics);
-  // the same payload the HTTP /metrics listener serves.
+  // the same payload GET /metrics serves on the same port.
   MetricsReply metrics();
 
   // --- Raw framed I/O (pipelining, fault injection) --------------------------
@@ -96,7 +88,7 @@ class Client {
   // up here as a clean false, not a hang — the server closes the socket).
   bool recv_frame(std::vector<std::uint8_t>& body);
   // Reads until the peer closes (unframed — for talking HTTP to the
-  // /metrics listener, which answers one request and hangs up).
+  // server's GET /metrics, which answers one request and hangs up).
   std::string recv_all();
 
  private:

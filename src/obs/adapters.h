@@ -20,6 +20,7 @@
 #include <string>
 #include <utility>
 
+#include "core/op_stats.h"
 #include "obs/latency.h"
 #include "obs/registry.h"
 
@@ -34,7 +35,7 @@ inline std::string join_labels(const std::string& base,
 }
 
 // One sample per mechanism counter into the pnb_engine_<mech>_total
-// families (shared with RegistryOpStats, distinguished by labels).
+// families (one per registered subject, distinguished by labels).
 inline void emit_op_snapshot(std::vector<Sample>& out,
                              const std::string& labels,
                              const OpStatsSnapshot& s) {
@@ -274,9 +275,8 @@ void register_sharded_map(MetricsRegistry& reg, Registration& handle,
 }
 
 // Latency plane: per op class, BOTH a Prometheus summary (quantile
-// samples plus _count/_sum; sum reconstructed as mean*count of the merged
-// histogram, bucket-midpoint precision) and a native le-bucketed
-// histogram family pnb_op_latency_ns_hist on the fixed
+// samples plus _count and the exact _sum of the merged histogram) and a
+// native le-bucketed histogram family pnb_op_latency_ns_hist on the fixed
 // kLatencyBucketBoundsNs ladder — summaries for cheap single-instance
 // reads, histograms for cross-instance aggregation and PromQL
 // histogram_quantile(). Cumulative bucket counts come from
@@ -310,7 +310,7 @@ void register_latency(MetricsRegistry& reg, Registration& handle,
           out.push_back({"pnb_op_latency_ns_count", base,
                          static_cast<double>(h.count())});
           out.push_back({"pnb_op_latency_ns_sum", base,
-                         h.mean() * static_cast<double>(h.count())});
+                         static_cast<double>(h.sum())});
           for (std::size_t b = 0; b < kLatencyBucketCount; ++b) {
             out.push_back(
                 {"pnb_op_latency_ns_hist_bucket",
@@ -324,7 +324,7 @@ void register_latency(MetricsRegistry& reg, Registration& handle,
           out.push_back({"pnb_op_latency_ns_hist_count", base,
                          static_cast<double>(h.count())});
           out.push_back({"pnb_op_latency_ns_hist_sum", base,
-                         h.mean() * static_cast<double>(h.count())});
+                         static_cast<double>(h.sum())});
         }
       });
   reg.declare("pnb_op_latency_ns_count", MetricType::kCounter,

@@ -1,17 +1,17 @@
 // Sampled op-latency plane: 1-in-N operations get a steady-clock
-// timestamp pair recorded into a per-thread lock-free histogram, one
-// per op class (find/insert/erase/scan/batch). Scrapes merge the
-// per-thread histograms into a plain util/histogram.h Histogram and
-// export Prometheus summary samples (p50/p90/p99/p999 + _count/_sum).
+// timestamp pair recorded into a per-thread histogram, one per op class
+// (find/insert/erase/scan/batch). Scrapes merge the per-thread
+// histograms into a plain util/histogram.h Histogram and export
+// Prometheus summary samples (p50/p90/p99/p999 + _count/_sum).
 //
 // Cost model: the un-sampled path is one thread-local countdown
 // decrement and a branch (maybe_start() returns 0); a sampled op adds
-// two now_ns() calls and one relaxed-atomic bucket increment into a
-// thread-exclusive AtomicHistogram. sample_every == 0 disables the
-// plane entirely (maybe_start() is a constant branch). Buckets are
-// relaxed atomics only so a concurrent merge-on-scrape of another
-// thread's histogram is race-free under TSan; each histogram has a
-// single writer, so increments are plain-store cheap in practice.
+// two now_ns() calls and one record() into the thread's
+// RelaxedHistogram. sample_every == 0 disables the plane entirely
+// (maybe_start() is a constant branch). Cells are relaxed atomics only
+// so a concurrent merge-on-scrape of another thread's histogram is
+// race-free under TSan; each histogram has a single writer, so its
+// increments never contend.
 #pragma once
 
 #include <atomic>
@@ -66,47 +66,6 @@ inline constexpr std::uint64_t kLatencyBucketBoundsNs[] = {
 inline constexpr std::size_t kLatencyBucketCount =
     sizeof(kLatencyBucketBoundsNs) / sizeof(kLatencyBucketBoundsNs[0]);
 
-// Histogram with the same bucket geometry as util/histogram.h but
-// relaxed-atomic counters: single-writer record(), any-thread snapshot.
-class AtomicHistogram {
- public:
-  AtomicHistogram() : counts_(Histogram::kBuckets) {}
-
-  void record(std::uint64_t value) noexcept {
-    counts_[Histogram::index_for(value)].fetch_add(
-        1, std::memory_order_relaxed);
-    total_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-    std::uint64_t prev = max_.load(std::memory_order_relaxed);
-    while (value > prev && !max_.compare_exchange_weak(
-                               prev, value, std::memory_order_relaxed)) {
-    }
-  }
-
-  std::uint64_t count() const noexcept {
-    return total_.load(std::memory_order_relaxed);
-  }
-
-  // Fold this histogram's buckets into a plain Histogram. Buckets are
-  // read individually (no cross-bucket snapshot), so a merge taken
-  // while recording continues is approximate to within in-flight ops.
-  void merge_into(Histogram& out) const {
-    Histogram h;
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      const std::uint64_t n = counts_[i].load(std::memory_order_relaxed);
-      const std::uint64_t v = Histogram::value_for(i);
-      for (std::uint64_t k = 0; k < n; ++k) h.record(v);
-    }
-    out.merge(h);
-  }
-
- private:
-  std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> total_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> max_{0};
-};
-
 class LatencyPlane {
  public:
   static constexpr std::uint32_t kDefaultSampleEvery = 64;
@@ -144,9 +103,9 @@ class LatencyPlane {
     // Lazily bound so idle classes cost no memory; the pointer is
     // atomic (single writer, concurrent scrape readers) and published
     // with release so readers see a fully constructed histogram.
-    AtomicHistogram* h = rec.hists[i].load(std::memory_order_relaxed);
+    RelaxedHistogram* h = rec.hists[i].load(std::memory_order_relaxed);
     if (h == nullptr) {
-      h = new AtomicHistogram();
+      h = new RelaxedHistogram();
       rec.hists[i].store(h, std::memory_order_release);
     }
     h->record(now_ns() - start);
@@ -157,10 +116,10 @@ class LatencyPlane {
     Histogram out;
     std::lock_guard<std::mutex> lock(recs_mu_);
     for (const auto& rec : recs_) {
-      const AtomicHistogram* h =
+      const RelaxedHistogram* h =
           rec->hists[static_cast<std::size_t>(cls)].load(
               std::memory_order_acquire);
-      if (h != nullptr) h->merge_into(out);
+      if (h != nullptr) out.merge(*h);
     }
     return out;
   }
@@ -170,7 +129,7 @@ class LatencyPlane {
     std::lock_guard<std::mutex> lock(recs_mu_);
     for (const auto& rec : recs_) {
       for (const auto& slot : rec->hists) {
-        const AtomicHistogram* h = slot.load(std::memory_order_acquire);
+        const RelaxedHistogram* h = slot.load(std::memory_order_acquire);
         if (h != nullptr) n += h->count();
       }
     }
@@ -180,7 +139,7 @@ class LatencyPlane {
  private:
   struct ThreadRec {
     std::uint32_t countdown = 1;  // first op after enabling is sampled
-    std::atomic<AtomicHistogram*>
+    std::atomic<RelaxedHistogram*>
         hists[static_cast<std::size_t>(OpClass::kCount)] = {};
 
     ~ThreadRec() {

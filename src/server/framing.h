@@ -81,9 +81,11 @@ class FrameReader {
     return Next::kFrame;
   }
 
-  // Bytes buffered but not yet returned as frames.
+  // Bytes buffered but not yet returned as frames, starting at pending().
+  // A rejected (kTooLarge) prefix stays buffered, so the server can sniff
+  // the first bytes of a connection that turned out not to be framed.
   std::size_t buffered() const noexcept { return buf_.size() - off_; }
-  std::size_t max_frame() const noexcept { return max_frame_; }
+  const std::uint8_t* pending() const noexcept { return buf_.data() + off_; }
 
  private:
   // Drop consumed bytes once they dominate the buffer; amortized O(1)

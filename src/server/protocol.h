@@ -2,7 +2,7 @@
 //
 // Every message — request or response — is one frame:
 //
-//   u32 body_len   (little-endian; body_len <= max_frame_bytes)
+//   u32 body_len   (little-endian; body_len <= kMaxFrameBytes)
 //   body_len bytes of body
 //
 // Request body:  u8 opcode, then the opcode's payload.
@@ -21,10 +21,14 @@
 //              i64 key, i64 value)          u64 erased
 //   RANGE    i64 lo, i64 hi, u32 limit    u64 count, u32 npairs,
 //                                           npairs x (i64 key, i64 value)
-//   STATS    (empty)                      u32 n, n x (u32 id, u64 value)
 //   METRICS  (empty)                      u32 len, len bytes of Prometheus
 //                                           text exposition (the same
 //                                           payload GET /metrics serves)
+//
+// Opcode value 6 is unassigned and answers kBadRequest like any unknown
+// opcode. A connection whose first four bytes are "GET " is HTTP, not
+// framed (server.h); those bytes read as a length prefix exceed
+// kMaxFrameBytes, so no valid frame can start with them.
 //
 // RANGE with limit == 0 is a pure merged count (npairs == 0); limit > 0
 // returns the first `limit` merged pairs ascending plus count == npairs.
@@ -66,7 +70,6 @@ enum class Opcode : std::uint8_t {
   kDel = 3,
   kBatch = 4,
   kRange = 5,
-  kStats = 6,
   kMetrics = 7,  // full obs registry snapshot as Prometheus text
 };
 
@@ -75,33 +78,6 @@ enum class Status : std::uint8_t {
   kNotFound = 1,
   kRetry = 2,       // admission control shed the batch; retry later
   kBadRequest = 3,  // malformed frame; the server closes after sending
-};
-
-// STATS response ids. Values are u64 gauges; unknown ids must be skipped
-// by clients (the fixed (u32 id, u64 value) stride makes that free), so
-// the server can grow the set without a protocol rev.
-enum class StatId : std::uint32_t {
-  kOpsServed = 1,        // frames answered (all opcodes)
-  kConnsAccepted = 2,    // connections accepted since start
-  kConnsOpen = 3,        // currently open connections
-  kBatchOpsApplied = 4,  // BATCH ops applied after dedup
-  kBatchesAdmitted = 5,  // map admission gauges (ingest::AdmissionStats)
-  kBatchesDeferred = 6,
-  kBatchesBlocked = 7,
-  kBatchesTimedOut = 8,
-  kShedResponses = 9,    // kRetry frames sent by this server
-  kRangeQueries = 10,
-  kRetiredBytes = 11,    // lifecycle gauges of the serving map
-  kRetiredMaps = 12,
-  kActiveLeases = 13,
-  kBatchesShed = 14,     // AdmissionStats::shed() (deferred + timed out)
-  kReqGet = 15,          // per-opcode request counters (frames decoded
-  kReqPut = 16,          //   with that opcode, whatever the outcome)
-  kReqDel = 17,
-  kReqBatch = 18,
-  kReqRange = 19,
-  kReqStats = 20,
-  kReqMetrics = 21,
 };
 
 // One BATCH entry on the wire. kind mirrors ingest::BatchOpKind's values
@@ -274,13 +250,6 @@ inline void encode_range(std::vector<std::uint8_t>& out, std::int64_t lo,
   w.i64(lo);
   w.i64(hi);
   w.u32(limit);
-  append_frame(out, body);
-}
-
-inline void encode_stats(std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> body;
-  WireWriter w(body);
-  w.u8(static_cast<std::uint8_t>(Opcode::kStats));
   append_frame(out, body);
 }
 

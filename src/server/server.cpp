@@ -3,17 +3,17 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -42,18 +42,52 @@ bool add_fd(int epoll_fd, int fd, std::uint32_t events, std::uint64_t tag) {
   return ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
+// Per-connection output bounds: reading stops once pending output reaches
+// the high mark and resumes once the peer has drained it to the low mark.
+// Input is read in bursts of at most the high mark too, so a paused
+// connection holds about two high marks of buffers.
+constexpr std::size_t kOutHighMark = kMaxFrameBytes;
+constexpr std::size_t kOutLowMark = kMaxFrameBytes / 4;
+
+// Longest HTTP request header answered; a longer one drops the connection.
+constexpr std::size_t kMaxHttpHeader = 1024;
+
+// The HTTP sniff's proof: "GET " read as a frame's little-endian length
+// prefix announces ~542 MB, more than kMaxFrameBytes, so FrameReader
+// rejects those bytes as kTooLarge and no valid frame starts with them.
+static_assert((std::uint32_t{'G'} | std::uint32_t{'E'} << 8 |
+               std::uint32_t{'T'} << 16 | std::uint32_t{' '} << 24) >
+              kMaxFrameBytes);
+
+// Request counter slot of an opcode: its value when the server knows it,
+// else 0.
+std::size_t opcode_slot(Opcode op) noexcept {
+  switch (op) {
+    case Opcode::kGet:
+    case Opcode::kPut:
+    case Opcode::kDel:
+    case Opcode::kBatch:
+    case Opcode::kRange:
+    case Opcode::kMetrics:
+      return static_cast<std::size_t>(op);
+  }
+  return 0;
+}
+
 }  // namespace
 
 // Per-connection state; owned by exactly one Loop, so no synchronization.
 struct Server::Conn {
-  explicit Conn(int f, std::size_t max_frame) : fd(f), reader(max_frame) {}
+  explicit Conn(int f) : fd(f) {}
   int fd;
   FrameReader reader;
   WriteBuffer out;
-  bool want_write = false;        // EPOLLOUT currently registered
-  bool close_after_flush = false; // protocol violation: drain, then drop
+  std::uint32_t events = EPOLLIN;  // epoll interest currently registered
+  bool paused = false;             // not reading: out passed kOutHighMark
+  bool framed = false;             // a frame was decoded: no HTTP sniff
+  bool http = false;               // started with "GET ": one HTTP request
+  bool close_after_flush = false;  // bad request or HTTP reply: drain, drop
 };
-
 struct Server::Loop {
   int epoll_fd = -1;
   int wake_fd = -1;
@@ -133,18 +167,11 @@ bool Server::start() {
   // gauge registrations are per-server (released again in stop()).
   obs::LatencyPlane::global().set_sample_every(cfg_.latency_sample_every);
   register_gauges();
-  if (cfg_.metrics_port && !start_metrics_listener()) {
-    stop();
-    return false;
-  }
 
   running_.store(true, std::memory_order_release);
   threads_.reserve(loops_.size());
   for (auto& loop : loops_) {
     threads_.emplace_back([this, l = loop.get()] { loop_main(*l); });
-  }
-  if (metrics_fd_ >= 0) {
-    metrics_thread_ = std::thread([this] { metrics_main(); });
   }
   return true;
 }
@@ -159,11 +186,6 @@ void Server::stop() {
     for (auto& t : threads_) t.join();
     threads_.clear();
   }
-  if (metrics_thread_.joinable()) metrics_thread_.join();
-  if (metrics_fd_ >= 0) {
-    ::close(metrics_fd_);
-    metrics_fd_ = -1;
-  }
   // Release this server's registry collectors: their callbacks capture
   // `this` and the map, which a later test/server cycle would dangle.
   obs_reg_.reset();
@@ -171,6 +193,7 @@ void Server::stop() {
     for (auto& [fd, conn] : loop->conns) {
       ::close(fd);
       conns_open_.fetch_sub(1, std::memory_order_relaxed);
+      if (conn->paused) conns_paused_.fetch_sub(1, std::memory_order_relaxed);
     }
     loop->conns.clear();
     if (loop->wake_fd >= 0) ::close(loop->wake_fd);
@@ -185,110 +208,17 @@ void Server::stop() {
 
 ServerStats Server::stats() const noexcept {
   ServerStats s;
-  s.ops_served = ops_served_.load(std::memory_order_relaxed);
-  s.conns_accepted = conns_accepted_.load(std::memory_order_relaxed);
+  for (std::size_t op = 0; op < kOpcodeSlots; ++op) {
+    s.requests[op] = counters_.value(op);
+    s.ops_served += s.requests[op];
+  }
+  s.conns_accepted = counters_.value(kConnsAccepted);
   s.conns_open = conns_open_.load(std::memory_order_relaxed);
-  s.batch_ops_applied = batch_ops_applied_.load(std::memory_order_relaxed);
-  s.shed_responses = shed_responses_.load(std::memory_order_relaxed);
-  s.range_queries = range_queries_.load(std::memory_order_relaxed);
-  s.bad_frames = bad_frames_.load(std::memory_order_relaxed);
-  const auto req = [this](Opcode op) {
-    return req_counts_[static_cast<std::size_t>(op)].load(
-        std::memory_order_relaxed);
-  };
-  s.req_get = req(Opcode::kGet);
-  s.req_put = req(Opcode::kPut);
-  s.req_del = req(Opcode::kDel);
-  s.req_batch = req(Opcode::kBatch);
-  s.req_range = req(Opcode::kRange);
-  s.req_stats = req(Opcode::kStats);
-  s.req_metrics = req(Opcode::kMetrics);
+  s.conns_paused = conns_paused_.load(std::memory_order_relaxed);
+  s.batch_ops_applied = counters_.value(kBatchOpsApplied);
+  s.shed_responses = counters_.value(kShedResponses);
+  s.bad_frames = counters_.value(kBadFrames);
   return s;
-}
-
-// --- /metrics HTTP listener ------------------------------------------------
-
-bool Server::start_metrics_listener() {
-  metrics_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (metrics_fd_ < 0) {
-    std::perror("server: metrics socket");
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(metrics_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(*cfg_.metrics_port);
-  if (::inet_pton(AF_INET, cfg_.host.c_str(), &addr.sin_addr) != 1 ||
-      ::bind(metrics_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(metrics_fd_, 16) != 0) {
-    std::perror("server: metrics bind/listen");
-    ::close(metrics_fd_);
-    metrics_fd_ = -1;
-    return false;
-  }
-  sockaddr_in bound{};
-  socklen_t blen = sizeof(bound);
-  if (::getsockname(metrics_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &blen) == 0) {
-    metrics_port_ = ntohs(bound.sin_port);
-  }
-  return true;
-}
-
-// One-request-per-connection HTTP responder, deliberately minimal: a
-// scrape is GET /metrics every few seconds from one collector, so a
-// single blocking thread with poll()-bounded waits is plenty — and it
-// keeps the epoll loops untouched by exposition work. Not a general
-// HTTP server: no keep-alive, no chunking, 1 KiB request cap.
-void Server::metrics_main() {
-  while (running_.load(std::memory_order_acquire)) {
-    pollfd pfd{metrics_fd_, POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, 100);  // 100 ms running_ re-check
-    if (pr <= 0) continue;
-    const int fd = ::accept4(metrics_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    req_counts_[static_cast<std::size_t>(Opcode::kMetrics)].fetch_add(
-        1, std::memory_order_relaxed);
-    timeval tv{};
-    tv.tv_sec = 2;  // bound a stalled client; scrapers are local/fast
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    char req[1024];
-    std::size_t got = 0;
-    // Read until the header terminator (scrape requests have no body).
-    while (got < sizeof(req) - 1) {
-      const ssize_t n = ::recv(fd, req + got, sizeof(req) - 1 - got, 0);
-      if (n <= 0) break;
-      got += static_cast<std::size_t>(n);
-      req[got] = '\0';
-      if (std::strstr(req, "\r\n\r\n") != nullptr ||
-          std::strstr(req, "\n\n") != nullptr) {
-        break;
-      }
-    }
-    req[got] = '\0';
-    std::string resp;
-    if (std::strncmp(req, "GET /metrics", 12) == 0) {
-      const std::string body =
-          obs::MetricsRegistry::global().prometheus_text();
-      resp = "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; "
-             "charset=utf-8\r\nContent-Length: " +
-             std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" +
-             body;
-    } else {
-      resp = "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n"
-             "Connection: close\r\n\r\n";
-    }
-    std::size_t sent = 0;
-    while (sent < resp.size()) {
-      const ssize_t n = ::send(fd, resp.data() + sent, resp.size() - sent,
-                               MSG_NOSIGNAL);
-      if (n <= 0) break;
-      sent += static_cast<std::size_t>(n);
-    }
-    ::close(fd);
-  }
 }
 
 // --- Registry wiring -------------------------------------------------------
@@ -303,7 +233,7 @@ void Server::register_gauges() {
   // Server-side counters, one collector for the whole family set.
   reg.add_collector(
       obs_reg_, "pnb_server_ops_served_total", obs::MetricType::kCounter,
-      "Frames answered (all opcodes)",
+      "Requests answered (all opcodes)",
       [this, port_label](std::vector<obs::Sample>& out) {
         const ServerStats s = stats();
         out.push_back({"pnb_server_ops_served_total", port_label,
@@ -312,40 +242,41 @@ void Server::register_gauges() {
                        static_cast<double>(s.conns_accepted)});
         out.push_back({"pnb_server_conns_open", port_label,
                        static_cast<double>(s.conns_open)});
+        out.push_back({"pnb_server_conns_paused", port_label,
+                       static_cast<double>(s.conns_paused)});
         out.push_back({"pnb_server_batch_ops_applied_total", port_label,
                        static_cast<double>(s.batch_ops_applied)});
         out.push_back({"pnb_server_shed_responses_total", port_label,
                        static_cast<double>(s.shed_responses)});
-        out.push_back({"pnb_server_range_queries_total", port_label,
-                       static_cast<double>(s.range_queries)});
         out.push_back({"pnb_server_bad_frames_total", port_label,
                        static_cast<double>(s.bad_frames)});
-        const std::pair<const char*, std::uint64_t> reqs[] = {
-            {"get", s.req_get},     {"put", s.req_put},
-            {"del", s.req_del},     {"batch", s.req_batch},
-            {"range", s.req_range}, {"stats", s.req_stats},
-            {"metrics", s.req_metrics},
+        static constexpr std::pair<Opcode, const char*> kOps[] = {
+            {Opcode::kGet, "get"},     {Opcode::kPut, "put"},
+            {Opcode::kDel, "del"},     {Opcode::kBatch, "batch"},
+            {Opcode::kRange, "range"}, {Opcode::kMetrics, "metrics"},
+            {Opcode{0}, "unknown"},
         };
-        for (const auto& [op, v] : reqs) {
+        for (const auto& [op, name] : kOps) {
           out.push_back({"pnb_server_requests_total",
-                         port_label + ",op=\"" + op + "\"",
-                         static_cast<double>(v)});
+                         port_label + ",op=\"" + name + "\"",
+                         static_cast<double>(
+                             s.requests[static_cast<std::size_t>(op)])});
         }
       });
   reg.declare("pnb_server_conns_accepted_total", obs::MetricType::kCounter,
               "Connections accepted since start");
   reg.declare("pnb_server_conns_open", obs::MetricType::kGauge,
               "Currently open connections");
+  reg.declare("pnb_server_conns_paused", obs::MetricType::kGauge,
+              "Connections not read until their peer drains replies");
   reg.declare("pnb_server_batch_ops_applied_total",
               obs::MetricType::kCounter, "BATCH ops applied after dedup");
   reg.declare("pnb_server_shed_responses_total", obs::MetricType::kCounter,
               "kRetry frames sent (overload shedding)");
-  reg.declare("pnb_server_range_queries_total", obs::MetricType::kCounter,
-              "RANGE frames served");
   reg.declare("pnb_server_bad_frames_total", obs::MetricType::kCounter,
               "Malformed frames answered kBadRequest");
   reg.declare("pnb_server_requests_total", obs::MetricType::kCounter,
-              "Frames decoded per opcode");
+              "Requests decoded per opcode");
 
   // The serving map: per-shard op/size gauges, lifecycle, admission —
   // plus the aggregate engine family (CountingOpStats is enabled on
@@ -353,10 +284,11 @@ void Server::register_gauges() {
   obs::register_sharded_map(reg, obs_reg_, map_, port_label);
 
   // Process-lifetime subjects register exactly once (idempotent across
-  // serial server instances; the subjects are immortal, so the leaked
-  // Registration is intentional — there is never a reason to unwire).
+  // serial server instances; the subjects are immortal, so is their
+  // Registration — there is never a reason to unwire. The static pointer
+  // keeps it reachable for the leak checker).
   static const bool process_wide = [&reg] {
-    auto* keep = new obs::Registration();
+    static auto* keep = new obs::Registration();
     obs::register_arena(reg, *keep, mem::ArenaDomain::shared(),
                         "domain=\"shared\"");
     for (std::size_t i = 0; i < mem::ArenaDomain::kPooledDomains; ++i) {
@@ -395,20 +327,15 @@ void Server::loop_main(Loop& loop) {
       }
       // Each registered fd yields at most one event per wait, and no
       // handler closes a conn other than its own, so `c` is alive here.
-      // It may die inside handle_readable though — re-find by the saved
-      // fd (never through c) before the EPOLLOUT leg.
       auto* c = reinterpret_cast<Conn*>(static_cast<std::uintptr_t>(tag));
-      const int fd = c->fd;
       if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
         close_conn(loop, *c);
         continue;
       }
-      if ((events[i].events & EPOLLIN) != 0) handle_readable(loop, *c);
-      const auto it = loop.conns.find(fd);
-      if (it != loop.conns.end() && it->second.get() == c &&
-          (events[i].events & EPOLLOUT) != 0) {
-        flush_writes(loop, *c);
+      if ((events[i].events & EPOLLIN) != 0 && !read_input(loop, *c)) {
+        continue;  // closed
       }
+      serve(loop, *c);
     }
   }
 }
@@ -424,19 +351,12 @@ void Server::handle_accepts(Loop& loop) {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    conns_accepted_.fetch_add(1, std::memory_order_relaxed);
+    counters_.add(kConnsAccepted);
     const std::size_t target =
         next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
     Loop& dst = *loops_[target];
     if (&dst == &loop) {
-      auto conn = std::make_unique<Conn>(fd, cfg_.max_frame_bytes);
-      if (!add_fd(loop.epoll_fd, fd, EPOLLIN,
-                  reinterpret_cast<std::uintptr_t>(conn.get()))) {
-        ::close(fd);
-        continue;
-      }
-      conns_open_.fetch_add(1, std::memory_order_relaxed);
-      loop.conns.emplace(fd, std::move(conn));
+      adopt(loop, fd);
     } else {
       {
         std::lock_guard<std::mutex> lk(dst.mu);
@@ -455,55 +375,126 @@ void Server::adopt_pending(Loop& loop) {
     std::lock_guard<std::mutex> lk(loop.mu);
     fds.swap(loop.pending);
   }
-  for (int fd : fds) {
-    auto conn = std::make_unique<Conn>(fd, cfg_.max_frame_bytes);
-    if (!add_fd(loop.epoll_fd, fd, EPOLLIN,
-                reinterpret_cast<std::uintptr_t>(conn.get()))) {
-      ::close(fd);
-      continue;
-    }
-    conns_open_.fetch_add(1, std::memory_order_relaxed);
-    loop.conns.emplace(fd, std::move(conn));
-  }
+  for (int fd : fds) adopt(loop, fd);
 }
 
-void Server::handle_readable(Loop& loop, Conn& c) {
+void Server::adopt(Loop& loop, int fd) {
+  auto conn = std::make_unique<Conn>(fd);
+  if (!add_fd(loop.epoll_fd, fd, conn->events,
+              reinterpret_cast<std::uintptr_t>(conn.get()))) {
+    ::close(fd);
+    return;
+  }
+  conns_open_.fetch_add(1, std::memory_order_relaxed);
+  loop.conns.emplace(fd, std::move(conn));
+}
+
+// Moves what the socket holds into the conn's FrameReader, at most about
+// kOutHighMark per call. Returns false when the connection was closed.
+bool Server::read_input(Loop& loop, Conn& c) {
   std::uint8_t buf[65536];
   for (;;) {
     const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
     if (n > 0) {
       c.reader.feed(buf, static_cast<std::size_t>(n));
-      if (n < static_cast<ssize_t>(sizeof(buf))) break;
+      if (n < static_cast<ssize_t>(sizeof(buf)) ||
+          c.reader.buffered() >= kOutHighMark) {
+        return true;
+      }
       continue;
     }
-    if (n == 0) {  // orderly shutdown by the peer
-      close_conn(loop, c);
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    close_conn(loop, c);
-    return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    if (n < 0 && errno == EINTR) continue;
+    close_conn(loop, c);  // orderly shutdown by the peer, or an error
+    return false;
   }
-  // Decode every complete frame this burst delivered; responses coalesce
-  // in c.out and leave in one flush below.
+}
+
+// Answers buffered requests and flushes until the connection runs out of
+// input or the peer stops draining, then re-arms epoll. A paused
+// connection whose output drained to the low mark resumes here, and the
+// requests it had already buffered are answered before the next read.
+void Server::serve(Loop& loop, Conn& c) {
+  for (;;) {
+    if (c.paused && c.out.size() <= kOutLowMark) {
+      c.paused = false;
+      conns_paused_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    if (!c.paused) decode(c);
+    if (!flush_writes(loop, c)) return;  // closed
+    if (!c.paused || c.out.size() > kOutLowMark) break;
+  }
+  update_interest(loop, c);
+}
+
+// Decodes every complete request buffered on the connection; responses
+// coalesce in c.out. Stops early, pausing reads, when c.out reaches the
+// high mark.
+void Server::decode(Conn& c) {
   std::vector<std::uint8_t> body;
   while (!c.close_after_flush) {
+    if (c.out.size() >= kOutHighMark) {
+      c.paused = true;
+      conns_paused_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    if (c.http) {
+      serve_http(c);
+      return;
+    }
     const FrameReader::Next r = c.reader.next(body);
     if (r == FrameReader::Next::kFrame) {
+      c.framed = true;
       handle_frame(c, body);
       continue;
     }
-    if (r == FrameReader::Next::kNeedMore) break;
-    // kTooLarge: reject and drop — the stream offset is unusable.
-    bad_frames_.fetch_add(1, std::memory_order_relaxed);
+    if (r == FrameReader::Next::kNeedMore) return;
+    // kTooLarge on a connection's first bytes may be an HTTP request.
+    if (!c.framed && std::memcmp(c.reader.pending(), "GET ", 4) == 0) {
+      c.http = true;
+      continue;
+    }
+    // Otherwise reject and drop: the stream offset is unusable.
+    counters_.add(kBadFrames);
     const std::size_t at = c.out.begin_frame();
     WireWriter w(c.out.raw());
     w.u8(static_cast<std::uint8_t>(Status::kBadRequest));
     c.out.end_frame(at);
     c.close_after_flush = true;
   }
-  flush_writes(loop, c);
+}
+
+// Answers the connection's one HTTP request once its header is complete:
+// GET /metrics with the registry's Prometheus text, any other target with
+// a 404. Not a general HTTP server: no keep-alive, no request body.
+void Server::serve_http(Conn& c) {
+  const std::string_view head(
+      reinterpret_cast<const char*>(c.reader.pending()),
+      std::min(c.reader.buffered(), kMaxHttpHeader));
+  if (head.find("\r\n\r\n") == std::string_view::npos &&
+      head.find("\n\n") == std::string_view::npos) {
+    // Header still incomplete: wait for more, or drop an oversized one.
+    c.close_after_flush = head.size() == kMaxHttpHeader;
+    return;
+  }
+  const std::string_view target =
+      head.substr(4, head.find_first_of(" ?\r\n", 4) - 4);
+  std::string resp;
+  if (target == "/metrics") {
+    counters_.add(static_cast<std::size_t>(Opcode::kMetrics));
+    const std::string body =
+        obs::MetricsRegistry::global().prometheus_text();
+    resp = "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; "
+           "charset=utf-8\r\nContent-Length: " +
+           std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" +
+           body;
+  } else {
+    counters_.add(0);
+    resp = "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n"
+           "Connection: close\r\n\r\n";
+  }
+  c.out.raw().insert(c.out.raw().end(), resp.begin(), resp.end());
+  c.close_after_flush = true;
 }
 
 void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
@@ -511,11 +502,7 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
   const auto opcode = static_cast<Opcode>(req.u8());
   const std::size_t at = c.out.begin_frame();
   WireWriter w(c.out.raw());
-  ops_served_.fetch_add(1, std::memory_order_relaxed);
-  if (static_cast<std::size_t>(opcode) < std::size(req_counts_)) {
-    req_counts_[static_cast<std::size_t>(opcode)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
+  counters_.add(opcode_slot(opcode));
   // Latency plane: t0 == 0 for the (sample_every-1)/sample_every ops
   // that are not sampled; finish() is then a no-op. Malformed frames
   // fall through without recording — the distribution is of served ops.
@@ -583,13 +570,13 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
       if (!r.admitted()) {
         // Overload shed: retired-bytes watermark exceeded, batch bounced
         // untouched (kDefer policy installed at start()).
-        shed_responses_.fetch_add(1, std::memory_order_relaxed);
+        counters_.add(kShedResponses);
         w.u8(static_cast<std::uint8_t>(Status::kRetry));
         w.u64(r.deferred);
         c.out.end_frame(at);
         return;
       }
-      batch_ops_applied_.fetch_add(r.applied, std::memory_order_relaxed);
+      counters_.add(kBatchOpsApplied, r.applied);
       w.u8(static_cast<std::uint8_t>(Status::kOk));
       w.u64(r.applied);
       w.u64(r.inserted);
@@ -603,7 +590,6 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
       const std::int64_t hi = req.i64();
       std::uint32_t limit = req.u32();
       if (!req.done()) break;
-      range_queries_.fetch_add(1, std::memory_order_relaxed);
       w.u8(static_cast<std::uint8_t>(Status::kOk));
       if (limit == 0) {
         // Pure merged count: per-shard snapshot counts fan out across
@@ -635,42 +621,6 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
       lat.finish(obs::OpClass::kScan, t0);
       return;
     }
-    case Opcode::kStats: {
-      if (!req.done()) break;
-      const ServerStats ss = stats();
-      const ingest::AdmissionStats as = map_.admission_stats();
-      const std::pair<StatId, std::uint64_t> entries[] = {
-          {StatId::kOpsServed, ss.ops_served},
-          {StatId::kConnsAccepted, ss.conns_accepted},
-          {StatId::kConnsOpen, ss.conns_open},
-          {StatId::kBatchOpsApplied, ss.batch_ops_applied},
-          {StatId::kBatchesAdmitted, as.admitted},
-          {StatId::kBatchesDeferred, as.deferred},
-          {StatId::kBatchesBlocked, as.blocked},
-          {StatId::kBatchesTimedOut, as.timed_out},
-          {StatId::kShedResponses, ss.shed_responses},
-          {StatId::kRangeQueries, ss.range_queries},
-          {StatId::kRetiredBytes, map_.retired_bytes()},
-          {StatId::kRetiredMaps, map_.retired_maps()},
-          {StatId::kActiveLeases, map_.lifetime().active_leases()},
-          {StatId::kBatchesShed, as.shed()},
-          {StatId::kReqGet, ss.req_get},
-          {StatId::kReqPut, ss.req_put},
-          {StatId::kReqDel, ss.req_del},
-          {StatId::kReqBatch, ss.req_batch},
-          {StatId::kReqRange, ss.req_range},
-          {StatId::kReqStats, ss.req_stats},
-          {StatId::kReqMetrics, ss.req_metrics},
-      };
-      w.u8(static_cast<std::uint8_t>(Status::kOk));
-      w.u32(static_cast<std::uint32_t>(std::size(entries)));
-      for (const auto& [id, value] : entries) {
-        w.u32(static_cast<std::uint32_t>(id));
-        w.u64(value);
-      }
-      c.out.end_frame(at);
-      return;
-    }
     case Opcode::kMetrics: {
       if (!req.done()) break;
       // Same payload as GET /metrics, over the binary transport (so
@@ -692,7 +642,7 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
   // Malformed payload or unknown opcode: answer kBadRequest and drop the
   // connection once the response drains. Any partial response bytes the
   // switch wrote are discarded by rewinding to the frame start.
-  bad_frames_.fetch_add(1, std::memory_order_relaxed);
+  counters_.add(kBadFrames);
   c.out.raw().resize(at + kLenPrefixBytes);
   WireWriter werr(c.out.raw());
   werr.u8(static_cast<std::uint8_t>(Status::kBadRequest));
@@ -700,7 +650,10 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
   c.close_after_flush = true;
 }
 
-void Server::flush_writes(Loop& loop, Conn& c) {
+// Sends pending output until it is gone or the socket is full. Returns
+// false when the connection was closed (send error, or fully drained with
+// close_after_flush set).
+bool Server::flush_writes(Loop& loop, Conn& c) {
   while (!c.out.empty()) {
     const ssize_t n =
         ::send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
@@ -708,30 +661,28 @@ void Server::flush_writes(Loop& loop, Conn& c) {
       c.out.consumed(static_cast<std::size_t>(n));
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!c.want_write) {
-        c.want_write = true;
-        update_write_interest(loop, c);
-      }
-      return;
-    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     if (n < 0 && errno == EINTR) continue;
     close_conn(loop, c);
-    return;
+    return false;
   }
   if (c.close_after_flush) {
     close_conn(loop, c);
-    return;
+    return false;
   }
-  if (c.want_write) {
-    c.want_write = false;
-    update_write_interest(loop, c);
-  }
+  return true;
 }
 
-void Server::update_write_interest(Loop& loop, Conn& c) {
+// EPOLLIN unless reads are paused or the connection only drains to close;
+// EPOLLOUT while output is pending after a short write.
+void Server::update_interest(Loop& loop, Conn& c) {
+  const std::uint32_t want =
+      (c.paused || c.close_after_flush ? 0u : std::uint32_t{EPOLLIN}) |
+      (c.out.empty() ? 0u : std::uint32_t{EPOLLOUT});
+  if (want == c.events) return;
+  c.events = want;
   epoll_event ev{};
-  ev.events = EPOLLIN | (c.want_write ? EPOLLOUT : 0u);
+  ev.events = want;
   ev.data.u64 = reinterpret_cast<std::uintptr_t>(&c);
   ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, c.fd, &ev);
 }
@@ -740,6 +691,7 @@ void Server::close_conn(Loop& loop, Conn& c) {
   ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
   ::close(c.fd);
   conns_open_.fetch_sub(1, std::memory_order_relaxed);
+  if (c.paused) conns_paused_.fetch_sub(1, std::memory_order_relaxed);
   loop.conns.erase(c.fd);  // destroys c; do not touch it afterwards
 }
 

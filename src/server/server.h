@@ -27,6 +27,19 @@
 // in the connection's WriteBuffer and leave in single write() calls;
 // EPOLLOUT interest is registered only while a partial write is pending.
 //
+// Bounded output: a connection stops being read once its pending output
+// passes a fixed high mark, and resumes (decoding the requests it had
+// already buffered first) when the peer drains it below a low mark. A
+// client that pipelines requests and never reads replies therefore holds
+// a bounded amount of server memory; pnb_server_conns_paused counts the
+// connections held there.
+//
+// HTTP on the serving port: a connection whose first four bytes are
+// "GET " carries one HTTP/1.1 request instead of frames. GET /metrics is
+// answered with the obs registry's Prometheus text, any other GET with a
+// 404, and the connection closes after the reply. The scrape runs on the
+// loop thread like the METRICS opcode.
+//
 // Lifetime: the caller owns the map and must keep it alive across
 // start()..stop(). stop() joins the loops and closes every connection;
 // the destructor calls stop().
@@ -47,6 +60,7 @@
 #include "server/framing.h"
 #include "server/protocol.h"
 #include "shard/sharded_map.h"
+#include "util/cacheline.h"
 
 namespace pnbbst::net {
 
@@ -54,9 +68,9 @@ namespace pnbbst::net {
 // RangeSplitter keeps narrow RANGE queries on single shards; the keyspace
 // bounds come from the map the caller constructs. The serving map carries
 // CountingOpStats (per-shard mechanism gauges for the obs registry and
-// the adaptive-sharding roadmap item — relaxed counters, measured in the
-// micro_ops obs ablation) and allocates from the pooled arena domains
-// (pnb_arena_* gauges observe the serving path).
+// the adaptive rebalancer — striped counters, priced by the micro_ops obs
+// ablation) and allocates from the pooled arena domains (pnb_arena_*
+// gauges observe the serving path).
 using ServerMap =
     ShardedPnbMap<std::int64_t, std::int64_t, 8, RangeSplitter<std::int64_t>,
                   std::less<std::int64_t>, EpochReclaimer, CountingOpStats,
@@ -69,7 +83,6 @@ struct ServerConfig {
   // Worker width for RANGE fan-out and BATCH shard fan-out (0 = one
   // task at a time, i.e. the loop thread alone).
   unsigned scan_threads = 2;
-  std::size_t max_frame_bytes = kMaxFrameBytes;
   // Hard cap on pairs in one RANGE response regardless of the client's
   // limit field (bounds response frames and server-side materialization).
   std::uint32_t range_pair_cap = 60000;
@@ -77,34 +90,28 @@ struct ServerConfig {
   // start(). Policy is forced to kDefer either way (the event loop must
   // never block in admission).
   std::optional<std::size_t> shed_watermark;
-  // When set, start() also binds a plain-HTTP listener on this port
-  // (0 = ephemeral; read via metrics_port()) answering GET /metrics
-  // with the obs registry's Prometheus text. nullopt = no listener.
-  std::optional<std::uint16_t> metrics_port;
   // Op-latency sampling rate for the obs latency plane: every Nth frame
   // per loop thread gets timed (0 disables). Applied process-wide at
   // start() (the plane is global).
   std::uint32_t latency_sample_every = 64;
 };
 
-// Monotone server-side counters (relaxed atomics; STATS reads them).
+// Request counters are kept per opcode value; slot 0 counts unknown
+// opcodes and HTTP requests for anything but /metrics.
+inline constexpr std::size_t kOpcodeSlots = 8;
+
+// Server-side counters at one instant (the pnb_server_* families).
 struct ServerStats {
-  std::uint64_t ops_served = 0;
+  std::uint64_t ops_served = 0;  // requests answered: sum of requests[]
   std::uint64_t conns_accepted = 0;
   std::uint64_t conns_open = 0;
+  std::uint64_t conns_paused = 0;  // reads stopped by the output high mark
   std::uint64_t batch_ops_applied = 0;
   std::uint64_t shed_responses = 0;
-  std::uint64_t range_queries = 0;
   std::uint64_t bad_frames = 0;
-  // Frames decoded per opcode, whatever the outcome (indexable by the
-  // Opcode value via req(); kReqGet..kReqMetrics on the wire).
-  std::uint64_t req_get = 0;
-  std::uint64_t req_put = 0;
-  std::uint64_t req_del = 0;
-  std::uint64_t req_batch = 0;
-  std::uint64_t req_range = 0;
-  std::uint64_t req_stats = 0;
-  std::uint64_t req_metrics = 0;
+  // Requests decoded per opcode value, whatever the outcome; an HTTP
+  // GET /metrics counts as a METRICS request.
+  std::uint64_t requests[kOpcodeSlots] = {};
 };
 
 class Server {
@@ -129,8 +136,6 @@ class Server {
   }
   // Bound port (valid after start(); resolves ephemeral port 0).
   std::uint16_t port() const noexcept { return bound_port_; }
-  // Bound /metrics HTTP port (0 when the listener is disabled).
-  std::uint16_t metrics_port() const noexcept { return metrics_port_; }
   const ServerConfig& config() const noexcept { return cfg_; }
 
   ServerStats stats() const noexcept;
@@ -142,13 +147,15 @@ class Server {
   void loop_main(Loop& loop);
   void handle_accepts(Loop& loop);
   void adopt_pending(Loop& loop);
-  void handle_readable(Loop& loop, Conn& c);
+  void adopt(Loop& loop, int fd);
+  bool read_input(Loop& loop, Conn& c);
+  void serve(Loop& loop, Conn& c);
+  void decode(Conn& c);
+  void serve_http(Conn& c);
   void handle_frame(Conn& c, const std::vector<std::uint8_t>& body);
-  void flush_writes(Loop& loop, Conn& c);
+  bool flush_writes(Loop& loop, Conn& c);
   void close_conn(Loop& loop, Conn& c);
-  void update_write_interest(Loop& loop, Conn& c);
-  bool start_metrics_listener();
-  void metrics_main();
+  void update_interest(Loop& loop, Conn& c);
   void register_gauges();
 
   ServerMap& map_;
@@ -161,22 +168,22 @@ class Server {
   std::uint16_t bound_port_ = 0;
   std::atomic<std::size_t> next_loop_{0};  // round-robin accept assignment
 
-  // /metrics HTTP listener (optional; see ServerConfig::metrics_port).
-  int metrics_fd_ = -1;
-  std::uint16_t metrics_port_ = 0;
-  std::thread metrics_thread_;
   // Releases this server's registry collectors at stop() so a later
   // server (tests cycle them) can re-register without duplicates.
   obs::Registration obs_reg_;
 
-  std::atomic<std::uint64_t> ops_served_{0};
-  std::atomic<std::uint64_t> conns_accepted_{0};
+  // Monotone counters on striped cells, so a request costs one
+  // uncontended bump; slots below kOpcodeSlots count requests by opcode.
+  enum Counter : std::size_t {
+    kConnsAccepted = kOpcodeSlots,
+    kBatchOpsApplied,
+    kShedResponses,
+    kBadFrames,
+    kCounters
+  };
+  StripedCounters<kCounters> counters_;
   std::atomic<std::uint64_t> conns_open_{0};
-  std::atomic<std::uint64_t> batch_ops_applied_{0};
-  std::atomic<std::uint64_t> shed_responses_{0};
-  std::atomic<std::uint64_t> range_queries_{0};
-  std::atomic<std::uint64_t> bad_frames_{0};
-  std::atomic<std::uint64_t> req_counts_[8] = {};  // indexed by Opcode value
+  std::atomic<std::uint64_t> conns_paused_{0};
 };
 
 }  // namespace pnbbst::net

@@ -3,10 +3,16 @@
 // Buckets are HdrHistogram-style: 64 major (power-of-two) groups with
 // kSubBuckets linear sub-buckets each, giving ~1.6% relative error across
 // the full 64-bit nanosecond range with a fixed, allocation-free footprint.
-// Recording is wait-free per thread; merge() combines per-thread histograms.
+//
+// The cell type sets the concurrency contract. Histogram (plain uint64_t
+// cells) is single-threaded and copyable. RelaxedHistogram (relaxed-atomic
+// cells) takes concurrent record() calls and may be merged from another
+// thread while they run, which is what the obs latency plane needs.
+// merge() folds bucket by bucket in O(kBuckets) and keeps sum and max
+// exact.
 #pragma once
 
-#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -14,7 +20,8 @@
 
 namespace pnbbst {
 
-class Histogram {
+template <class Cell>
+class BasicHistogram {
  public:
   static constexpr std::size_t kSubBits = 6;  // 64 sub-buckets per octave
   static constexpr std::size_t kSubBuckets = 1u << kSubBits;
@@ -24,27 +31,38 @@ class Histogram {
   // for the full 64-bit domain.
   static constexpr std::size_t kBuckets = (64 - kSubBits + 1) * kSubBuckets;
 
-  Histogram() : counts_(kBuckets, 0) {}
+  BasicHistogram() : counts_(kBuckets) {}
 
   void record(std::uint64_t value) noexcept {
-    ++counts_[index_for(value)];
-    ++total_;
-    if (value > max_seen_) max_seen_ = value;
-    sum_ += value;
+    add(counts_[index_for(value)], 1);
+    add(total_, 1);
+    add(sum_, value);
+    raise(max_seen_, value);
   }
 
-  void merge(const Histogram& other) noexcept {
-    for (std::size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
-    total_ += other.total_;
-    sum_ += other.sum_;
-    if (other.max_seen_ > max_seen_) max_seen_ = other.max_seen_;
+  // Folds `other` in. Buckets are read one at a time, so merging a
+  // RelaxedHistogram that is still recording is exact to within in-flight
+  // records; the count is the total of the buckets read, so count() and
+  // count_le() always agree.
+  template <class OtherCell>
+  void merge(const BasicHistogram<OtherCell>& other) noexcept {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      const std::uint64_t c = load(other.counts_[i]);
+      add(counts_[i], c);
+      n += c;
+    }
+    add(total_, n);
+    add(sum_, load(other.sum_));
+    raise(max_seen_, load(other.max_seen_));
   }
 
-  std::uint64_t count() const noexcept { return total_; }
-  std::uint64_t max() const noexcept { return max_seen_; }
+  std::uint64_t count() const noexcept { return load(total_); }
+  std::uint64_t sum() const noexcept { return load(sum_); }
+  std::uint64_t max() const noexcept { return load(max_seen_); }
   double mean() const noexcept {
-    return total_ ? static_cast<double>(sum_) / static_cast<double>(total_)
-                  : 0.0;
+    const std::uint64_t n = count();
+    return n ? static_cast<double>(sum()) / static_cast<double>(n) : 0.0;
   }
 
   // Value at quantile q in [0,1]; returns the representative (midpoint)
@@ -59,7 +77,7 @@ class Histogram {
   std::uint64_t count_le(std::uint64_t v) const noexcept {
     const std::size_t last = index_for(v);
     std::uint64_t n = 0;
-    for (std::size_t i = 0; i <= last; ++i) n += counts_[i];
+    for (std::size_t i = 0; i <= last; ++i) n += load(counts_[i]);
     return n;
   }
 
@@ -69,7 +87,7 @@ class Histogram {
   std::uint64_t p999() const noexcept { return quantile(0.999); }
 
   void reset() noexcept {
-    std::fill(counts_.begin(), counts_.end(), 0);
+    for (Cell& c : counts_) c = 0;
     total_ = 0;
     sum_ = 0;
     max_seen_ = 0;
@@ -101,10 +119,34 @@ class Histogram {
   }
 
  private:
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t max_seen_ = 0;
+  template <class>
+  friend class BasicHistogram;
+
+  static std::uint64_t load(const std::uint64_t& c) noexcept { return c; }
+  static std::uint64_t load(const std::atomic<std::uint64_t>& c) noexcept {
+    return c.load(std::memory_order_relaxed);
+  }
+  static void add(std::uint64_t& c, std::uint64_t n) noexcept { c += n; }
+  static void add(std::atomic<std::uint64_t>& c, std::uint64_t n) noexcept {
+    c.fetch_add(n, std::memory_order_relaxed);
+  }
+  static void raise(std::uint64_t& c, std::uint64_t v) noexcept {
+    if (v > c) c = v;
+  }
+  static void raise(std::atomic<std::uint64_t>& c, std::uint64_t v) noexcept {
+    std::uint64_t prev = c.load(std::memory_order_relaxed);
+    while (v > prev &&
+           !c.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+    }
+  }
+
+  std::vector<Cell> counts_;
+  Cell total_{0};
+  Cell sum_{0};
+  Cell max_seen_{0};
 };
+
+using Histogram = BasicHistogram<std::uint64_t>;
+using RelaxedHistogram = BasicHistogram<std::atomic<std::uint64_t>>;
 
 }  // namespace pnbbst

@@ -118,7 +118,8 @@ TEST(CowBst, RetriesAreCountedUnderContention) {
   }
   for (auto& th : pool) th.join();
   // attempts >= commits; on a contended root, attempts usually exceed.
-  EXPECT_GE(t.stats().attempts.load(), t.stats().commits.load());
+  const OpStatsSnapshot s = t.stats().snapshot();
+  EXPECT_GE(s.attempts, s.commits);
 }
 
 TEST(CowBst, ReclaimsReplacedPaths) {

@@ -1,13 +1,14 @@
 // Observability plane (src/obs/, DESIGN.md §14): striped-counter
 // exactness under threads, registry find-or-create identity and RAII
-// unregistration, Prometheus text shape, the AtomicHistogram-vs-plain
-// Histogram merge differential, latency-plane sampling accounting, and
-// the mechanism-trace ring (wrap + per-thread ordering + Chrome JSON).
+// unregistration, Prometheus text shape, the RelaxedHistogram-vs-plain
+// Histogram merge differential, latency-plane sampling accounting and
+// exact sums, and the mechanism-trace ring (wrap + per-thread ordering +
+// Chrome JSON).
 //
-// The LatencyPlane/MechanismTrace/RegistryOpStats subjects are process
-// globals shared with other tests in this binary, so those cases assert
-// on DELTAS, never absolute values; registry-shape cases use private
-// MetricsRegistry instances.
+// The LatencyPlane/MechanismTrace subjects are process globals shared
+// with other tests in this binary, so those cases assert on DELTAS, never
+// absolute values; registry-shape cases use private MetricsRegistry
+// instances.
 #include "obs/registry.h"
 
 #include <gtest/gtest.h>
@@ -34,26 +35,30 @@
 namespace pnbbst {
 namespace {
 
-TEST(StripedCounter, ThreadedExactness) {
-  obs::StripedCounter c;
+TEST(StripedCounters, ThreadedExactness) {
+  StripedCounters<2> c;
   constexpr unsigned kThreads = 8;
   constexpr std::uint64_t kPer = 100000;
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < kThreads; ++t) {
     threads.emplace_back([&c] {
-      for (std::uint64_t i = 0; i < kPer; ++i) c.inc();
+      for (std::uint64_t i = 0; i < kPer; ++i) {
+        c.add(0);
+        c.add(1, 2);
+      }
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(c.value(), kThreads * kPer);
+  EXPECT_EQ(c.value(0), kThreads * kPer);
+  EXPECT_EQ(c.value(1), 2 * kThreads * kPer);
 }
 
-TEST(StripedCounter, AddAccumulates) {
-  obs::StripedCounter c;
-  c.add(40);
-  c.inc();
-  c.inc();
-  EXPECT_EQ(c.value(), 42u);
+TEST(StripedCounters, AddAccumulates) {
+  StripedCounters<1> c;
+  c.add(0, 40);
+  c.add(0);
+  c.add(0);
+  EXPECT_EQ(c.value(0), 42u);
 }
 
 TEST(MetricsRegistry, CounterFindOrCreateIdentity) {
@@ -128,32 +133,33 @@ TEST(MetricsRegistry, LargeIntegralValuesStayExact) {
   EXPECT_NE(text.find("big_total 1234567890123\n"), std::string::npos);
 }
 
-// Differential: folding an AtomicHistogram into a plain Histogram must
+// Differential: merging a RelaxedHistogram into a plain Histogram must
 // reproduce the plain histogram built from the same stream — identical
-// bucket geometry means identical counts and quantiles.
-TEST(AtomicHistogram, MergeMatchesPlainHistogram) {
-  obs::AtomicHistogram atomic;
+// bucket geometry means identical counts and quantiles, and the merge
+// carries the exact sum and max.
+TEST(RelaxedHistogram, MergeMatchesPlainHistogram) {
+  RelaxedHistogram relaxed;
   Histogram plain;
   Xoshiro256 rng(7);
   for (int i = 0; i < 50000; ++i) {
     const std::uint64_t v = rng.next() >> (i % 48);
-    atomic.record(v);
-    // The plain reference records the bucket representative, exactly as
-    // merge_into replays it, so the comparison isolates the merge path.
-    plain.record(Histogram::value_for(Histogram::index_for(v)));
+    relaxed.record(v);
+    plain.record(v);
   }
   Histogram merged;
-  atomic.merge_into(merged);
+  merged.merge(relaxed);
   EXPECT_EQ(merged.count(), plain.count());
+  EXPECT_EQ(merged.sum(), plain.sum());
+  EXPECT_EQ(merged.max(), plain.max());
   EXPECT_EQ(merged.p50(), plain.p50());
   EXPECT_EQ(merged.p90(), plain.p90());
   EXPECT_EQ(merged.p99(), plain.p99());
   EXPECT_EQ(merged.p999(), plain.p999());
-  EXPECT_EQ(atomic.count(), 50000u);
+  EXPECT_EQ(relaxed.count(), 50000u);
 }
 
-TEST(AtomicHistogram, ConcurrentRecordersSumExactly) {
-  obs::AtomicHistogram h;
+TEST(RelaxedHistogram, ConcurrentRecordersSumExactly) {
+  RelaxedHistogram h;
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kPer = 20000;
   std::vector<std::thread> threads;
@@ -164,8 +170,14 @@ TEST(AtomicHistogram, ConcurrentRecordersSumExactly) {
   }
   for (auto& th : threads) th.join();
   Histogram out;
-  h.merge_into(out);
+  out.merge(h);
   EXPECT_EQ(out.count(), kThreads * kPer);
+  std::uint64_t sum = 0;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    for (std::uint64_t i = 0; i < kPer; ++i) sum += t * 1000 + i;
+  }
+  EXPECT_EQ(out.sum(), sum);
+  EXPECT_EQ(out.max(), (kThreads - 1) * 1000 + kPer - 1);
 }
 
 TEST(LatencyPlane, SampleEveryNAccounting) {
@@ -238,24 +250,25 @@ TEST(MechanismTrace, ChromeJsonShape) {
   EXPECT_EQ(json.back(), '}');
 }
 
-// A tree instantiated with the RegistryOpStats policy bumps the shared
-// pnb_engine_* family in the process registry.
-TEST(RegistryOpStats, TreeOpsBumpRegistryCounters) {
-  using Tree =
-      PnbBst<long, std::less<long>, EpochReclaimer, obs::RegistryOpStats>;
+// A CountingOpStats tree registered through register_op_stats exposes
+// its own counters in the pnb_engine_* families under its labels.
+TEST(Adapters, CountingTreeRegisteredThroughOpStats) {
+  using Tree = PnbBst<long, std::less<long>, EpochReclaimer, CountingOpStats>;
   Tree tree;
-  const OpStatsSnapshot before = tree.stats().snapshot();
   for (long k = 0; k < 200; ++k) tree.insert(k);
   for (long k = 0; k < 200; k += 2) tree.erase(k);
   for (long k = 0; k < 200; ++k) tree.contains(k);
-  const OpStatsSnapshot after = tree.stats().snapshot();
-  EXPECT_GE(after.attempts - before.attempts, 300u);
-  EXPECT_GE(after.commits - before.commits, 300u);
-  EXPECT_GE(after.nodes_allocated - before.nodes_allocated, 200u);
-  // The same counters are visible through the global exposition text.
-  const std::string text =
-      obs::MetricsRegistry::global().prometheus_text();
-  EXPECT_NE(text.find("pnb_engine_commits_total{engine=\"registry\"}"),
+  const OpStatsSnapshot s = tree.stats().snapshot();
+  EXPECT_GE(s.attempts, 300u);
+  EXPECT_EQ(s.commits, 300u);
+  EXPECT_GE(s.nodes_allocated, 200u);
+  obs::MetricsRegistry reg;
+  obs::Registration handle;
+  obs::register_op_stats(reg, handle, tree.stats(), "tree=\"t\"");
+  const std::string text = reg.prometheus_text();
+  EXPECT_NE(text.find("pnb_engine_commits_total{tree=\"t\"} 300\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE pnb_engine_helps_total counter\n"),
             std::string::npos);
 }
 
@@ -351,6 +364,33 @@ TEST(Adapters, LatencyHistogramExpositionShape) {
         << "bucket le=" << buckets[i].first << " not cumulative";
   }
   EXPECT_LE(buckets.back().second, inf);
+}
+
+// The exported _sum is the merged histogram's exact sum of recorded
+// values (not a bucket-midpoint reconstruction), on both the summary and
+// the le-bucketed families.
+TEST(Adapters, LatencySumIsExact) {
+  auto& plane = obs::LatencyPlane::global();
+  plane.set_sample_every(1);
+  for (int i = 0; i < 100; ++i) {
+    plane.finish(obs::OpClass::kErase, plane.maybe_start());
+  }
+  plane.set_sample_every(obs::LatencyPlane::kDefaultSampleEvery);
+  const Histogram h = plane.merged(obs::OpClass::kErase);
+  ASSERT_GE(h.count(), 100u);
+
+  obs::MetricsRegistry reg;
+  obs::Registration handle;
+  obs::register_latency(reg, handle, plane, "");
+  double sum = -1.0;
+  double hist_sum = -1.0;
+  for (const auto& s : reg.snapshot()) {
+    if (s.labels != "op=\"erase\"") continue;
+    if (s.name == "pnb_op_latency_ns_sum") sum = s.value;
+    if (s.name == "pnb_op_latency_ns_hist_sum") hist_sum = s.value;
+  }
+  EXPECT_DOUBLE_EQ(sum, static_cast<double>(h.sum()));
+  EXPECT_DOUBLE_EQ(hist_sum, sum);
 }
 
 // Periodic dump-to-file: incremental flushes keep history the in-memory

@@ -270,7 +270,7 @@ TEST(Encoders, RequestsDecodeBackExactly) {
   encode_del(wire, 3);
   encode_batch(wire, {BatchEntry::insert(10, 11), BatchEntry::erase(12)});
   encode_range(wire, 100, 200, 16);
-  encode_stats(wire);
+  encode_metrics(wire);
 
   FrameReader fr;
   fr.feed(wire);
@@ -324,7 +324,7 @@ TEST(Encoders, RequestsDecodeBackExactly) {
   ASSERT_EQ(fr.next(out), FrameReader::Next::kFrame);
   {
     WireReader r(out);
-    EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(Opcode::kStats));
+    EXPECT_EQ(r.u8(), static_cast<std::uint8_t>(Opcode::kMetrics));
     EXPECT_TRUE(r.done());
   }
   EXPECT_EQ(fr.next(out), FrameReader::Next::kNeedMore);

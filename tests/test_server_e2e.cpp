@@ -5,19 +5,25 @@
 // so every CI job (gcc/clang Release, ASan+UBSan, TSan) runs the full
 // socket path.
 //
-// Covers the whole op surface (GET/PUT/DEL/BATCH/RANGE/STATS),
-// pipelining, malformed/garbage/oversized input (answer kBadRequest,
-// then disconnect — never crash), and the overload-shedding contract:
+// Covers the whole op surface (GET/PUT/DEL/BATCH/RANGE/METRICS and
+// HTTP GET /metrics on the same port), pipelining, malformed/garbage/
+// oversized input (answer kBadRequest, then disconnect — never crash),
+// the per-connection output bound, and the overload-shedding contract:
 // with retired bytes pinned over the watermark, BATCH bounces with
 // kRetry while point reads keep flowing on the same event loops.
 #include "server/server.h"
 
-#include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cstdint>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "loadgen/client.h"
 
@@ -25,6 +31,33 @@ namespace pnbbst::net {
 namespace {
 
 constexpr std::int64_t kKeySpace = 1 << 16;
+
+// Value of the first sample on a Prometheus page named `name` whose label
+// body contains `label`; -1 when there is none.
+double sample(const std::string& page, std::string_view name,
+              std::string_view label = {}) {
+  std::istringstream in(page);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t value_at = line.rfind(' ');
+    if (value_at == std::string::npos) continue;
+    const std::string_view head(line.data(), value_at);
+    if (head.substr(0, head.find('{')) != name) continue;
+    if (head.find(label) == std::string_view::npos) continue;
+    return std::stod(line.substr(value_at + 1));
+  }
+  return -1.0;
+}
+
+// Sends a raw HTTP request on a fresh connection and returns everything
+// the server sent back before closing.
+std::string http_get(std::uint16_t port, const std::string& request) {
+  Client http;
+  if (!http.connect("127.0.0.1", port)) return "connect failed";
+  if (!http.send_bytes(request.data(), request.size())) return "send failed";
+  return http.recv_all();
+}
 
 class ServerE2E : public ::testing::Test {
  protected:
@@ -161,29 +194,31 @@ TEST_F(ServerE2E, RangePairCapBoundsResponses) {
   EXPECT_EQ(rr.pairs.size(), 10u);
 }
 
-TEST_F(ServerE2E, StatsReportServerAndMapGauges) {
+TEST_F(ServerE2E, MetricsReportServerAndMapGauges) {
   start();
   Client c = connect();
   ASSERT_EQ(c.put(1, 1).status, Status::kOk);
   ASSERT_EQ(c.range(0, 100, 0).status, Status::kOk);
   ASSERT_EQ(c.batch({BatchEntry::insert(2, 2)}).status, Status::kOk);
 
-  auto sr = c.stats();
-  ASSERT_EQ(sr.status, Status::kOk);
-  EXPECT_GE(sr.value_or(StatId::kOpsServed, 0), 3u);
-  EXPECT_GE(sr.value_or(StatId::kConnsAccepted, 0), 1u);
-  EXPECT_GE(sr.value_or(StatId::kConnsOpen, 0), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kBatchOpsApplied, 0), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kBatchesAdmitted, 99), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kBatchesDeferred, 99), 0u);
-  EXPECT_EQ(sr.value_or(StatId::kShedResponses, 99), 0u);
-  EXPECT_EQ(sr.value_or(StatId::kRangeQueries, 0), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kRetiredBytes, 99), 0u);
-  // Unknown ids fall back (forward-compat contract).
-  EXPECT_EQ(sr.value_or(static_cast<StatId>(0xFFFF), 1234), 1234u);
+  const auto mr = c.metrics();
+  ASSERT_EQ(mr.status, Status::kOk);
+  const std::string& page = mr.text;
+  const std::string port = "port=\"" + std::to_string(server_->port()) + "\"";
+  EXPECT_GE(sample(page, "pnb_server_ops_served_total", port), 3.0);
+  EXPECT_GE(sample(page, "pnb_server_conns_accepted_total", port), 1.0);
+  EXPECT_GE(sample(page, "pnb_server_conns_open", port), 1.0);
+  EXPECT_EQ(sample(page, "pnb_server_conns_paused", port), 0.0);
+  EXPECT_EQ(sample(page, "pnb_server_batch_ops_applied_total", port), 1.0);
+  EXPECT_EQ(sample(page, "pnb_admission_admitted_total", port), 1.0);
+  EXPECT_EQ(sample(page, "pnb_admission_deferred_total", port), 0.0);
+  EXPECT_EQ(sample(page, "pnb_server_shed_responses_total", port), 0.0);
+  EXPECT_EQ(sample(page, "pnb_server_requests_total", "op=\"range\""), 1.0);
+  EXPECT_EQ(sample(page, "pnb_lifecycle_retired_bytes", port), 0.0);
+  EXPECT_EQ(sample(page, "pnb_no_such_family"), -1.0);
 }
 
-TEST_F(ServerE2E, StatsReportPerOpcodeRequestCounters) {
+TEST_F(ServerE2E, MetricsReportPerOpcodeRequestCounters) {
   start();
   Client c = connect();
   ASSERT_EQ(c.put(1, 1).status, Status::kOk);
@@ -193,17 +228,22 @@ TEST_F(ServerE2E, StatsReportPerOpcodeRequestCounters) {
   ASSERT_EQ(c.batch({BatchEntry::insert(3, 3)}).status, Status::kOk);
   ASSERT_EQ(c.range(0, 100, 0).status, Status::kOk);
 
-  auto sr = c.stats();
-  ASSERT_EQ(sr.status, Status::kOk);
-  EXPECT_EQ(sr.value_or(StatId::kReqGet, 99), 2u);
-  EXPECT_EQ(sr.value_or(StatId::kReqPut, 99), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kReqDel, 99), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kReqBatch, 99), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kReqRange, 99), 1u);
-  // The STATS request that carried this reply counts itself.
-  EXPECT_EQ(sr.value_or(StatId::kReqStats, 99), 1u);
-  EXPECT_EQ(sr.value_or(StatId::kReqMetrics, 99), 0u);
-  EXPECT_EQ(sr.value_or(StatId::kBatchesShed, 99), 0u);
+  const auto mr = c.metrics();
+  ASSERT_EQ(mr.status, Status::kOk);
+  const auto req = [&](const char* op) {
+    return sample(mr.text, "pnb_server_requests_total",
+                  std::string("op=\"") + op + "\"");
+  };
+  EXPECT_EQ(req("get"), 2.0);
+  EXPECT_EQ(req("put"), 1.0);
+  EXPECT_EQ(req("del"), 1.0);
+  EXPECT_EQ(req("batch"), 1.0);
+  EXPECT_EQ(req("range"), 1.0);
+  // The METRICS request that carried this page counts itself.
+  EXPECT_EQ(req("metrics"), 1.0);
+  EXPECT_EQ(req("unknown"), 0.0);
+  EXPECT_EQ(sample(mr.text, "pnb_server_ops_served_total"), 7.0);
+  EXPECT_EQ(sample(mr.text, "pnb_admission_shed_total"), 0.0);
 }
 
 TEST_F(ServerE2E, MetricsOpcodeServesPrometheusText) {
@@ -246,40 +286,170 @@ TEST_F(ServerE2E, MetricsOpcodeServesPrometheusText) {
 }
 
 TEST_F(ServerE2E, HttpMetricsListenerServesScrape) {
-  ServerConfig cfg;
-  cfg.metrics_port = 0;  // ephemeral
-  start(cfg);
-  ASSERT_NE(server_->metrics_port(), 0);
+  start();
   Client c = connect();
   ASSERT_EQ(c.put(1, 1).status, Status::kOk);
 
-  // Raw HTTP/1.1 over the Client's socket helpers: the listener speaks
-  // just enough HTTP for a Prometheus scraper.
-  Client http;
-  ASSERT_TRUE(http.connect("127.0.0.1", server_->metrics_port()));
-  const char req[] = "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n";
-  ASSERT_TRUE(http.send_bytes(reinterpret_cast<const std::uint8_t*>(req),
-                              sizeof(req) - 1));
-  const std::string page = http.recv_all();
-  EXPECT_NE(page.find("HTTP/1.1 200 OK"), std::string::npos);
+  // Raw HTTP/1.1 on the serving port: the reactor speaks just enough
+  // HTTP for a Prometheus scraper.
+  const std::string page =
+      http_get(server_->port(), "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+  EXPECT_EQ(page.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
   EXPECT_NE(page.find("text/plain; version=0.0.4"), std::string::npos);
   for (const char* family :
        {"pnb_engine_", "pnb_arena_", "pnb_lifecycle_", "pnb_admission_",
-        "pnb_shard_", "pnb_server_"}) {
+        "pnb_shard_", "pnb_server_", "pnb_op_latency_ns"}) {
     EXPECT_NE(page.find(family), std::string::npos) << family;
   }
-  // The scrape itself is counted.
-  auto sr = c.stats();
-  EXPECT_GE(sr.value_or(StatId::kReqMetrics, 0), 1u);
+  // The scrape is counted, next to the METRICS request reading it.
+  const auto mr = c.metrics();
+  EXPECT_EQ(sample(mr.text, "pnb_server_requests_total", "op=\"metrics\""),
+            2.0);
 
-  // Non-/metrics paths 404 without disturbing the server.
-  Client other;
-  ASSERT_TRUE(other.connect("127.0.0.1", server_->metrics_port()));
-  const char bad[] = "GET /nope HTTP/1.1\r\n\r\n";
-  ASSERT_TRUE(other.send_bytes(reinterpret_cast<const std::uint8_t*>(bad),
-                               sizeof(bad) - 1));
-  EXPECT_NE(other.recv_all().find("404"), std::string::npos);
+  // Other targets 404 without disturbing the server.
+  EXPECT_EQ(http_get(server_->port(), "GET /nope HTTP/1.1\r\n\r\n")
+                .rfind("HTTP/1.1 404 Not Found\r\n", 0),
+            0u);
   EXPECT_EQ(c.get(1).status, Status::kOk);
+  EXPECT_EQ(sample(c.metrics().text, "pnb_server_requests_total",
+                   "op=\"unknown\""),
+            1.0);
+}
+
+TEST_F(ServerE2E, HttpRequestFedByteByByte) {
+  start();
+  Client http;
+  ASSERT_TRUE(http.connect("127.0.0.1", server_->port()));
+  const std::string req = "GET /metrics HTTP/1.1\r\n\r\n";
+  for (const char ch : req) {
+    ASSERT_TRUE(http.send_bytes(&ch, 1));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(http.recv_all().rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
+}
+
+TEST_F(ServerE2E, HttpHeaderOverOneKibCloses) {
+  start();
+  // No header terminator within 1 KiB: dropped without a reply.
+  EXPECT_EQ(http_get(server_->port(), "GET /" + std::string(2000, 'a')), "");
+  // A header ending just inside the limit is still answered.
+  const std::string pad(1024 - 4 - 6 - 4, 'h');
+  EXPECT_EQ(http_get(server_->port(), "GET / " + pad + "\r\n\r\n")
+                .rfind("HTTP/1.1 404", 0),
+            0u);
+  Client c = connect();
+  EXPECT_EQ(c.put(1, 1).status, Status::kOk);
+}
+
+TEST_F(ServerE2E, GetBytesAfterAFrameAreABadRequest) {
+  start();
+  Client c = connect();
+  std::vector<std::uint8_t> wire;
+  encode_put(wire, 4, 40);
+  const std::string http = "GET /metrics HTTP/1.1\r\n\r\n";
+  wire.insert(wire.end(), http.begin(), http.end());
+  ASSERT_TRUE(c.send_bytes(wire.data(), wire.size()));
+  std::vector<std::uint8_t> resp;
+  ASSERT_TRUE(c.recv_frame(resp));
+  EXPECT_EQ(resp[0], static_cast<std::uint8_t>(Status::kOk));
+  ASSERT_TRUE(c.recv_frame(resp));
+  ASSERT_EQ(resp.size(), 1u);
+  EXPECT_EQ(resp[0], static_cast<std::uint8_t>(Status::kBadRequest));
+  EXPECT_FALSE(c.recv_frame(resp));
+  EXPECT_GE(server_->stats().bad_frames, 1u);
+}
+
+TEST_F(ServerE2E, RetiredStatsOpcodeAnswersBadRequest) {
+  start();
+  Client c = connect();
+  std::vector<std::uint8_t> wire;
+  append_frame(wire, {6});
+  ASSERT_TRUE(c.send_bytes(wire.data(), wire.size()));
+  std::vector<std::uint8_t> resp;
+  ASSERT_TRUE(c.recv_frame(resp));
+  ASSERT_EQ(resp.size(), 1u);
+  EXPECT_EQ(resp[0], static_cast<std::uint8_t>(Status::kBadRequest));
+  EXPECT_FALSE(c.recv_frame(resp));
+  EXPECT_EQ(server_->stats().requests[0], 1u);
+}
+
+// One loop thread serves a binary client and an HTTP client whose header
+// arrives in two halves: neither disturbs the other.
+TEST(ServerE2ESingleLoop, HttpAndBinaryClientsShareALoop) {
+  ServerMap map{RangeSplitter<std::int64_t>{0, kKeySpace}};
+  ServerConfig cfg;
+  cfg.loops = 1;
+  Server server(map, cfg);
+  ASSERT_TRUE(server.start());
+  Client bin;
+  ASSERT_TRUE(bin.connect("127.0.0.1", server.port()));
+  Client http;
+  ASSERT_TRUE(http.connect("127.0.0.1", server.port()));
+  const std::string first = "GET /metrics HTTP/1.1\r\nHo";
+  ASSERT_TRUE(http.send_bytes(first.data(), first.size()));
+  for (std::int64_t k = 0; k < 50; ++k) {
+    ASSERT_EQ(bin.put(k, k).status, Status::kOk);
+    ASSERT_EQ(bin.get(k).value, k);
+  }
+  const std::string rest = "st: x\r\n\r\n";
+  ASSERT_TRUE(http.send_bytes(rest.data(), rest.size()));
+  const std::string page = http.recv_all();
+  EXPECT_EQ(page.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
+  EXPECT_NE(page.find("pnb_server_"), std::string::npos);
+  EXPECT_EQ(bin.get(49).value, 49);
+  EXPECT_EQ(server.stats().bad_frames, 0u);
+}
+
+// A client that pipelines GETs and never reads replies is held to the
+// output high mark: its connection stops being read (the paused gauge
+// reads 1) while other connections keep being served, and once it drains,
+// every reply arrives in order.
+TEST_F(ServerE2E, NeverReadingClientIsHeldToTheOutputBound) {
+  start();
+  Client c = connect();
+  ASSERT_EQ(c.put(1, 10).status, Status::kOk);
+  constexpr std::size_t kGets = 640 * 1024;  // 8 MiB of requests
+  std::vector<std::uint8_t> wire;
+  wire.reserve(kGets * 13);
+  for (std::size_t i = 0; i < kGets; ++i) encode_get(wire, 1);
+  std::atomic<bool> sent{false};
+  std::thread sender([&] {
+    const std::uint8_t* p = wire.data();
+    std::size_t left = wire.size();
+    while (left > 0) {
+      const ssize_t n = ::send(c.fd(), p, left, MSG_NOSIGNAL);
+      if (n <= 0) return;
+      p += n;
+      left -= static_cast<std::size_t>(n);
+    }
+    sent = true;
+  });
+
+  // While the kernel buffers still absorb replies the connection may
+  // resume and pause again; it settles paused once they are full. A
+  // second connection is served throughout (it reads the gauge).
+  Client other = connect();
+  double paused = -1.0;
+  for (int spin = 0; spin < 5000 && paused != 1.0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const auto mr = other.metrics();
+    ASSERT_EQ(mr.status, Status::kOk);
+    paused = sample(mr.text, "pnb_server_conns_paused");
+  }
+  EXPECT_EQ(paused, 1.0);
+  EXPECT_EQ(other.get(1).value, 10);
+
+  std::vector<std::uint8_t> body;
+  for (std::size_t i = 0; i < kGets; ++i) {
+    ASSERT_TRUE(c.recv_frame(body)) << "reply " << i;
+    WireReader r(body);
+    ASSERT_EQ(r.u8(), static_cast<std::uint8_t>(Status::kOk));
+    ASSERT_EQ(r.i64(), 10);
+  }
+  sender.join();
+  EXPECT_TRUE(sent.load());
+  EXPECT_EQ(c.get(1).value, 10);
+  EXPECT_EQ(server_->stats().conns_paused, 0u);
 }
 
 TEST_F(ServerE2E, PipelinedRequestsAnswerInOrder) {
@@ -426,14 +596,13 @@ TEST_F(ServerE2E, ShedsBatchesWithRetryWhileReadsKeepFlowing) {
   EXPECT_EQ(c.put(6000, 6).status, Status::kOk);
   EXPECT_EQ(c.get(6000).value, 6);
 
-  // The shed shows up on every gauge surface: server stats, STATS
-  // frames, and the map's admission counters (satellite: admission
-  // outcome gauges).
+  // The shed shows up on every gauge surface: server stats, the METRICS
+  // page, and the map's admission counters.
   EXPECT_GE(server_->stats().shed_responses, 1u);
-  auto sr = c.stats();
-  EXPECT_GE(sr.value_or(StatId::kShedResponses, 0), 1u);
-  EXPECT_GE(sr.value_or(StatId::kBatchesDeferred, 0), 1u);
-  EXPECT_GT(sr.value_or(StatId::kRetiredBytes, 0), 1u);
+  const auto mr = c.metrics();
+  EXPECT_GE(sample(mr.text, "pnb_server_shed_responses_total"), 1.0);
+  EXPECT_GE(sample(mr.text, "pnb_admission_deferred_total"), 1.0);
+  EXPECT_GT(sample(mr.text, "pnb_lifecycle_retired_bytes"), 1.0);
   EXPECT_EQ(map_.admission_stats().deferred, 1u);
   EXPECT_EQ(map_.admission_stats().shed(), 1u);
 

@@ -4,7 +4,7 @@
 Stdlib-only companion to the observability plane (DESIGN.md §14). Three
 ways to obtain the exposition text, one validator over all of them:
 
-    # scrape a running listener
+    # scrape a running server's serving port
     python3 tools/obs_scrape.py --url http://127.0.0.1:9464/metrics --check
 
     # validate a saved page
@@ -222,7 +222,7 @@ def spawn_and_scrape(cmd, spawn_args, timeout):
             print("\n".join(tail[-20:]), file=sys.stderr)
             return None, "spawned binary never printed METRICS_URL="
         # Scrape with retries: the workload phase runs before the linger
-        # window, but the listener is up from the METRICS_URL line on.
+        # window, but the server answers from the METRICS_URL line on.
         last_err = None
         for _ in range(20):
             try:
