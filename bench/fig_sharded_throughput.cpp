@@ -3,14 +3,14 @@
 //
 // Claim exercised: the helping protocol is disjoint-access parallel, so
 // range-partitioned shards scale updates near-linearly while merged scans
-// (one wait-free snapshot per overlapped shard + k-way merge) stay cheap —
+// (one wait-free snapshot per overlapped shard, concatenated) stay cheap —
 // narrow scans under RangeSplitter touch a single shard. shards=1
 // degenerates to a plain PnbMap and is the baseline column.
 //
 // The wscan/pwscan columns measure one keyspace-wide merged range_count
 // after the mixed run, sequentially (shard snapshots walked one by one) and
-// through the src/scan/ engine (one executor task per shard snapshot
-// feeding the same k-way merge) — the parallel-query path of the sharded
+// through the src/scan/ engine (one executor task per shard snapshot,
+// counts summed) — the parallel-query path of the sharded
 // front-end. Both report the median rep (robust to scheduler preemption,
 // which the baseline diff would otherwise read as regression).
 #include <cstdio>
@@ -52,7 +52,7 @@ void run_series(Table& table, const BenchConfig& base, const WorkloadMix& mix,
   for (auto th : threads) {
     BenchConfig cfg = base;
     cfg.threads = static_cast<unsigned>(th);
-    ShardedPnbMap<long, long, NumShards, RangeSplitter<long>> map(
+    ShardedPnbMap<long, long, NumShards> map(
         RangeSplitter<long>{0, cfg.key_range});
     prefill_map(map, cfg.key_range, cfg.prefill_density, cfg.seed);
     const RunResult r = run_timed(
@@ -87,7 +87,7 @@ void run_series(Table& table, const BenchConfig& base, const WorkloadMix& mix,
           }
         });
     // Post-run quiescent wide queries: sequential merged vs parallel merged
-    // (one executor task per shard snapshot, same k-way merge).
+    // (one executor task per shard snapshot, counts summed).
     Histogram hseq, hpar;
     const scan::ParallelScanOptions wopts(static_cast<unsigned>(NumShards),
                                           executor);

@@ -8,7 +8,7 @@
 // does not ship, so it silently never built and its code paths rotted
 // outside CI. It now uses the repo's Cli/Table/Reporter stack: same
 // --smoke --json document as every other bench, registered under the
-// bench-smoke CTest label, and swept by tools/bench_smoke_diff.py.
+// bench-smoke CTest label, and swept by tools/bench_diff.py --sweep.
 //
 // The `obs` column is the observability ablation (DESIGN.md §14), run on
 // both lock-free trees at 1, 2 and 4 threads sharing one tree: `off` rows

@@ -123,7 +123,7 @@ void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
   // runtime cannot blow up when the scheduler starves the replayer.
   const std::uint64_t ops_per_writer =
       cfg.seconds >= 0.1 ? 250000 : 10000;
-  using Sharded = ShardedPnbMap<long, long, 8, RangeSplitter<long>>;
+  using Sharded = ShardedPnbMap<long, long, 8>;
   Sharded map(RangeSplitter<long>{0, cfg.key_range});
   {  // prefill to steady density (single-threaded, pre-publication)
     std::vector<std::pair<long, long>> items;
@@ -208,8 +208,8 @@ void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
 
   const std::size_t pending = map.retired_maps();
   window_pin.reset();           // drop the window lease (auto-reclaims)
-  (void)map.purge_retired();    // manual world's final purge (no-op when
-                                // the lease lifecycle already drained)
+  // Manual world's final purge (a no-op once the lease lifecycle drained).
+  (void)map.lifetime().force_purge();
   const double mops =
       static_cast<double>(ops) / 1e6 / (secs > 0 ? secs : 1);
   // The node-level and arena columns do not apply to map-granularity

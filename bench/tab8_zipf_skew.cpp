@@ -67,8 +67,7 @@ void run_series(Table& table, const BenchConfig& base,
 // --- Sharded front-end under skew -------------------------------------------
 
 constexpr std::size_t kShards = 8;
-using ShardMap = ShardedPnbMap<long, long, kShards, RangeSplitter<long>,
-                               std::less<long>, EpochReclaimer,
+using ShardMap = ShardedPnbMap<long, long, kShards, EpochReclaimer,
                                CountingOpStats>;
 
 enum class ShardMode { kStaticSkew, kStaticBal, kAdaptive };

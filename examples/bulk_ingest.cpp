@@ -15,8 +15,8 @@
 //      DESIGN.md §9).
 //   4. AUTO RECLAMATION — the maps the reshard replaced are pinned only as
 //      long as a pre-reshard snapshot lease exists; once the auditor's
-//      last snapshot drops, retired_maps() falls to 0 on its own. No
-//      purge_retired() call anywhere (it is test-only now).
+//      last snapshot drops, retired_maps() falls to 0 on its own, with no
+//      manual purge call.
 //
 //   build/examples/bulk_ingest [--keys=N] [--batches=N] [--batchsize=N]
 #include <atomic>
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   }
   const long keyspace = 2 * keys;  // batches write into the upper half too
 
-  pnbbst::ShardedPnbMap<long, long, 8, pnbbst::RangeSplitter<long>> store(
+  pnbbst::ShardedPnbMap<long, long, 8> store(
       pnbbst::RangeSplitter<long>{0, keys});
 
   // --- 1. cold load ---------------------------------------------------------
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::puts("[gc] retired_maps() == 0 — reclaimed automatically, "
-            "no purge_retired() needed");
+            "no manual purge needed");
   std::puts("bulk_ingest done");
   return 0;
 }

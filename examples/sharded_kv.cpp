@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
 
   // 8 shards, range-partitioned over the user-id space: point ops touch one
   // shard; a narrow scan touches only the shards its band overlaps.
-  pnbbst::ShardedPnbMap<long, Session, 8, pnbbst::RangeSplitter<long>> store(
+  pnbbst::ShardedPnbMap<long, Session, 8> store(
       pnbbst::RangeSplitter<long>{0, kUserSpace});
   std::atomic<bool> done{false};
 
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
 
   // Keyspace-wide audit through the parallel scan engine: the same frozen
   // composite snapshot, its per-shard scans executed concurrently on the
-  // shared worker pool and fed to the same k-way merge — identical result,
+  // shared worker pool and concatenated in shard order — identical result,
   // less wall-clock on multi-core machines.
   const auto all = snap.parallel_range_scan(
       0, kUserSpace - 1, pnbbst::scan::ParallelScanOptions(8));

@@ -339,6 +339,15 @@ class PnbMap {
       return snap_.range_count(lo, hi);
     }
 
+    // Early-terminating visit_range: vis returns false to stop the scan.
+    template <class QLo = K, class QHi = K, class Visitor>
+      requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
+    void visit_while(const QLo& lo, const QHi& hi, Visitor&& vis) const {
+      snap_.range_visit(lo, hi, [&vis](const Entry& e) -> bool {
+        return vis(e.key, e.value());
+      });
+    }
+
     // First (at most) n pairs of [lo, hi] at this phase.
     template <class QLo = K, class QHi = K>
       requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
@@ -346,8 +355,8 @@ class PnbMap {
                                              std::size_t n) const {
       std::vector<std::pair<K, V>> out;
       if (n == 0) return out;
-      snap_.range_visit(lo, hi, [&out, n](const Entry& e) -> bool {
-        out.emplace_back(e.key, e.value());
+      visit_while(lo, hi, [&out, n](const K& k, const V& v) {
+        out.emplace_back(k, v);
         return out.size() < n;
       });
       return out;

@@ -3,9 +3,8 @@
 // The paper's persistence mechanism keeps old versions reachable so scans
 // at phase s stay answerable; the sharded front-end adds a second kind of
 // "old version": retired routing tables and replaced shard maps after a
-// reshard cutover. Before this layer their lifetime was manual — an
-// explicit purge_retired() "under quiescence". This header makes it
-// automatic by making references first-class:
+// reshard cutover. This header makes their reclamation automatic by making
+// references first-class:
 //
 //   SnapshotLease    RAII handle held by every Snapshot (PnbBst, PnbMap,
 //                    ShardedPnbMap). Registers with the owning container's

@@ -17,14 +17,11 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/timer.h"
@@ -168,81 +165,6 @@ class MechanismTrace {
     return rings_.size();
   }
 
-  // --- Periodic dump-to-file (long-soak post-mortem) ----------------------
-  //
-  // The rings keep only the last kRingSlots events per thread, which is
-  // fine for "what just happened" debugging but loses the history of a
-  // long soak (a rebalancer firing every few seconds for an hour). The
-  // periodic dump drains each ring INCREMENTALLY — per-ring high-water
-  // marks remember what was already written, so each pass appends only
-  // new events — on a background thread every `interval`, as a Chrome
-  // trace_event JSON array ("[" + one object per line). Events
-  // overwritten between passes (a ring wrapped more than kRingSlots
-  // ahead of the last pass) are counted in periodic_dump_dropped(), not
-  // silently lost. Timestamps are absolute now_ns() µs, unlike
-  // chrome_json()'s relative ones, so files from separate runs compare.
-  //
-  // stop_periodic_dump() flushes a final increment, terminates the JSON
-  // array, and closes the file; a process that dies mid-soak leaves a
-  // truncated array that trace viewers and line-oriented tools still
-  // read. The global() instance is immortal — callers own stopping the
-  // dump before exit (the flusher thread is non-daemon).
-  bool start_periodic_dump(const std::string& path,
-                           std::chrono::milliseconds interval) {
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    if (dump_file_ != nullptr) return false;  // already running
-    dump_file_ = std::fopen(path.c_str(), "w");
-    if (dump_file_ == nullptr) return false;
-    std::fputs("[\n", dump_file_);
-    dump_first_ = true;
-    dump_upto_.clear();
-    dump_written_.store(0, std::memory_order_relaxed);
-    dump_dropped_.store(0, std::memory_order_relaxed);
-    dump_stop_ = false;
-    dump_thread_ = std::thread([this, interval] {
-      std::unique_lock<std::mutex> lk(dump_mu_);
-      while (!dump_stop_) {
-        dump_cv_.wait_for(lk, interval,
-                          [this] { return dump_stop_; });
-        if (dump_file_ != nullptr) flush_locked();
-      }
-    });
-    return true;
-  }
-
-  // One incremental pass now (deterministic tests; no-op when no dump is
-  // open). The background thread does exactly this on its cadence.
-  void flush_periodic_dump() {
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    if (dump_file_ != nullptr) flush_locked();
-  }
-
-  void stop_periodic_dump() {
-    std::thread flusher;
-    {
-      std::lock_guard<std::mutex> lock(dump_mu_);
-      if (dump_file_ == nullptr) return;
-      dump_stop_ = true;
-      flusher = std::move(dump_thread_);
-    }
-    dump_cv_.notify_all();
-    if (flusher.joinable()) flusher.join();
-    std::lock_guard<std::mutex> lock(dump_mu_);
-    if (dump_file_ == nullptr) return;
-    flush_locked();
-    std::fputs("\n]\n", dump_file_);
-    std::fclose(dump_file_);
-    dump_file_ = nullptr;
-  }
-
-  // Events appended / lost-to-wrap since start_periodic_dump().
-  std::uint64_t periodic_dump_written() const noexcept {
-    return dump_written_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t periodic_dump_dropped() const noexcept {
-    return dump_dropped_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Slot {
     std::atomic<std::uint64_t> seq{0};  // 1-based; 0 = never written
@@ -257,61 +179,6 @@ class MechanismTrace {
   };
 
   MechanismTrace() = default;
-
-  // Requires dump_mu_. Decodes events past each ring's high-water mark
-  // (same per-slot seq protocol as dump()) and appends them to the file.
-  void flush_locked() {
-    std::vector<Event> fresh;
-    {
-      std::lock_guard<std::mutex> lock(rings_mu_);
-      if (dump_upto_.size() < rings_.size()) {
-        dump_upto_.resize(rings_.size(), 0);
-      }
-      for (std::size_t t = 0; t < rings_.size(); ++t) {
-        const Ring& ring = *rings_[t];
-        const std::uint64_t head = ring.head.load(std::memory_order_acquire);
-        const std::uint64_t oldest =
-            head > kRingSlots ? head - kRingSlots : 0;
-        std::uint64_t lo = dump_upto_[t];
-        if (oldest > lo) {
-          // The ring lapped the last pass: those events are gone. Count
-          // them so a soak report can flag an undersized interval.
-          dump_dropped_.fetch_add(oldest - lo, std::memory_order_relaxed);
-          lo = oldest;
-        }
-        for (std::uint64_t s = lo; s < head; ++s) {
-          const Slot& slot = ring.slots[s & (kRingSlots - 1)];
-          const std::uint64_t seq =
-              slot.seq.load(std::memory_order_acquire);
-          if (seq != s + 1) continue;  // in-flight or already overwritten
-          Event e;
-          e.seq = s;
-          e.ts_ns = slot.ts_ns.load(std::memory_order_relaxed);
-          e.tid = static_cast<std::uint32_t>(t);
-          e.kind = static_cast<TraceKind>(
-              slot.kind.load(std::memory_order_relaxed));
-          e.arg = slot.arg.load(std::memory_order_relaxed);
-          fresh.push_back(e);
-        }
-        dump_upto_[t] = head;
-      }
-    }
-    char buf[256];
-    for (const Event& e : fresh) {
-      std::snprintf(
-          buf, sizeof(buf),
-          "%s{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,"
-          "\"tid\":%u,\"ts\":%.3f,\"args\":{\"seq\":%llu,\"arg\":%llu}}",
-          dump_first_ ? "" : ",\n", trace_kind_name(e.kind), e.tid,
-          static_cast<double>(e.ts_ns) / 1000.0,
-          static_cast<unsigned long long>(e.seq),
-          static_cast<unsigned long long>(e.arg));
-      std::fputs(buf, dump_file_);
-      dump_first_ = false;
-    }
-    dump_written_.fetch_add(fresh.size(), std::memory_order_relaxed);
-    std::fflush(dump_file_);
-  }
 
   Ring& this_thread_ring() {
     // Rings are owned by the (immortal) trace so dump() stays valid
@@ -329,18 +196,6 @@ class MechanismTrace {
   std::atomic<bool> enabled_{false};
   mutable std::mutex rings_mu_;
   std::vector<std::unique_ptr<Ring>> rings_;
-
-  // Periodic-dump state, all guarded by dump_mu_ except the two counters
-  // (relaxed reads from any thread).
-  std::mutex dump_mu_;
-  std::condition_variable dump_cv_;
-  std::thread dump_thread_;
-  std::FILE* dump_file_ = nullptr;
-  std::vector<std::uint64_t> dump_upto_;  // per-ring next seq to write
-  bool dump_first_ = true;
-  bool dump_stop_ = false;
-  std::atomic<std::uint64_t> dump_written_{0};
-  std::atomic<std::uint64_t> dump_dropped_{0};
 };
 
 // Free-function hook used at instrumentation sites; keeps call sites to

@@ -10,7 +10,7 @@
 //     phase — parallelism does not weaken linearizability (docs/DESIGN.md
 //     §7 has the argument);
 //   * per-shard scans (ShardedPnbMap): run_tasks() executes one task per
-//     shard snapshot, feeding the existing k-way merge. The cross-shard
+//     shard snapshot, concatenated in shard order. The cross-shard
 //     consistency contract is unchanged because the per-shard snapshots are
 //     still taken sequentially before any task runs.
 //

@@ -71,10 +71,8 @@ namespace pnbbst::net {
 // the adaptive rebalancer — striped counters, priced by the micro_ops obs
 // ablation) and allocates from the pooled arena domains (pnb_arena_*
 // gauges observe the serving path).
-using ServerMap =
-    ShardedPnbMap<std::int64_t, std::int64_t, 8, RangeSplitter<std::int64_t>,
-                  std::less<std::int64_t>, EpochReclaimer, CountingOpStats,
-                  mem::ArenaAlloc>;
+using ServerMap = ShardedPnbMap<std::int64_t, std::int64_t, 8, EpochReclaimer,
+                                CountingOpStats, mem::ArenaAlloc>;
 
 struct ServerConfig {
   std::string host = "127.0.0.1";

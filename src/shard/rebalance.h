@@ -43,6 +43,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "shard/key_sampler.h"
+#include "shard/sharded_map.h"
 
 namespace pnbbst {
 
@@ -50,10 +51,6 @@ template <class Map>
 class Rebalancer {
  public:
   using Key = typename Map::key_type;
-  using Splitter = typename Map::splitter_type;
-  static_assert(Splitter::kRangePartitioned,
-                "adaptive boundaries only make sense for a range "
-                "partition; HashSplitter load-balances by construction");
 
   struct Config {
     // Label selector: a sample participates when its label body contains
@@ -279,9 +276,9 @@ class Rebalancer {
     for (std::size_t i = 1; i < Map::shard_count(); ++i) {
       cuts.push_back(keys[i * keys.size() / Map::shard_count()]);
     }
-    const Splitter cur = map_->splitter();
-    map_->reshard(Splitter::with_boundaries(cur.lo, cur.hi, std::move(cuts),
-                                            Map::shard_count()));
+    const RangeSplitter<Key> cur = map_->splitter();
+    map_->reshard(RangeSplitter<Key>::with_boundaries(
+        cur.lo, cur.hi, std::move(cuts), Map::shard_count()));
     triggers_->inc();
     obs::trace_event(obs::TraceKind::kRebalanceTrigger,
                      static_cast<std::uint64_t>(skew * 1000.0));

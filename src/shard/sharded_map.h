@@ -5,16 +5,15 @@
 // independent trees composes cleanly: point operations route to one shard
 // and keep that shard's full guarantees (non-blocking updates, linearizable
 // lookups); range queries take one wait-free snapshot per shard in the
-// query's span and k-way-merge the per-shard results.
+// query's span and concatenate the per-shard results in shard order.
 //
-// Splitter policies (the routing function) own the key→shard mapping:
-//
-//   RangeSplitter<K>  contiguous key-range partition over a configured
-//                     [lo, hi) keyspace (integral K). Scans touch only the
-//                     shards overlapping the query range, so narrow scans
-//                     cost one snapshot instead of NumShards.
-//   HashSplitter<K>   mixed std::hash partition — balances any key
-//                     distribution, but every scan spans all shards.
+// The key→shard mapping is RangeSplitter<K>: a contiguous range partition
+// of an integral keyspace [lo, hi). Its one invariant, which every merged
+// scan relies on, is MONOTONE ROUTING: a <= b implies shard_of(a) <=
+// shard_of(b). So shard i's keys all precede shard i+1's keys, a query
+// touches only the shards overlapping its range (a narrow scan costs one
+// snapshot, not NumShards), and the per-shard results, taken in ascending
+// shard order, are already one sorted sequence.
 //
 // Routing table (live resharding support)
 // ---------------------------------------
@@ -35,9 +34,7 @@
 // table load. When the last lease covering a retired generation drops,
 // its resources are handed to the epoch reclaimer automatically (the
 // retired_maps()/retired_bytes() gauges fall at that point) and freed
-// after the grace period that covers any still-pinned operation. The
-// happy path therefore never calls purge_retired(); it remains only as a
-// test-only force-purge under full quiescence.
+// after the grace period that covers any still-pinned operation.
 //
 // Loss-free reshard contract (reshard / rebuild_shard)
 // ----------------------------------------------------
@@ -93,13 +90,12 @@
 //     single point in time at which the whole merged result was the state
 //     of the map: an update sequence spanning two shards during the scan
 //     can be observed half-applied. Scans whose splitter span is a single
-//     shard (always true for point-like ranges under RangeSplitter) ARE
-//     fully linearizable.
+//     shard (always true for point-like ranges) ARE fully linearizable.
 //   * assign keeps PnbMap's documented non-atomicity on top of this.
 //
 // The per-shard wait-freedom bound is preserved: a merged scan performs
-// NumShards wait-free scans plus a bounded merge, so it cannot be starved
-// by concurrent updates.
+// NumShards wait-free scans plus a bounded concatenation, so it cannot be
+// starved by concurrent updates.
 #pragma once
 
 #include <algorithm>
@@ -109,6 +105,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <type_traits>
@@ -124,27 +121,26 @@
 #include "scan/parallel_scan.h"
 #include "shard/key_sampler.h"
 #include "util/backoff.h"
-#include "util/random.h"
 
 namespace pnbbst {
 
 // Contiguous range partition of an integral keyspace [lo, hi). Keys outside
-// the configured bounds clamp to the edge shards, so the splitter is total.
+// the configured bounds clamp to the edge shards, so the splitter is total
+// (a default-constructed {0, 0} sends every key to the two edge shards).
 //
-// Two modes share the type (reshard() requires the old and new splitter to
-// be the same type, so adaptive boundaries cannot live in a second class):
+// Two modes share the type (reshard() swaps one splitter for another, so
+// adaptive boundaries cannot live in a second class):
 //  - equal-width (cuts empty): shard i owns [lo + i*width, lo + (i+1)*width)
 //  - explicit boundaries (cuts = sorted interior cut points, size < nshards):
 //    shard i owns [cuts[i-1], cuts[i]), with lo/hi still clamping the edges.
 //    Fewer than nshards-1 cuts leaves the top shards empty — legal, the
 //    splitter stays total.
-// Ownership stays contiguous in both modes, so kRangePartitioned narrowing
-// (shard_span) remains exact.
+// Ownership is contiguous and ascending in both modes: shard_of is monotone
+// in the key, so shard_span narrowing is exact and merged scans are
+// in-order concatenations.
 template <class K>
 struct RangeSplitter {
-  static_assert(std::is_integral_v<K>,
-                "RangeSplitter needs an integral key; use HashSplitter");
-  static constexpr bool kRangePartitioned = true;
+  static_assert(std::is_integral_v<K>, "RangeSplitter needs an integral key");
 
   K lo{};
   K hi{};  // exclusive
@@ -193,36 +189,7 @@ struct RangeSplitter {
   }
 };
 
-// Hash partition: balances arbitrary key distributions (no bounds needed),
-// at the cost of every range query spanning all shards.
-template <class K, class Hash = std::hash<K>>
-struct HashSplitter {
-  static constexpr bool kRangePartitioned = false;
-
-  [[no_unique_address]] Hash hash{};
-
-  std::size_t shard_of(const K& k, std::size_t nshards) const {
-    // std::hash is the identity for integers; mix so that dense key ranges
-    // do not alias into a stride pattern across shards.
-    return static_cast<std::size_t>(
-        mix64(static_cast<std::uint64_t>(hash(k))) % nshards);
-  }
-
-  std::pair<std::size_t, std::size_t> shard_span(const K&, const K&,
-                                                 std::size_t nshards) const {
-    return {0, nshards};
-  }
-};
-
-// REQUIREMENT: the Splitter must agree with Compare's equivalence classes —
-// keys that Compare treats as equal must route to the same shard, or one
-// logical key can be stored in two shards (insert-if-absent would accept
-// both, point ops would consult only the routed one). The provided splitters
-// satisfy this for the default std::less<K>; a custom Compare that coarsens
-// equality (e.g. case-insensitive strings) needs a splitter keyed on the
-// same canonical form.
 template <class K, class V, std::size_t NumShards = 8,
-          class Splitter = HashSplitter<K>, class Compare = std::less<K>,
           class R = EpochReclaimer, class Stats = NullOpStats,
           class Alloc = mem::HeapAlloc>
 class ShardedPnbMap {
@@ -234,8 +201,7 @@ class ShardedPnbMap {
  public:
   using key_type = K;
   using mapped_type = V;
-  using splitter_type = Splitter;
-  using Map = PnbMap<K, V, Compare, R, Stats, Alloc>;
+  using Map = PnbMap<K, V, std::less<K>, R, Stats, Alloc>;
   // Batch ingest shapes (src/ingest/, BatchIngestible in core/concepts.h).
   using bulk_item = std::pair<K, V>;
   using batch_op = ingest::BatchOp<K, V>;
@@ -261,7 +227,7 @@ class ShardedPnbMap {
   };
 
  public:
-  explicit ShardedPnbMap(Splitter splitter = Splitter{},
+  explicit ShardedPnbMap(RangeSplitter<K> splitter,
                          R& reclaimer = R::shared())
       : reclaimer_(&reclaimer), lifetime_(reclaimer) {
     auto* table = new Table;
@@ -335,8 +301,8 @@ class ShardedPnbMap {
 
   // --- Merged range queries (see consistency contract above) ---------------
 
-  // (key, value) pairs with keys in [lo, hi], ascending, k-way-merged from
-  // one wait-free snapshot per shard in the splitter's span.
+  // (key, value) pairs with keys in [lo, hi], ascending: the concatenation
+  // of one wait-free snapshot per shard in the splitter's span.
   std::vector<std::pair<K, V>> range_scan(const K& lo, const K& hi) {
     return snapshot_span(lo, hi).range_scan(lo, hi);
   }
@@ -351,20 +317,16 @@ class ShardedPnbMap {
     return snapshot_span(lo, hi).range_first(lo, hi, n);
   }
 
-  // Streaming merged visit in bounded pages (see Snapshot::visit_while):
-  // the first pair is delivered after one page, not after materializing the
-  // whole range.
+  // Streaming merged visit (see Snapshot::visit_while): pairs are handed
+  // out as each shard's scan reaches them, never materialized.
   template <class Visitor>
   void visit_range(const K& lo, const K& hi, Visitor&& vis) {
-    snapshot_span(lo, hi).visit_while(lo, hi, [&vis](const K& k, const V& v) {
-      vis(k, v);
-      return true;
-    });
+    snapshot_span(lo, hi).visit_range(lo, hi, std::forward<Visitor>(vis));
   }
 
   // Early-terminating merged visit: vis returns false to stop. The visited
-  // pairs are an ascending prefix of the merged range; stopping after p
-  // pairs does O(p)-ish work instead of materializing the whole range.
+  // pairs are an ascending prefix of the merged range; stopping ends the
+  // walk, so later shards are never scanned.
   template <class Visitor>
   void range_visit_while(const K& lo, const K& hi, Visitor&& vis) {
     snapshot_span(lo, hi).visit_while(lo, hi, std::forward<Visitor>(vis));
@@ -376,7 +338,7 @@ class ShardedPnbMap {
   // per-shard snapshots are still taken sequentially in ascending shard
   // order (the contract's linearization structure is fixed at that point);
   // only the per-shard snapshot SCANS then run concurrently on the
-  // executor, feeding the same k-way merge.
+  // executor, concatenated in shard order like the sequential scan.
   std::vector<std::pair<K, V>> parallel_range_scan(
       const K& lo, const K& hi, const scan::ParallelScanOptions& opts = {}) {
     return snapshot_span(lo, hi).parallel_range_scan(lo, hi, opts);
@@ -451,9 +413,7 @@ class ShardedPnbMap {
     // Normalize up front so the ledger records exactly the ops that get
     // applied (one op per key, last wins); the per-shard re-normalization
     // inside Map::apply_batch is then a cheap no-op re-sort.
-    ingest::normalize_batch(ops, [cmp = Compare{}](const K& a, const K& b) {
-      return cmp(a, b);
-    });
+    ingest::normalize_batch(ops, std::less<K>{});
     // The caller's pin spans the whole fan-out (run_tasks participates),
     // so the loaded table outlives every worker's dereference of it.
     auto guard = reclaimer_->pin();
@@ -537,7 +497,7 @@ class ShardedPnbMap {
   // Returns the number of entries in the migration's base snapshots.
   // Readers see pre- or post-reshard state, never a mix; racing writes are
   // recorded and replayed (contract above).
-  std::size_t reshard(Splitter new_splitter,
+  std::size_t reshard(RangeSplitter<K> new_splitter,
                       const ingest::IngestOptions& opts = {}) {
     std::lock_guard<std::mutex> lock(reshard_mutex_);
     auto guard = reclaimer_->pin();
@@ -587,13 +547,6 @@ class ShardedPnbMap {
     return total;
   }
 
-  // TEST-ONLY force purge of retired generations. PRECONDITION: full
-  // quiescence — no concurrent operations and no live Snapshot handles.
-  // The happy path never needs this: retired generations reclaim
-  // themselves when their last covering snapshot lease drops. Returns the
-  // number of maps freed.
-  std::size_t purge_retired() { return lifetime_.force_purge(); }
-
   // --- Snapshots -----------------------------------------------------------
 
   // Composite snapshot: one per-shard snapshot, taken in ascending shard
@@ -619,119 +572,104 @@ class ShardedPnbMap {
 
     std::size_t size() const {
       std::size_t n = 0;
-      for (const auto& s : snaps_) n += s.snap.size();
+      for (const auto& s : snaps_) n += s.size();
       return n;
     }
 
     std::size_t range_count(const K& lo, const K& hi) const {
       std::size_t n = 0;
-      for (const auto& s : snaps_) n += s.snap.range_count(lo, hi);
+      for (const auto& s : snaps_) n += s.range_count(lo, hi);
       return n;
     }
 
     std::vector<std::pair<K, V>> range_scan(const K& lo, const K& hi) const {
-      std::vector<std::vector<std::pair<K, V>>> parts;
-      parts.reserve(snaps_.size());
-      for (const auto& s : snaps_) parts.push_back(s.snap.range_scan(lo, hi));
-      return merge_sorted(std::move(parts));
+      std::vector<std::pair<K, V>> out;
+      visit_range(lo, hi,
+                  [&out](const K& k, const V& v) { out.emplace_back(k, v); });
+      return out;
     }
 
+    // Shards are walked in order, each asked only for the pairs still
+    // missing; the walk stops once n pairs are in hand.
     std::vector<std::pair<K, V>> range_first(const K& lo, const K& hi,
                                              std::size_t n) const {
-      // Each shard contributes at most n pairs to the merged first-n.
-      std::vector<std::vector<std::pair<K, V>>> parts;
-      parts.reserve(snaps_.size());
-      for (const auto& s : snaps_) {
-        parts.push_back(s.snap.range_first(lo, hi, n));
-      }
-      auto merged = merge_sorted(std::move(parts));
-      if (merged.size() > n) merged.resize(n);
-      return merged;
+      std::vector<std::pair<K, V>> out;
+      if (n == 0) return out;
+      visit_while(lo, hi, [&out, n](const K& k, const V& v) {
+        out.emplace_back(k, v);
+        return out.size() < n;
+      });
+      return out;
     }
 
     template <class Visitor>
     void visit_range(const K& lo, const K& hi, Visitor&& vis) const {
-      visit_while(lo, hi, [&vis](const K& k, const V& v) {
-        vis(k, v);
-        return true;
-      });
+      for (const auto& s : snaps_) s.visit_range(lo, hi, vis);
     }
 
-    // Early-terminating merged visit (vis returns false to stop), paged in
-    // bounded chunks: each chunk costs every overlapped shard
-    // O(chunk + depth), so neither full visits nor early exits materialize
-    // the whole range at once.
+    // Early-terminating merged visit (vis returns false to stop): each
+    // shard snapshot's early-terminating scan in shard order, so stopping
+    // after p pairs costs O(p + depth) per shard touched.
     template <class Visitor>
     void visit_while(const K& lo, const K& hi, Visitor&& vis) const {
-      constexpr std::size_t kPage = 256;
-      Compare cmp{};
-      K cursor = lo;
-      bool skip_cursor = false;  // cursor key emitted by the previous page
-      for (;;) {
-        const auto page = range_first(cursor, hi, kPage);
-        std::size_t i = 0;
-        if (skip_cursor && !page.empty() && !cmp(page.front().first, cursor) &&
-            !cmp(cursor, page.front().first)) {
-          i = 1;
-        }
-        for (; i < page.size(); ++i) {
-          if (!vis(page[i].first, page[i].second)) return;
-        }
-        if (page.size() < kPage) return;
-        // Restart at the last emitted key (kept inclusive because K need
-        // not be incrementable) and drop its duplicate from the next page.
-        cursor = page.back().first;
-        skip_cursor = true;
+      bool more = true;
+      for (const auto& s : snaps_) {
+        s.visit_while(lo, hi, [&](const K& k, const V& v) {
+          more = vis(k, v);
+          return more;
+        });
+        if (!more) return;
       }
     }
 
     // Parallel merged scan: one executor task per shard snapshot (the
-    // caller participates), feeding the same k-way merge as range_scan.
-    // Each task pins the shared reclaimer for the duration of its scan —
-    // the composite snapshot's per-shard guards keep the frozen versions
-    // alive, and the task pin covers retirements a helping worker may
-    // trigger. Results are identical to the sequential merged scan on this
-    // same Snapshot (same frozen phases, same merge).
+    // caller participates), concatenated in shard order exactly like
+    // range_scan. Each task pins the shared reclaimer for the duration of
+    // its scan — the composite snapshot's per-shard guards keep the frozen
+    // versions alive, and the task pin covers retirements a helping worker
+    // may trigger. Results are identical to the sequential merged scan on
+    // this same Snapshot (same frozen phases).
     //
     // A snapshot whose span is a SINGLE shard (common for point-like or
-    // hot-range queries under RangeSplitter, and via snapshot_span for any
-    // span the splitter maps to one shard) has nothing to fan out at the
-    // shard level, which used to serialize the whole query on one core.
-    // For integral keys it instead delegates to the per-map chunked scan
-    // (core/pnb_map.h): [lo, hi] is tiled with scan::partition_range and
-    // each chunk scans the SAME frozen shard phase, so the concatenation
-    // is bit-identical to this snapshot's sequential scan — same contract,
-    // intra-shard parallelism.
+    // hot-range queries) has nothing to fan out at the shard level, so it
+    // delegates to the per-map chunked scan (core/pnb_map.h): [lo, hi] is
+    // tiled with scan::partition_range and each chunk scans the SAME frozen
+    // shard phase, so the concatenation is bit-identical to this
+    // snapshot's sequential scan — same contract, intra-shard parallelism.
     std::vector<std::pair<K, V>> parallel_range_scan(
         const K& lo, const K& hi,
         const scan::ParallelScanOptions& opts = {}) const {
-      if constexpr (std::is_integral_v<K>) {
-        if (snaps_.size() == 1) {
-          auto guard = owner_->reclaimer_->pin();
-          return snaps_[0].snap.parallel_range_scan(lo, hi, opts);
-        }
+      if (snaps_.size() == 1) {
+        auto guard = owner_->reclaimer_->pin();
+        return snaps_[0].parallel_range_scan(lo, hi, opts);
       }
       std::vector<std::vector<std::pair<K, V>>> parts(snaps_.size());
       scan::run_tasks(opts, snaps_.size(), [&](std::size_t i) {
         auto guard = owner_->reclaimer_->pin();
-        parts[i] = snaps_[i].snap.range_scan(lo, hi);
+        parts[i] = snaps_[i].range_scan(lo, hi);
       });
-      return merge_sorted(std::move(parts));
+      std::size_t total = 0;
+      for (const auto& p : parts) total += p.size();
+      std::vector<std::pair<K, V>> out;
+      out.reserve(total);
+      for (auto& p : parts) {
+        out.insert(out.end(), std::make_move_iterator(p.begin()),
+                   std::make_move_iterator(p.end()));
+      }
+      return out;
     }
 
     std::size_t parallel_range_count(
         const K& lo, const K& hi,
         const scan::ParallelScanOptions& opts = {}) const {
-      if constexpr (std::is_integral_v<K>) {
-        if (snaps_.size() == 1) {
-          auto guard = owner_->reclaimer_->pin();
-          return snaps_[0].snap.parallel_range_count(lo, hi, opts);
-        }
+      if (snaps_.size() == 1) {
+        auto guard = owner_->reclaimer_->pin();
+        return snaps_[0].parallel_range_count(lo, hi, opts);
       }
       std::vector<std::size_t> parts(snaps_.size(), 0);
       scan::run_tasks(opts, snaps_.size(), [&](std::size_t i) {
         auto guard = owner_->reclaimer_->pin();
-        parts[i] = snaps_[i].snap.range_count(lo, hi);
+        parts[i] = snaps_[i].range_count(lo, hi);
       });
       std::size_t total = 0;
       for (std::size_t c : parts) total += c;
@@ -743,7 +681,7 @@ class ShardedPnbMap {
     std::vector<std::uint64_t> phases() const {
       std::vector<std::uint64_t> out;
       out.reserve(snaps_.size());
-      for (const auto& s : snaps_) out.push_back(s.snap.phase());
+      for (const auto& s : snaps_) out.push_back(s.phase());
       return out;
     }
 
@@ -752,36 +690,32 @@ class ShardedPnbMap {
 
    private:
     friend class ShardedPnbMap;
-    struct ShardSnap {
-      std::size_t shard;
-      typename Map::Snapshot snap;
-    };
 
     Snapshot(const ShardedPnbMap* owner, const Table* table,
-             lifecycle::SnapshotLease<R>&& lease,
-             std::vector<ShardSnap>&& snaps)
+             lifecycle::SnapshotLease<R>&& lease, std::size_t first,
+             std::vector<typename Map::Snapshot>&& snaps)
         : owner_(owner),
           table_(table),
+          first_(first),
           lease_(std::move(lease)),
           snaps_(std::move(snaps)) {}
 
     // Snapshot of the shard owning k — routed by the snapshot's own table,
     // so a reshard cannot re-route a live snapshot — or nullptr when k's
-    // shard is outside this snapshot's span.
+    // shard is outside this snapshot's span [first_, first_ + size).
     const typename Map::Snapshot* route(const K& k) const {
       const std::size_t idx = table_->splitter.shard_of(k, NumShards);
-      for (const auto& s : snaps_) {
-        if (s.shard == idx) return &s.snap;
-      }
-      return nullptr;
+      if (idx < first_ || idx - first_ >= snaps_.size()) return nullptr;
+      return &snaps_[idx - first_];
     }
 
     const ShardedPnbMap* owner_;
     const Table* table_;
+    std::size_t first_;  // shard index of snaps_[0]
     // Declared before snaps_: the per-shard snapshots (which reference the
     // leased generation's maps) are destroyed first, the lease last.
     lifecycle::SnapshotLease<R> lease_;
-    std::vector<ShardSnap> snaps_;
+    std::vector<typename Map::Snapshot> snaps_;
   };
 
   // Snapshot covering all shards.
@@ -797,13 +731,11 @@ class ShardedPnbMap {
   // --- Introspection --------------------------------------------------------
 
   // Direct reference into the current routing generation, for tests and
-  // debugging. CONTRACT (narrowed by the PR-5 auto-reclamation): the
-  // reference is only guaranteed while no reshard()/rebuild_shard() runs
-  // concurrently or afterwards — a cutover retires the shard it replaces,
-  // and with no snapshot lease pinning it the memory is reclaimed
-  // automatically (there is no purge_retired() event to wait for
-  // anymore). Quiescent/introspection use only; live code goes through
-  // the point ops or a Snapshot.
+  // debugging. CONTRACT: the reference is only guaranteed while no
+  // reshard()/rebuild_shard() runs concurrently or afterwards — a cutover
+  // retires the shard it replaces, and with no snapshot lease pinning it
+  // the memory is reclaimed automatically. Quiescent/introspection use
+  // only; live code goes through the point ops or a Snapshot.
   Map& shard_ref(std::size_t i) {
     auto guard = reclaimer_->pin();
     return table_.load(std::memory_order_acquire)->shards[i]->map;
@@ -812,7 +744,7 @@ class ShardedPnbMap {
   // can be reclaimed right after a cutover, so a reference would dangle).
   // A reshard can make the copy stale — introspection use only; take a
   // Snapshot for a stable routed view.
-  Splitter splitter() const {
+  RangeSplitter<K> splitter() const {
     auto guard = reclaimer_->pin();
     return table_.load(std::memory_order_acquire)->splitter;
   }
@@ -883,9 +815,7 @@ class ShardedPnbMap {
   // the pointer (the Rebalancer guarantees this by only detaching at
   // destruction, after stop(), when the caller has quiesced writers, the
   // same quiescence the map's own destructor already assumes).
-  void set_key_sampler(KeySampler<K>* sampler)
-    requires std::is_integral_v<K>
-  {
+  void set_key_sampler(KeySampler<K>* sampler) {
     key_sampler_.store(sampler, std::memory_order_release);
   }
 
@@ -927,7 +857,7 @@ class ShardedPnbMap {
     Table(const Table& o) : splitter(o.splitter), shards(o.shards) {}
     Table& operator=(const Table&) = delete;
 
-    Splitter splitter{};
+    RangeSplitter<K> splitter{};
     std::array<Shard*, NumShards> shards{};
     MigrationState* migration = nullptr;
   };
@@ -1030,17 +960,12 @@ class ShardedPnbMap {
   }
 
   // Write-path sampling hook: one relaxed load when no sampler is attached
-  // (the common case), compiled out entirely for non-integral keys. Called
-  // BEFORE admission/routing so sampled keys reflect offered load, not just
-  // admitted load — the rebalancer wants to know where pressure is, and a
-  // shed write is still pressure.
+  // (the common case). Called BEFORE admission/routing so sampled keys
+  // reflect offered load, not just admitted load — the rebalancer wants to
+  // know where pressure is, and a shed write is still pressure.
   void sample_key(const K& k) noexcept {
-    if constexpr (std::is_integral_v<K>) {
-      if (KeySampler<K>* ks = key_sampler_.load(std::memory_order_acquire)) {
-        ks->maybe_record(k);
-      }
-    } else {
-      (void)k;
+    if (KeySampler<K>* ks = key_sampler_.load(std::memory_order_acquire)) {
+      ks->maybe_record(k);
     }
   }
 
@@ -1191,38 +1116,12 @@ class ShardedPnbMap {
   Snapshot snapshot_shards(const Table* table, std::size_t first,
                            std::size_t last,
                            lifecycle::SnapshotLease<R>&& lease) {
-    std::vector<typename Snapshot::ShardSnap> snaps;
+    std::vector<typename Map::Snapshot> snaps;
     snaps.reserve(last - first);
     for (std::size_t i = first; i < last; ++i) {
-      snaps.push_back({i, table->shards[i]->map.snapshot()});
+      snaps.push_back(table->shards[i]->map.snapshot());
     }
-    return Snapshot(this, table, std::move(lease), std::move(snaps));
-  }
-
-  // k-way merge of ascending per-shard runs. Cursor scan: O(total · parts),
-  // with parts = NumShards small and runs disjoint under RangeSplitter this
-  // beats a heap in practice and stays obviously correct.
-  static std::vector<std::pair<K, V>> merge_sorted(
-      std::vector<std::vector<std::pair<K, V>>>&& parts) {
-    Compare cmp{};
-    std::size_t total = 0;
-    for (const auto& p : parts) total += p.size();
-    std::vector<std::pair<K, V>> out;
-    out.reserve(total);
-    std::vector<std::size_t> pos(parts.size(), 0);
-    while (out.size() < total) {
-      std::size_t best = parts.size();
-      for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (pos[i] >= parts[i].size()) continue;
-        if (best == parts.size() ||
-            cmp(parts[i][pos[i]].first, parts[best][pos[best]].first)) {
-          best = i;
-        }
-      }
-      out.push_back(std::move(parts[best][pos[best]]));
-      ++pos[best];
-    }
-    return out;
+    return Snapshot(this, table, std::move(lease), first, std::move(snaps));
   }
 
   void record_admission(ingest::AdmissionOutcome o) noexcept {
@@ -1291,9 +1190,5 @@ static_assert(MapScannable<ShardedPnbMap<long, long, 4>, long, long>);
 static_assert(ParallelScannable<ShardedPnbMap<long, long, 4>, long>);
 static_assert(Snapshottable<ShardedPnbMap<long, long, 4>>);
 static_assert(BatchIngestible<ShardedPnbMap<long, long, 4>>);
-static_assert(
-    OrderedMap<ShardedPnbMap<long, long, 4, RangeSplitter<long>>, long, long>);
-static_assert(
-    BatchIngestible<ShardedPnbMap<long, long, 4, RangeSplitter<long>>>);
 
 }  // namespace pnbbst

@@ -36,8 +36,6 @@ static_assert(MapScannable<PnbMap<long, long>, long, long>);
 static_assert(PhasedSnapshottable<PnbMap<long, long>>);
 
 static_assert(OrderedMap<ShardedPnbMap<long, long, 4>, long, long>);
-static_assert(OrderedMap<ShardedPnbMap<long, long, 4, RangeSplitter<long>>,
-                         long, long>);
 static_assert(MapScannable<ShardedPnbMap<long, long, 4>, long, long>);
 static_assert(Snapshottable<ShardedPnbMap<long, long, 4>>);
 

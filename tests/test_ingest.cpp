@@ -193,8 +193,7 @@ TEST(BulkBuild, MapKeepsLastValuePerDuplicateKey) {
 
 TEST(BulkBuild, ShardedRoutesEveryKeyToItsShard) {
   constexpr long kRange = 4000;
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, kRange});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kRange});
   std::vector<std::pair<long, long>> items;
   const auto keys = shuffled_keys(kRange, 3);
   for (long k : keys) items.emplace_back(k, k * 2);
@@ -282,8 +281,7 @@ TEST(ApplyBatch, MapInsertIsInsertIfAbsent) {
 
 TEST(ApplyBatch, ShardedDifferentialAndCounts) {
   constexpr long kRange = 2048;
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> sharded(
-      RangeSplitter<long>{0, kRange});
+  ShardedPnbMap<long, long, 4> sharded(RangeSplitter<long>{0, kRange});
   PnbMap<long, long> single;
   Xoshiro256 rng(555);
   scan::ScanExecutor ex(4);
@@ -309,8 +307,7 @@ TEST(ApplyBatch, ShardedDifferentialAndCounts) {
 
 TEST(Reshard, RebuildShardPreservesContentsAndRebalances) {
   constexpr long kRange = 4096;
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, kRange});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kRange});
   // Sorted sequential inserts give shard 0 a degenerate right-spine tree.
   for (long k = 0; k < kRange / 4; ++k) map.insert(k, k + 1);
   const auto before = map.range_scan(0, kRange - 1);
@@ -322,14 +319,13 @@ TEST(Reshard, RebuildShardPreservesContentsAndRebalances) {
   // No snapshot held across the rebuild: the replaced shard map was
   // reclaimed automatically at cutover (lease lifecycle, src/lifecycle/).
   EXPECT_EQ(map.retired_maps(), 0u);
-  EXPECT_EQ(map.purge_retired(), 0u);
+  EXPECT_EQ(map.lifetime().force_purge(), 0u);
   EXPECT_EQ(map.range_scan(0, kRange - 1), before);
 }
 
 TEST(Reshard, ReshardMigratesToNewRoutingAndKeepsSnapshotsValid) {
   constexpr long kRange = 3000;
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, kRange});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kRange});
   for (long k = 0; k < kRange; k += 3) map.insert(k, k * 2);
   const auto before = map.range_scan(0, kRange - 1);
   auto old_snap = map.snapshot();
@@ -349,17 +345,16 @@ TEST(Reshard, ReshardMigratesToNewRoutingAndKeepsSnapshotsValid) {
   EXPECT_EQ(old_snap.get(0).value_or(-1), 0);
   // Retired generation: 4 replaced maps, pinned by the old snapshot's
   // lease. Dropping the last covering lease reclaims them automatically —
-  // purge_retired() is a test-only force-purge and finds nothing left.
+  // the test-only force-purge finds nothing left.
   EXPECT_EQ(map.retired_maps(), 4u);
   { auto drop = std::move(old_snap); }
   EXPECT_EQ(map.retired_maps(), 0u);
-  EXPECT_EQ(map.purge_retired(), 0u);
+  EXPECT_EQ(map.lifetime().force_purge(), 0u);
   EXPECT_EQ(map.range_scan(0, kRange - 1), before);
 }
 
 TEST(Reshard, WriteAfterReshardLandsInNewShards) {
-  ShardedPnbMap<long, long, 2, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 100});
+  ShardedPnbMap<long, long, 2> map(RangeSplitter<long>{0, 100});
   map.insert(10, 1);
   map.reshard(RangeSplitter<long>{0, 10000});
   map.insert(5000, 2);

@@ -227,8 +227,7 @@ TEST(IngestConcurrent, ReshardUnderReadChurnKeepsEveryKeyObservable) {
   // read, across repeated reshards (atomic table cutover means a reader
   // never sees a half-migrated world). Merged scans must stay exact.
   constexpr long kKeys = 8000;
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, kKeys});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeys});
   std::vector<std::pair<long, long>> items;
   for (long k = 0; k < kKeys; ++k) items.emplace_back(k, k * 3);
   map.bulk_load(std::move(items));
@@ -276,7 +275,7 @@ TEST(IngestConcurrent, ReshardUnderReadChurnKeepsEveryKeyObservable) {
   // manual purge in the happy path.
   { auto drop = std::move(pre_snap); }
   EXPECT_EQ(map.retired_maps(), 0u);
-  EXPECT_EQ(map.purge_retired(), 0u);  // nothing left for the force-purge
+  EXPECT_EQ(map.lifetime().force_purge(), 0u);  // nothing left to purge
   EXPECT_EQ(map.size(), static_cast<std::size_t>(kKeys));
 }
 
@@ -287,8 +286,7 @@ TEST(IngestConcurrent, RebuildShardLeavesOtherShardTrafficUntouched) {
   // into each new table, not copied).
   constexpr long kKeys = 8000;  // 4 shards x 2000
   constexpr long kShardWidth = kKeys / 4;
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, kKeys});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeys});
   for (long k = 0; k < kShardWidth; ++k) map.insert(k, k + 7);
 
   std::atomic<bool> stop{false};
@@ -359,8 +357,7 @@ TEST(IngestConcurrent, ShardedBatchesRaceMergedParallelScans) {
   // well-formedness (ascending, per-key value invariant v == k * 2 for
   // every key any batch ever inserts).
   constexpr long kKeys = 6000;
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, kKeys});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeys});
   std::atomic<bool> stop{false};
 
   std::thread batcher([&map] {

@@ -226,8 +226,7 @@ TEST(Lifecycle, ConcurrentLeaseChurnNeverLosesAGeneration) {
 // --- The whole stack: automatic reclamation through ShardedPnbMap ---------
 
 TEST(Lifecycle, ShardedReshardReclaimsWhenLastSnapshotDrops) {
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 1000});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, 1000});
   for (long k = 0; k < 1000; ++k) map.insert(k, k * 7);
 
   auto snap = map.snapshot();
@@ -247,13 +246,12 @@ TEST(Lifecycle, ShardedReshardReclaimsWhenLastSnapshotDrops) {
   EXPECT_EQ(map.retired_maps(), 0u);
   EXPECT_EQ(map.retired_bytes(), 0u);
   EXPECT_EQ(map.lifetime().active_leases(), 0u);
-  EXPECT_EQ(map.purge_retired(), 0u);
+  EXPECT_EQ(map.lifetime().force_purge(), 0u);
   EXPECT_EQ(map.size(), 1000u);
 }
 
 TEST(Lifecycle, RebuildRetiresOneMapAndTablesOnly) {
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 400});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, 400});
   for (long k = 0; k < 400; ++k) map.insert(k, k);
   auto snap = map.snapshot();
   EXPECT_EQ(map.rebuild_shard(2), 100u);
@@ -286,8 +284,7 @@ TEST(Lifecycle, TreeSnapshotsCarryLeases) {
 
 TEST(Lifecycle, BatchAdmissionDefersAboveWatermark) {
   using Op = ingest::BatchOp<long, long>;
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 1000});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, 1000});
   for (long k = 0; k < 1000; ++k) map.insert(k, k);
 
   ingest::AdmissionConfig cfg;
@@ -332,8 +329,7 @@ TEST(Lifecycle, BatchAdmissionDefersAboveWatermark) {
 
 TEST(Lifecycle, BatchAdmissionBlocksUntilReclamationCatchesUp) {
   using Op = ingest::BatchOp<long, long>;
-  ShardedPnbMap<long, long, 2, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 100});
+  ShardedPnbMap<long, long, 2> map(RangeSplitter<long>{0, 100});
   for (long k = 0; k < 100; ++k) map.insert(k, k);
 
   ingest::AdmissionConfig cfg;
@@ -362,8 +358,7 @@ TEST(Lifecycle, BatchAdmissionBlocksUntilReclamationCatchesUp) {
 
 TEST(Lifecycle, BlockPolicyTimesOutIntoDeferral) {
   using Op = ingest::BatchOp<long, long>;
-  ShardedPnbMap<long, long, 2, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 100});
+  ShardedPnbMap<long, long, 2> map(RangeSplitter<long>{0, 100});
   map.insert(1, 1);
   ingest::AdmissionConfig cfg;
   cfg.retired_bytes_watermark = 1;

@@ -17,8 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -275,9 +273,7 @@ TEST(Adapters, CountingTreeRegisteredThroughOpStats) {
 // The sharded-map adapter fans out per-shard gauges and aggregates the
 // engine family; exercised here against a private registry.
 TEST(Adapters, ShardedMapCollectorEmitsFamilies) {
-  using Map = ShardedPnbMap<long, long, 4, RangeSplitter<long>,
-                            std::less<long>, EpochReclaimer,
-                            CountingOpStats>;
+  using Map = ShardedPnbMap<long, long, 4, EpochReclaimer, CountingOpStats>;
   Map map(RangeSplitter<long>{0, 1024});
   for (long k = 0; k < 100; ++k) map.insert(k, k);
   obs::MetricsRegistry reg;
@@ -391,90 +387,6 @@ TEST(Adapters, LatencySumIsExact) {
   }
   EXPECT_DOUBLE_EQ(sum, static_cast<double>(h.sum()));
   EXPECT_DOUBLE_EQ(hist_sum, sum);
-}
-
-// Periodic dump-to-file: incremental flushes keep history the in-memory
-// ring loses to wrap, and an overrun between flushes is COUNTED instead
-// of silently truncating the record.
-TEST(MechanismTrace, PeriodicDumpKeepsWrappedHistoryAndCountsDrops) {
-  constexpr std::size_t kSlots = obs::MechanismTrace::kRingSlots;
-  auto& trace = obs::MechanismTrace::global();
-  trace.set_enabled(true);
-  const std::string path = ::testing::TempDir() + "pnb_trace_dump.json";
-  ASSERT_TRUE(
-      trace.start_periodic_dump(path, std::chrono::hours(1)));
-  // Second start while running is refused, not a restart.
-  EXPECT_FALSE(
-      trace.start_periodic_dump(path, std::chrono::hours(1)));
-
-  // Drain whatever earlier tests left in the rings so the deltas below
-  // are exact for this thread's stream.
-  trace.flush_periodic_dump();
-  const std::uint64_t base_written = trace.periodic_dump_written();
-  const std::uint64_t base_dropped = trace.periodic_dump_dropped();
-
-  // 3x the ring capacity, flushed once per lap: every event reaches the
-  // file even though the ring only retains the last kRingSlots.
-  for (int lap = 0; lap < 3; ++lap) {
-    for (std::uint64_t i = 0; i < kSlots; ++i) {
-      obs::trace_event(obs::TraceKind::kHelp, i);
-    }
-    trace.flush_periodic_dump();
-  }
-  EXPECT_EQ(trace.periodic_dump_written() - base_written, 3 * kSlots);
-  EXPECT_EQ(trace.periodic_dump_dropped(), base_dropped);
-
-  // Two unflushed laps: exactly one lap's worth is gone — and accounted.
-  for (std::uint64_t i = 0; i < 2 * kSlots; ++i) {
-    obs::trace_event(obs::TraceKind::kHelp, i);
-  }
-  trace.flush_periodic_dump();
-  EXPECT_EQ(trace.periodic_dump_dropped() - base_dropped, kSlots);
-
-  trace.set_enabled(false);
-  trace.stop_periodic_dump();
-  trace.stop_periodic_dump();  // idempotent
-
-  // The file is a well-terminated JSON array of one-line instant events.
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string body = ss.str();
-  ASSERT_FALSE(body.empty());
-  EXPECT_EQ(body.front(), '[');
-  EXPECT_EQ(body.substr(body.size() - 2), "]\n");
-  std::size_t events = 0;
-  for (std::size_t pos = body.find("{\"name\":");
-       pos != std::string::npos; pos = body.find("{\"name\":", pos + 1)) {
-    ++events;
-  }
-  EXPECT_EQ(events, trace.periodic_dump_written());
-  EXPECT_NE(body.find("\"name\":\"help\""), std::string::npos);
-}
-
-TEST(MechanismTrace, PeriodicDumpBackgroundThreadFlushesOnItsOwn) {
-  auto& trace = obs::MechanismTrace::global();
-  trace.set_enabled(true);
-  const std::string path =
-      ::testing::TempDir() + "pnb_trace_dump_bg.json";
-  ASSERT_TRUE(
-      trace.start_periodic_dump(path, std::chrono::milliseconds(1)));
-  for (int i = 0; i < 100; ++i) {
-    obs::trace_event(obs::TraceKind::kReshardCutover, 1);
-  }
-  // No manual flush: the background thread must pick the events up.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (trace.periodic_dump_written() < 100 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(trace.periodic_dump_written(), 100u);
-  trace.set_enabled(false);
-  trace.stop_periodic_dump();
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good());
 }
 
 }  // namespace

@@ -273,8 +273,7 @@ TEST(ParallelScanMap, PairsMatchSequential) {
 }
 
 TEST(ParallelScanSharded, MergedParallelQueryMatchesSequential) {
-  ShardedPnbMap<long, long, 8, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 1 << 13});
+  ShardedPnbMap<long, long, 8> map(RangeSplitter<long>{0, 1 << 13});
   Xoshiro256 rng(11);
   for (int i = 0; i < 6000; ++i) {
     const long k = static_cast<long>(rng.next_bounded(1 << 13));
@@ -291,11 +290,20 @@ TEST(ParallelScanSharded, MergedParallelQueryMatchesSequential) {
     EXPECT_EQ(map.parallel_range_scan(100L, 120L, opts),
               map.range_scan(100L, 120L));
   }
-  // Hash-split variant: every merged scan spans all shards.
-  ShardedPnbMap<long, long, 4> hashed;
-  for (long k = 0; k < 3000; k += 3) hashed.insert(k, k);
-  EXPECT_EQ(hashed.parallel_range_scan(0L, 2999L, ParallelScanOptions(4u, ex)),
-            hashed.range_scan(0L, 2999L));
+  // Uneven cuts, keys past hi: every query below crosses all three shard
+  // boundaries, and the widest runs into the clamped top shard.
+  ShardedPnbMap<long, long, 4> uneven(
+      RangeSplitter<long>::with_boundaries(0, 2000, {7, 1500, 1501}, 4));
+  for (long k = 0; k < 3000; k += 3) uneven.insert(k, k);
+  for (const auto& [lo, hi] : {std::pair<long, long>{0, 2999}, {5, 1600}}) {
+    ASSERT_EQ(uneven.splitter().shard_span(lo, hi, 4),
+              (std::pair<std::size_t, std::size_t>{0, 4}));
+    EXPECT_EQ(uneven.parallel_range_scan(lo, hi, ParallelScanOptions(4u, ex)),
+              uneven.range_scan(lo, hi));
+    EXPECT_EQ(
+        uneven.parallel_range_count(lo, hi, ParallelScanOptions(4u, ex)),
+        uneven.range_count(lo, hi));
+  }
 }
 
 TEST(ParallelScanSharded, WideSingleShardSpanChunksAndMatchesSequential) {
@@ -305,8 +313,7 @@ TEST(ParallelScanSharded, WideSingleShardSpanChunksAndMatchesSequential) {
   // query fans out anyway. Differential: the chunked result must stay
   // bit-identical to the sequential scan at every width, including an
   // extreme oversplit.
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 1 << 16});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, 1 << 16});
   Xoshiro256 rng(29);
   for (int i = 0; i < 8000; ++i) {
     const long k = static_cast<long>(rng.next_bounded(1 << 14));  // shard 0
@@ -333,8 +340,7 @@ TEST(ParallelScanSharded, WideSingleShardSpanChunksAndMatchesSequential) {
   // NumShards == 1 front-end: the composite Snapshot itself delegates, so
   // the differential runs against one held handle (bit-identical by the
   // snapshot contract, not just by quiescence).
-  ShardedPnbMap<long, long, 1, RangeSplitter<long>> one(
-      RangeSplitter<long>{0, 1 << 14});
+  ShardedPnbMap<long, long, 1> one(RangeSplitter<long>{0, 1 << 14});
   for (long k = 0; k < (1 << 14); k += 3) one.insert(k, k + 7);
   auto snap = one.snapshot();
   const auto seq = snap.range_scan(0L, (1L << 14) - 1);

@@ -167,7 +167,8 @@ TEST(ParallelScanConcurrent, MonotoneInsertCountBound) {
 }
 
 TEST(ParallelScanConcurrent, ShardedMergedParallelQueriesUnderChurn) {
-  ShardedPnbMap<long, long, 8> map;  // hash split: scans span all shards
+  // Eight range shards; every scan below crosses all seven boundaries.
+  ShardedPnbMap<long, long, 8> map(RangeSplitter<long>{0, kKeyRange});
   for (long k = 0; k < kKeyRange; k += 4) ASSERT_TRUE(map.insert(k, k));
   ScanExecutor ex(4);
   std::atomic<unsigned> writers_done{0};
@@ -200,7 +201,7 @@ TEST(ParallelScanConcurrent, ShardedMergedParallelQueriesUnderChurn) {
         long prev = -1;
         long stripe_seen = 0;
         for (const auto& [k, v] : pairs) {
-          ASSERT_GT(k, prev) << "merge not sorted/unique";
+          ASSERT_GT(k, prev) << "concatenation not sorted/unique";
           prev = k;
           if (in_stripe(k)) {
             ASSERT_EQ(v, k) << "stripe value corrupted";

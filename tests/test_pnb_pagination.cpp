@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <numeric>
 #include <thread>
+#include <vector>
 
 #include "common.h"
 #include "core/pnb_bst.h"
@@ -72,24 +74,29 @@ TEST(Pagination, SnapshotPagesAreStable) {
 
 TEST(Pagination, PrefixPropertyUnderInsertOnlyChurn) {
   // Like the scan prefix test: with one writer inserting 0,1,2,... in
-  // order, any page starting at 0 must be a contiguous prefix.
+  // order, any page starting at 0 must be a contiguous prefix. Every page
+  // bumps the phase and aborts straddling inserts (the handshake), so the
+  // scanner stops after kPages pages — or sooner, when the writer is done —
+  // rather than racing the writer for as long as it runs: under sanitizer
+  // slowdown back-to-back pages can starve the single writer.
+  constexpr int kPages = 2000;
   Tree t;
   std::atomic<bool> done{false};
   std::thread writer([&] {
     for (long k = 0; k < 20000; ++k) t.insert(k);
     done = true;
   });
-  while (!done.load()) {
+  for (int p = 0; p < kPages && !done.load(); ++p) {
     const auto page = t.range_first(0, 20000, 64);
     for (std::size_t i = 0; i < page.size(); ++i) {
       ASSERT_EQ(page[i], static_cast<long>(i));
     }
-    // Every page bumps the phase and aborts straddling inserts (the
-    // handshake); give the writer a scheduling gap so back-to-back scans
-    // cannot starve it indefinitely under sanitizer slowdown.
     std::this_thread::yield();
   }
   writer.join();
+  std::vector<long> prefix(64);
+  std::iota(prefix.begin(), prefix.end(), 0L);
+  EXPECT_EQ(t.range_first(0, 20000, 64), prefix);
 }
 
 }  // namespace

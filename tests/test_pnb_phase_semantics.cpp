@@ -105,6 +105,13 @@ TEST(PhaseSemantics, SnapshotPhaseEqualsPreIncrementCounter) {
 // Interleaved writers and a scanning thread: every scan's result size must
 // lie between the minimum and maximum possible set size at its phase
 // (coarse but effective sandwich bound under monotone growth).
+//
+// Every size() opens a phase, and an insert whose handshake sees a new phase
+// retries (updates are lock-free, not wait-free). On the right spine these
+// ascending keys build, a scanner that never pauses can starve the writer for
+// minutes. So the scanner paces itself: one scan per insert it observes. Each
+// insert then retries at most once, and scans keep running beside the writer
+// until its last insert.
 TEST(PhaseSemantics, ScanSizesSandwichedUnderMonotoneGrowth) {
   Tree t;
   std::atomic<long> inserted{0};
@@ -116,8 +123,14 @@ TEST(PhaseSemantics, ScanSizesSandwichedUnderMonotoneGrowth) {
     }
     done = true;
   });
+  long scanned_at = -1;
   while (!done.load()) {
     const long lo = inserted.load(std::memory_order_acquire);
+    if (lo == scanned_at) {
+      std::this_thread::yield();
+      continue;
+    }
+    scanned_at = lo;
     const auto n = t.size();
     const long hi = inserted.load(std::memory_order_acquire);
     // size() is linearized between the two reads of `inserted`.

@@ -17,16 +17,32 @@ using Tree = PnbBst<long>;
 // Prefix property: one writer inserts 0,1,2,... in order. Any linearizable
 // scan must observe a *prefix* of that sequence — a gap would mean the scan
 // missed an update linearized before one it observed.
+//
+// Each scan opens a phase, and an insert whose handshake sees a new phase
+// retries; on the right spine these keys build, a scanner that never pauses
+// can starve the writer for minutes. The scanner paces itself to one scan per
+// insert it observes, so scans run beside the writer until its last insert.
 TEST(PnbScanConcurrent, InsertOnlyScansSeePrefixes) {
   Tree t;
+  std::atomic<long> inserted{0};
   std::atomic<bool> done{false};
   constexpr long kMax = 30000;
   std::thread writer([&] {
-    for (long k = 0; k < kMax; ++k) t.insert(k);
+    for (long k = 0; k < kMax; ++k) {
+      t.insert(k);
+      inserted.store(k + 1, std::memory_order_release);
+    }
     done = true;
   });
   std::size_t scans = 0;
+  long scanned_at = -1;
   while (!done.load()) {
+    const long seen = inserted.load(std::memory_order_acquire);
+    if (seen == scanned_at) {
+      std::this_thread::yield();
+      continue;
+    }
+    scanned_at = seen;
     const auto v = t.range_scan(0, kMax);
     // Must be exactly 0..n-1 for some n.
     for (std::size_t i = 0; i < v.size(); ++i) {

@@ -21,9 +21,7 @@
 namespace pnbbst {
 namespace {
 
-using StatsMap = ShardedPnbMap<long, long, 4, RangeSplitter<long>,
-                               std::less<long>, EpochReclaimer,
-                               CountingOpStats>;
+using StatsMap = ShardedPnbMap<long, long, 4, EpochReclaimer, CountingOpStats>;
 
 TEST(KeySampler, OffByDefaultAndZeroCost) {
   KeySampler<long> ks;

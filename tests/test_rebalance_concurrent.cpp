@@ -41,9 +41,7 @@ namespace {
 using scan::ParallelScanOptions;
 using scan::ScanExecutor;
 
-using ChurnMap = ShardedPnbMap<long, long, 4, RangeSplitter<long>,
-                               std::less<long>, EpochReclaimer,
-                               CountingOpStats>;
+using ChurnMap = ShardedPnbMap<long, long, 4, EpochReclaimer, CountingOpStats>;
 
 TEST(RebalanceConcurrent, SkewFlipChurnLosesNoAcksWhileRebalancerFires) {
   constexpr unsigned kWriters = 3;
@@ -218,7 +216,7 @@ TEST(RebalanceConcurrent, SingleShardChunkedScanStaysBitIdenticalUnderChurn) {
   // snapshot, so parallel queries take the new chunked-delegation path.
   // Bit-identical means EQ against the sequential scan of the SAME
   // handle, round after round, while writers mutate the live map.
-  using OneShard = ShardedPnbMap<long, long, 1, RangeSplitter<long>>;
+  using OneShard = ShardedPnbMap<long, long, 1>;
   constexpr long kSpace = 1 << 15;
   OneShard map(RangeSplitter<long>{0, kSpace});
   for (long k = 0; k < kSpace; k += 4) map.insert(k, k);

@@ -44,8 +44,7 @@ TEST(ReshardConcurrent, AckedWritesSurviveReshardAndRebuildChurn) {
   constexpr long kKeys = kWriters * kStripe;
   constexpr int kOpsPerWriter = 20000;
 
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, kKeys});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeys});
 
   std::atomic<unsigned> done{0};
   std::vector<std::map<long, long>> models(kWriters);
@@ -139,8 +138,7 @@ TEST(ReshardConcurrent, BatchedWritesSurviveReshardChurn) {
   // A batcher inserts bursts of brand-new unique keys (so each burst must
   // report full insertion) while migrations churn. Any batched op dropped
   // at a cutover shows up as an ack shortfall or a missing key at the end.
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, 100000});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, 100000});
   constexpr int kBursts = 120;
   constexpr long kBurst = 500;
 
@@ -190,8 +188,7 @@ TEST(ReshardConcurrent, SnapshotsStayRepeatableAndReclamationCompletes) {
   // reads agree — the leased world cannot be reclaimed under it), then
   // drops it. When everyone is done, nothing is retained.
   constexpr long kKeys = 6000;
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, kKeys});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeys});
   std::vector<std::pair<long, long>> items;
   for (long k = 0; k < kKeys; ++k) items.emplace_back(k, k * 5);
   map.bulk_load(std::move(items));

@@ -49,8 +49,7 @@ void run_partitioned_stream(MapLike& map, unsigned ti, int ops) {
 }
 
 TEST(ShardedConcurrent, DifferentialAgainstSinglePnbMap) {
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> sharded(
-      RangeSplitter<long>{0, kKeyRange});
+  ShardedPnbMap<long, long, 4> sharded(RangeSplitter<long>{0, kKeyRange});
   PnbMap<long, long> single;
 
   auto drive = [](auto& map) {
@@ -73,11 +72,14 @@ TEST(ShardedConcurrent, DifferentialAgainstSinglePnbMap) {
   }
 }
 
-TEST(ShardedConcurrent, DifferentialHashSplitterMixedReaders) {
-  // Hash-partitioned variant with concurrent merged scans thrown in (their
-  // results are checked only for well-formedness here; exactness is the
-  // monotone test below).
-  ShardedPnbMap<long, long, 8> sharded;
+TEST(ShardedConcurrent, DifferentialUnevenSplitMixedReaders) {
+  // Eight shards cut unevenly and out of step with the writers' 256-key
+  // partitions, with hi short of the keyspace so the top shard also takes
+  // the clamped keys. Concurrent merged scans cross every shard boundary;
+  // their results are checked only for well-formedness here (exactness is
+  // the monotone test below).
+  ShardedPnbMap<long, long, 8> sharded(RangeSplitter<long>::with_boundaries(
+      0, kKeyRange - 300, {100, 101, 700, 1000, 1001, 1200, 1500}, 8));
   PnbMap<long, long> single;
 
   auto drive = [](auto& map) {
@@ -87,7 +89,8 @@ TEST(ShardedConcurrent, DifferentialHashSplitterMixedReaders) {
     }
     pool.emplace_back([&map] {
       for (int i = 0; i < 200; ++i) {
-        const auto scan = map.range_scan(0, kKeyRange - 1);
+        const auto scan = i % 2 == 0 ? map.range_scan(0, kKeyRange - 1)
+                                     : map.range_first(0, kKeyRange - 1, 600);
         long prev = -1;
         for (const auto& [k, v] : scan) {
           ASSERT_GT(k, prev);  // ascending, no duplicates
@@ -112,8 +115,7 @@ TEST(ShardedConcurrent, DifferentialHashSplitterMixedReaders) {
 // later scan's per-shard snapshots are all taken after an earlier scan's —
 // consecutive counts per scanner must be non-decreasing.
 TEST(ShardedConcurrent, MergedRangeCountIsLinearizableUnderMonotoneInserts) {
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, kKeyRange});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeyRange});
 
   std::atomic<std::uint64_t> started{0};    // inserts begun
   std::atomic<std::uint64_t> completed{0};  // inserts finished
@@ -159,8 +161,7 @@ TEST(ShardedConcurrent, MergedRangeCountIsLinearizableUnderMonotoneInserts) {
 // fully linearizable, even against concurrent erases in that same shard.
 TEST(ShardedConcurrent, SingleShardSpanScanSeesExactToggleStates) {
   constexpr long kShardWidth = kKeyRange / 4;
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> map(
-      RangeSplitter<long>{0, kKeyRange});
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeyRange});
   // The probed pair lives entirely in shard 0 and is toggled atomically
   // enough: k and k+1 are always inserted/erased together by one writer, so
   // a linearizable scan of shard 0 sees 0 or 2 keys — never 1.

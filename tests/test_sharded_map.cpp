@@ -1,10 +1,12 @@
-// ShardedPnbMap single-threaded behavior: splitter policies, routing,
-// sequential differential against a single PnbMap, merged scans (ordering,
-// exactness, span restriction), and the composite snapshot.
+// ShardedPnbMap single-threaded behavior: the range splitter's monotone
+// routing, sequential differential against a single PnbMap, merged scans
+// (in-order shard concatenation, exactness, span restriction), and the
+// composite snapshot.
 #include "shard/sharded_map.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
@@ -54,23 +56,71 @@ TEST(Splitters, RangeSplitterSurvivesFullWidthKeyspace) {
   }
   EXPECT_LT(sp.shard_of(std::numeric_limits<long>::min(), 8),
             sp.shard_of(std::numeric_limits<long>::max() - 1, 8) + 1);
-  ShardedPnbMap<long, long, 8, RangeSplitter<long>> m(sp);
+  ShardedPnbMap<long, long, 8> m(sp);
   EXPECT_TRUE(m.insert(std::numeric_limits<long>::min(), 1));
   EXPECT_TRUE(m.insert(0, 2));
   EXPECT_TRUE(m.insert(std::numeric_limits<long>::max() - 1, 3));
   EXPECT_EQ(m.size(), 3u);
 }
 
-TEST(Splitters, HashSplitterIsTotalAndSpreads) {
-  HashSplitter<long> sp;
-  std::vector<int> hits(8, 0);
-  for (long k = 0; k < 8000; ++k) ++hits[sp.shard_of(k, 8)];
-  for (int h : hits) {
-    EXPECT_GT(h, 8000 / 8 / 2) << "shard starved";  // rough balance
+// Merged scans concatenate shard results in shard order, which is sorted
+// only if routing never goes backwards: a <= b must imply shard_of(a) <=
+// shard_of(b). Checked on random key pairs for every splitter shape —
+// equal-width, explicit cuts (including too few cuts, which leaves the top
+// shards empty), the full-width keyspace — with keys drawn on both sides
+// of [lo, hi) as well as inside it.
+TEST(Splitters, RoutingIsMonotoneInTheKey) {
+  using K = std::int64_t;
+  constexpr K kMin = std::numeric_limits<K>::min();
+  constexpr K kMax = std::numeric_limits<K>::max();
+  struct Case {
+    RangeSplitter<K> sp;
+    std::size_t nshards;
+  };
+  const std::vector<Case> cases = {
+      {RangeSplitter<K>{0, 1000}, 4},
+      {RangeSplitter<K>{-500, 1001}, 7},  // span not a multiple of nshards
+      {RangeSplitter<K>{10, 13}, 8},      // fewer keys than shards
+      {RangeSplitter<K>{0, 0}, 8},        // default-shaped: edge shards only
+      {RangeSplitter<K>{kMin, kMax}, 8},
+      {RangeSplitter<K>::with_boundaries(0, 1000, {900, 5, 5, 300}, 8), 8},
+      {RangeSplitter<K>::with_boundaries(0, 1000, {500}, 4), 4},
+      {RangeSplitter<K>::with_boundaries(-64, 64, {-1, 0, 1}, 4), 4},
+      {RangeSplitter<K>::with_boundaries(kMin, kMax, {-7, 0, 7}, 8), 8},
+  };
+  Xoshiro256 rng(77);
+  for (const Case& c : cases) {
+    const RangeSplitter<K>& sp = c.sp;
+    // Half the draws land within 32 keys of an edge (or a cut), the other
+    // half anywhere in the 64-bit keyspace.
+    std::vector<K> anchors = {sp.lo, sp.hi, kMin, kMax};
+    anchors.insert(anchors.end(), sp.cuts.begin(), sp.cuts.end());
+    auto draw = [&]() -> K {
+      if (rng.next_bounded(2) == 0) return static_cast<K>(rng.next());
+      const K base = anchors[rng.next_bounded(anchors.size())];
+      const K off = static_cast<K>(rng.next_bounded(65)) - 32;
+      if (off > 0 && base > kMax - off) return kMax;
+      if (off < 0 && base < kMin - off) return kMin;
+      return base + off;
+    };
+    for (int i = 0; i < 20000; ++i) {
+      K a = draw();
+      K b = draw();
+      if (b < a) std::swap(a, b);
+      const std::size_t sa = sp.shard_of(a, c.nshards);
+      const std::size_t sb = sp.shard_of(b, c.nshards);
+      ASSERT_LT(sb, c.nshards) << b;
+      ASSERT_LE(sa, sb) << "a=" << a << " b=" << b << " lo=" << sp.lo
+                        << " hi=" << sp.hi;
+      // Explicit cuts leave shards past cuts.size() empty — except the
+      // top shard, which owns every key >= hi.
+      if (!sp.cuts.empty() && a < sp.hi) {
+        ASSERT_LE(sa, sp.cuts.size()) << a;
+      }
+    }
+    EXPECT_EQ(sp.shard_of(kMin, c.nshards), 0u);
+    EXPECT_EQ(sp.shard_of(kMax, c.nshards), c.nshards - 1);
   }
-  // Hash spans are always the full shard interval.
-  EXPECT_EQ(sp.shard_span(1, 2, 8),
-            (std::pair<std::size_t, std::size_t>{0, 8}));
 }
 
 template <class Sharded>
@@ -109,32 +159,42 @@ void differential_vs_single(Sharded& sharded) {
 }
 
 TEST(ShardedMap, SequentialDifferentialRangeSplitter) {
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> m(
-      RangeSplitter<long>{0, 512});
+  ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 512});
   differential_vs_single(m);
 }
 
-TEST(ShardedMap, SequentialDifferentialHashSplitter) {
-  ShardedPnbMap<long, long, 4> m;
+TEST(ShardedMap, SequentialDifferentialUnevenBoundaries) {
+  // Uneven cuts over [16, 400): shard 0 owns [16, 40) plus every key below
+  // 16, shard 1 only key 40, shard 2 [41, 300), shard 3 [300, 400) plus
+  // every key >= 400. The differential's keys run to 511 and its ranges
+  // past that, deep into the clamped top shard.
+  ShardedPnbMap<long, long, 4> m(
+      RangeSplitter<long>::with_boundaries(16, 400, {300, 40, 41}, 4));
+  ASSERT_EQ(m.splitter().cuts, (std::vector<long>{40, 41, 300}));
   differential_vs_single(m);
 }
 
 TEST(ShardedMap, MergedScanIsSortedAcrossShards) {
-  // Hash splitter scatters adjacent keys across shards, so a sorted merged
-  // scan proves the k-way merge (not shard concatenation) is doing the work.
-  ShardedPnbMap<long, long, 8> m;
+  // Eight 125-key shards over [0, 1000), filled in descending key order.
+  // [100, 899] crosses all seven shard boundaries, so a sorted result
+  // shows the shard-order concatenation (sequential and parallel) keeps
+  // keys in order across every boundary.
+  ShardedPnbMap<long, long, 8> m(RangeSplitter<long>{0, 1000});
   for (long k = 999; k >= 0; --k) m.insert(k, k * 3);
+  ASSERT_EQ(m.splitter().shard_span(100, 899, 8),
+            (std::pair<std::size_t, std::size_t>{0, 8}));
   const auto scan = m.range_scan(100, 899);
   ASSERT_EQ(scan.size(), 800u);
   for (std::size_t i = 0; i < scan.size(); ++i) {
     ASSERT_EQ(scan[i].first, static_cast<long>(100 + i));
     ASSERT_EQ(scan[i].second, scan[i].first * 3);
   }
+  EXPECT_EQ(m.parallel_range_scan(100, 899, 4), scan);
+  EXPECT_EQ(m.snapshot().range_scan(100, 899), scan);
 }
 
 TEST(ShardedMap, PointOpsAndGetOr) {
-  ShardedPnbMap<long, std::string, 4, RangeSplitter<long>> m(
-      RangeSplitter<long>{0, 400});
+  ShardedPnbMap<long, std::string, 4> m(RangeSplitter<long>{0, 400});
   EXPECT_TRUE(m.insert(10, "a"));
   EXPECT_FALSE(m.insert(10, "b"));
   EXPECT_EQ(m.get(10), "a");
@@ -148,12 +208,17 @@ TEST(ShardedMap, PointOpsAndGetOr) {
 }
 
 TEST(ShardedMap, RangeFirstAndVisitWhile) {
-  ShardedPnbMap<long, long, 4> m;
+  // Four 50-key shards over [0, 200).
+  ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 200});
   for (long k = 0; k < 200; ++k) m.insert(k, k);
-  const auto first = m.range_first(50, 199, 5);
-  ASSERT_EQ(first.size(), 5u);
-  EXPECT_EQ(first[0].first, 50);
-  EXPECT_EQ(first[4].first, 54);
+  const auto first = m.range_first(45, 199, 10);  // crosses the 0|1 edge
+  ASSERT_EQ(first.size(), 10u);
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].first, static_cast<long>(45 + i));
+  }
+  // n beyond the range: every boundary crossed, nothing duplicated.
+  EXPECT_EQ(m.range_first(0, 199, 500), m.range_scan(0, 199));
+  EXPECT_TRUE(m.range_first(0, 199, 0).empty());
 
   std::vector<long> seen;
   m.range_visit_while(0, 199, [&seen](long k, long) {
@@ -161,14 +226,43 @@ TEST(ShardedMap, RangeFirstAndVisitWhile) {
     return k < 2;
   });
   EXPECT_EQ(seen, (std::vector<long>{0, 1, 2}));
+
+  // A stop in shard 3 after walking shards 0..2 in full.
+  seen.clear();
+  m.range_visit_while(0, 199, [&seen](long k, long) {
+    seen.push_back(k);
+    return k < 160;
+  });
+  ASSERT_EQ(seen.size(), 161u);
+  for (long k = 0; k <= 160; ++k) ASSERT_EQ(seen[k], k);
 }
 
-TEST(ShardedMap, RangeVisitWhilePagesWithoutDupOrSkip) {
-  // More keys than the internal page size: the paged merge must emit every
-  // key exactly once across page restarts (the cursor key is inclusive and
-  // deduplicated).
-  ShardedPnbMap<long, long, 4> m;
-  constexpr long kN = 1000;  // > 3 internal pages of 256
+TEST(ShardedMap, RangeFirstSpansShardsWhenTheFirstRunsShort) {
+  // Shard 0 ([0, 100)) holds 3 keys, shard 1 none, shard 2 a full run:
+  // the first 10 pairs are shard 0's three followed by shard 2's first
+  // seven, and the top shard's keys never appear.
+  ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 400});
+  for (long k : {10L, 20L, 30L}) m.insert(k, -k);
+  for (long k = 200; k < 400; ++k) m.insert(k, -k);
+  const std::vector<std::pair<long, long>> want = {
+      {10, -10},   {20, -20},   {30, -30},   {200, -200}, {201, -201},
+      {202, -202}, {203, -203}, {204, -204}, {205, -205}, {206, -206}};
+  EXPECT_EQ(m.range_first(0, 399, 10), want);
+  EXPECT_EQ(m.snapshot().range_first(-5, 1000, 10), want);
+  // Exactly shard 0's count, and one past it.
+  EXPECT_EQ(m.range_first(0, 399, 3),
+            (std::vector<std::pair<long, long>>(want.begin(),
+                                                want.begin() + 3)));
+  EXPECT_EQ(m.range_first(0, 399, 4),
+            (std::vector<std::pair<long, long>>(want.begin(),
+                                                want.begin() + 4)));
+}
+
+TEST(ShardedMap, RangeVisitWhileCrossesShardsWithoutDupOrSkip) {
+  // Four 250-key shards over [0, 1000): a full visit emits every key once
+  // and in order across the three boundaries.
+  ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 1000});
+  constexpr long kN = 1000;
   for (long k = 0; k < kN; ++k) m.insert(k, k);
   std::vector<long> seen;
   m.range_visit_while(0, kN - 1, [&seen](long k, long v) {
@@ -179,19 +273,25 @@ TEST(ShardedMap, RangeVisitWhilePagesWithoutDupOrSkip) {
   ASSERT_EQ(seen.size(), static_cast<std::size_t>(kN));
   for (long k = 0; k < kN; ++k) ASSERT_EQ(seen[k], k);
 
-  // Early exit right at a page boundary.
+  // Early exit on the last key of shard 0: no later shard is visited.
   seen.clear();
   m.range_visit_while(0, kN - 1, [&seen](long k, long) {
     seen.push_back(k);
-    return seen.size() < 256;
+    return seen.size() < 250;
   });
-  EXPECT_EQ(seen.size(), 256u);
-  EXPECT_EQ(seen.back(), 255);
+  EXPECT_EQ(seen.size(), 250u);
+  EXPECT_EQ(seen.back(), 249);
+
+  // visit_range (no early exit) agrees with the scan.
+  std::vector<std::pair<long, long>> visited;
+  m.visit_range(100, 900, [&visited](long k, long v) {
+    visited.emplace_back(k, v);
+  });
+  EXPECT_EQ(visited, m.range_scan(100, 900));
 }
 
 TEST(ShardedMap, CompositeSnapshotIsRepeatableAndIsolated) {
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> m(
-      RangeSplitter<long>{0, 1000});
+  ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 1000});
   for (long k = 0; k < 1000; k += 2) m.insert(k, k);
 
   auto snap = m.snapshot();
@@ -218,11 +318,21 @@ TEST(ShardedMap, CompositeSnapshotIsRepeatableAndIsolated) {
 }
 
 TEST(ShardedMap, SingleShardDegeneratesToPnbMap) {
-  ShardedPnbMap<long, long, 1> m;
-  for (long k = 0; k < 100; ++k) m.insert(k, k);
-  EXPECT_EQ(m.size(), 100u);
+  // One shard over [0, 50): keys past hi (and below lo) clamp into it.
+  ShardedPnbMap<long, long, 1> m(RangeSplitter<long>{0, 50});
+  PnbMap<long, long> single;
+  for (long k = -20; k < 100; ++k) {
+    m.insert(k, k);
+    single.insert(k, k);
+  }
+  EXPECT_EQ(m.size(), 120u);
   EXPECT_EQ(m.range_count(0, 99), 100u);
   EXPECT_EQ(m.shard_of(42), 0u);
+  EXPECT_EQ(m.shard_of(-20), 0u);
+  EXPECT_EQ(m.shard_of(99), 0u);
+  EXPECT_EQ(m.range_scan(-30, 200), single.range_scan(-30, 200));
+  EXPECT_EQ(m.range_first(40, 60, 15), single.range_first(40, 60, 15));
+  EXPECT_EQ(m.parallel_range_scan(-20, 99, 2), single.range_scan(-20, 99));
 }
 
 TEST(ShardedMap, SpanSnapshotAtSplitterBoundaries) {
@@ -230,8 +340,7 @@ TEST(ShardedMap, SpanSnapshotAtSplitterBoundaries) {
   // owns [i*100, (i+1)*100). A query range touching only a boundary key
   // must span exactly the owning shard, and the span snapshot must answer
   // exactly like a full snapshot for everything inside its span.
-  ShardedPnbMap<long, long, 8, RangeSplitter<long>> m(
-      RangeSplitter<long>{0, 800});
+  ShardedPnbMap<long, long, 8> m(RangeSplitter<long>{0, 800});
   for (long k = 0; k < 800; ++k) m.insert(k, k + 1);
 
   // [100, 100]: the first key of shard 1 — single-shard span.
@@ -258,8 +367,7 @@ TEST(ShardedMap, SpanSnapshotAtSplitterBoundaries) {
 }
 
 TEST(ShardedMap, SingleShardSpanIsExactAndRoutedWithinSpan) {
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> m(
-      RangeSplitter<long>{0, 400});
+  ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 400});
   for (long k = 0; k < 400; k += 2) m.insert(k, k * 9);
 
   // Shard 1 owns [100, 200). A composite snapshot over that span has one
@@ -285,8 +393,7 @@ TEST(ShardedMap, SingleShardSpanIsExactAndRoutedWithinSpan) {
 }
 
 TEST(ShardedMap, EmptySpanQueriesAreEmptyNotUB) {
-  ShardedPnbMap<long, long, 4, RangeSplitter<long>> m(
-      RangeSplitter<long>{0, 400});
+  ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 400});
   for (long k = 0; k < 400; ++k) m.insert(k, k);
 
   // lo > hi: the splitter yields the empty span {0, 0}; every merged
@@ -307,8 +414,7 @@ TEST(ShardedMap, EmptySpanQueriesAreEmptyNotUB) {
 }
 
 TEST(ShardedMap, RouteMatchesSplitter) {
-  ShardedPnbMap<long, long, 8, RangeSplitter<long>> m(
-      RangeSplitter<long>{0, 800});
+  ShardedPnbMap<long, long, 8> m(RangeSplitter<long>{0, 800});
   for (long k = 0; k < 800; k += 97) {
     m.insert(k, k);
     EXPECT_EQ(m.shard_of(k), m.splitter().shard_of(k, 8));

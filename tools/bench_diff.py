@@ -20,8 +20,9 @@ that its measurements are within a relative tolerance:
   * columns matching --ignore (default: tail-latency p99*/max* columns,
     far too noisy for a threshold) are skipped.
 
-Exit status 0 when everything passes, 1 on any mismatch, 2 on usage
-errors. Typical use, from the build directory:
+Exit status 0 when everything passes, 1 on any mismatch (or, in a sweep,
+a missing binary or baseline), 2 on usage errors. Typical use, from the
+build directory:
 
     ./fig7_scan_scaling --json | ../tools/bench_diff.py - ../bench/baselines/
     ./fig1_update_throughput --json > fresh.json
@@ -29,6 +30,15 @@ errors. Typical use, from the build directory:
 
 When the baseline argument is a directory, the file whose "experiment"
 matches the fresh run is selected automatically.
+
+Smoke sweep: `--sweep --build-dir build [--only SUBSTR] [--regen]`, from
+the repo root, runs every bench binary with --smoke --json, one at a time,
+and diffs each against bench/baselines/smoke/ (--regen overwrites those
+baselines instead). Smoke windows are ~20 ms, so the sweep defaults to a
+GENEROUS tolerance (--tol 0.85, ~6.7x drift) and a wide absolute shield
+(--abs-eps 5, so raw near-zero counters like `helps` 0 vs 2 compare
+equal): what still fails is shape drift — row counts, columns, config
+cells — or an order-of-magnitude regression.
 
 Tolerance guidance: the default (0.5, i.e. +-50% relative) is deliberately
 loose — it catches order-of-magnitude regressions and shape drift on the
@@ -43,6 +53,7 @@ import argparse
 import json
 import pathlib
 import re
+import subprocess
 import sys
 
 # Column names that are sweep configuration, not measurement: exact match
@@ -52,15 +63,36 @@ CONFIG_COL_RE = re.compile(
     re.IGNORECASE,
 )
 
+# --sweep defaults and inventory: the bench binaries with a committed
+# bench/baselines/smoke/BENCH_<binary>.json.
+REPO = pathlib.Path(__file__).resolve().parents[1]
+SMOKE_DIR = REPO / "bench" / "baselines" / "smoke"
+SMOKE_TOL = 0.85
+SMOKE_ABS_EPS = 5.0
+SMOKE_BENCHES = [
+    "fig1_update_throughput",
+    "fig2_mixed_throughput",
+    "fig3_rangescan_mix",
+    "fig4_scan_latency",
+    "fig7_scan_scaling",
+    "fig_e2e",
+    "fig_sharded_throughput",
+    "micro_ops",
+    "tab5_handshake_ablation",
+    "tab6_reclamation",
+    "tab8_zipf_skew",
+    "tab9_bulkload_ablation",
+]
+
 
 def load_doc(source):
     if source == "-":
-        text = sys.stdin.read()
-        name = "<stdin>"
-    else:
-        path = pathlib.Path(source)
-        text = path.read_text()
-        name = str(path)
+        return parse_doc(sys.stdin.read(), "<stdin>")
+    path = pathlib.Path(source)
+    return parse_doc(path.read_text(), str(path))
+
+
+def parse_doc(text, name):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -153,23 +185,105 @@ def compare(fresh, baseline, tol, ignore_re, abs_eps):
     return failures
 
 
+def report(fresh, fresh_name, baseline, baseline_name, args, ignore_re):
+    """Prints the OK/FAIL verdict of one diff; returns True on a pass."""
+    failures = compare(fresh, baseline, args.tol, ignore_re, args.abs_eps)
+    label = f"{fresh['experiment']}: {fresh_name} vs {baseline_name}"
+    if failures:
+        print(f"FAIL {label}")
+        for f in failures:
+            print(f"  {f}")
+        return False
+    print(
+        f"OK   {label} "
+        f"({len(fresh['rows'])} rows within {args.tol * 100.0:.0f}%)"
+    )
+    return True
+
+
+def run_smoke(build_dir, binary):
+    """Returns (stdout, None) of `binary --smoke --json`, or (None, why)."""
+    # Absolute path: a bare relative name would make subprocess search
+    # PATH instead of the build directory.
+    path = (build_dir / binary).resolve()
+    if not path.exists():
+        return None, f"missing binary {path}"
+    try:
+        proc = subprocess.run(
+            [str(path), "--smoke", "--json"],
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+    except subprocess.TimeoutExpired:
+        return None, f"{binary} --smoke --json timed out after 600s"
+    if proc.returncode != 0:
+        return None, f"{binary} --smoke --json exited {proc.returncode}"
+    return proc.stdout, None
+
+
+def sweep(args, ignore_re):
+    failures = []
+    ran = 0
+    for binary in SMOKE_BENCHES:
+        if args.only and args.only not in binary:
+            continue
+        text, err = run_smoke(args.build_dir, binary)
+        if err:
+            print(f"FAIL {binary}: {err}")
+            failures.append(binary)
+            continue
+        ran += 1
+        baseline_file = SMOKE_DIR / f"BENCH_{binary}.json"
+        if args.regen:
+            SMOKE_DIR.mkdir(parents=True, exist_ok=True)
+            baseline_file.write_text(text)
+            print(f"WROTE {baseline_file}")
+            continue
+        if not baseline_file.exists():
+            print(f"FAIL {binary}: no smoke baseline {baseline_file}")
+            failures.append(binary)
+            continue
+        try:
+            fresh, fresh_name = parse_doc(text, f"{binary} --smoke")
+            baseline, baseline_name = load_doc(str(baseline_file))
+        except SystemExit as e:
+            print(f"FAIL {binary}: {e}")
+            failures.append(binary)
+            continue
+        if not report(fresh, fresh_name, baseline, baseline_name, args,
+                      ignore_re):
+            failures.append(binary)
+    if ran == 0:
+        print("error: no benches matched")
+        return 2
+    if failures:
+        print(f"\n{len(failures)} bench(es) drifted: {', '.join(failures)}")
+        return 1
+    if not args.regen:
+        print(f"\nall {ran} smoke profiles within tolerance {args.tol}")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
-        "fresh", help="fresh --json output file, or - for stdin"
+        "fresh", nargs="?", help="fresh --json output file, or - for stdin"
     )
     parser.add_argument(
         "baseline",
+        nargs="?",
         help="baseline JSON file, or a directory to search by experiment id",
     )
     parser.add_argument(
         "--tol",
         type=float,
-        default=0.5,
-        help="relative tolerance for measured columns (default 0.5)",
+        default=None,
+        help="relative tolerance for measured columns (default 0.5; "
+        f"{SMOKE_TOL} with --sweep)",
     )
     parser.add_argument(
         "--ignore",
@@ -179,11 +293,43 @@ def main():
     parser.add_argument(
         "--abs-eps",
         type=float,
-        default=1e-3,
+        default=None,
         help="absolute difference treated as equal, shielding near-zero "
-        "cells from relative comparison (default 1e-3)",
+        f"cells from relative comparison (default 1e-3; {SMOKE_ABS_EPS:g} "
+        "with --sweep)",
+    )
+    parser.add_argument(
+        "--sweep",
+        action="store_true",
+        help="run every bench in --build-dir with --smoke --json and diff "
+        "it against bench/baselines/smoke/",
+    )
+    parser.add_argument(
+        "--build-dir",
+        default="build",
+        type=pathlib.Path,
+        help="--sweep: directory holding the bench binaries (default build)",
+    )
+    parser.add_argument(
+        "--only", default=None, help="--sweep: substring filter on binaries"
+    )
+    parser.add_argument(
+        "--regen",
+        action="store_true",
+        help="--sweep: overwrite the smoke baselines with fresh runs",
     )
     args = parser.parse_args()
+    if args.sweep:
+        if args.fresh is not None:
+            parser.error("--sweep takes no fresh/baseline arguments")
+    elif args.baseline is None:
+        parser.error("fresh and baseline are required without --sweep")
+    elif args.only is not None or args.regen:
+        parser.error("--only and --regen need --sweep")
+    if args.tol is None:
+        args.tol = SMOKE_TOL if args.sweep else 0.5
+    if args.abs_eps is None:
+        args.abs_eps = SMOKE_ABS_EPS if args.sweep else 1e-3
     if args.tol < 0:
         parser.error("--tol must be >= 0")
     try:
@@ -191,21 +337,12 @@ def main():
     except re.error as e:
         parser.error(f"--ignore is not a valid regex: {e}")
 
+    if args.sweep:
+        return sweep(args, ignore_re)
     fresh, fresh_name = load_doc(args.fresh)
     baseline, baseline_name = pick_baseline(args.baseline, fresh["experiment"])
-    failures = compare(fresh, baseline, args.tol, ignore_re, args.abs_eps)
-
-    label = f"{fresh['experiment']}: {fresh_name} vs {baseline_name}"
-    if failures:
-        print(f"FAIL {label}")
-        for f in failures:
-            print(f"  {f}")
-        return 1
-    print(
-        f"OK   {label} "
-        f"({len(fresh['rows'])} rows within {args.tol * 100.0:.0f}%)"
-    )
-    return 0
+    return 0 if report(fresh, fresh_name, baseline, baseline_name, args,
+                       ignore_re) else 1
 
 
 if __name__ == "__main__":
