@@ -135,13 +135,12 @@ int main(int argc, char** argv) {
   };
   std::printf("server: ops_served=%.0f conns_accepted=%.0f batch_ops=%.0f "
               "batches_admitted=%.0f batches_deferred=%.0f "
-              "batches_shed=%.0f retired_bytes=%.0f\n",
+              "retired_bytes=%.0f\n",
               metric("pnb_server_ops_served_total"),
               metric("pnb_server_conns_accepted_total"),
               metric("pnb_server_batch_ops_applied_total"),
               metric("pnb_admission_admitted_total"),
               metric("pnb_admission_deferred_total"),
-              metric("pnb_admission_shed_total"),
               metric("pnb_lifecycle_retired_bytes"));
   std::printf("requests:");
   for (const char* op : {"get", "put", "del", "batch", "range", "metrics",

@@ -17,7 +17,14 @@
 // snip the old one — it stays physically reachable after retirement.
 // remove() therefore finishes with an unlink-by-identity sweep
 // (ensure_unlinked) that walks each level past equal keys until the exact
-// node pointer is unlinked or proven absent, and only then retires.
+// node pointer is unlinked or proven absent.
+//
+// The sweep alone is not enough either: an insert still linking its index
+// levels can link one AFTER the remover swept it. The inserter notices the
+// mark and unlinks that level itself, but a traversal pinned in between
+// can reach the node. So retirement waits for both parties: the inserter
+// once it stops linking, the remover once its sweep is done. Each bumps
+// the node's `finished` count, and whichever is second retires the node.
 #pragma once
 
 #include <atomic>
@@ -44,6 +51,7 @@ class LfSkipList {
     Key key{};
     int top_level = 0;
     bool is_sentinel = false;
+    std::atomic<int> finished{0};  // inserter done + remover done; see top
     std::atomic<std::uintptr_t> next[kMaxLevel] = {};
   };
 
@@ -100,13 +108,13 @@ class LfSkipList {
         for (;;) {
           const std::uintptr_t mine =
               node->next[l].load(std::memory_order_seq_cst);
-          if (marked(mine)) return true;  // concurrent remove owns cleanup
+          if (marked(mine)) goto done;  // concurrent remove owns cleanup
           if (strip(mine) != succs[l]) {
             // Refresh our forward pointer to the current successor first.
             std::uintptr_t e = mine;
             if (!node->next[l].compare_exchange_strong(
                     e, pack(succs[l], false), std::memory_order_seq_cst)) {
-              return true;  // just got marked
+              goto done;  // just got marked
             }
           }
           std::uintptr_t link_expected = pack(succs[l], false);
@@ -116,12 +124,11 @@ class LfSkipList {
             // Re-check the mark AFTER linking: if a remover marked this
             // level concurrently, its cleanup sweep may already have
             // scanned level l and missed our link — unlinking is now our
-            // responsibility (we are still pinned, so the node cannot be
-            // freed under us). Without this, a retired node could stay
-            // reachable (use-after-free for later traversals).
+            // responsibility (we are still pinned, and the remover's
+            // finish() alone cannot retire the node).
             if (marked(node->next[l].load(std::memory_order_seq_cst))) {
               ensure_unlinked_level(node, k, l);
-              return true;
+              goto done;
             }
             break;
           }
@@ -129,6 +136,8 @@ class LfSkipList {
         }
       }
       stats_.inc_commits();
+    done:
+      finish(node);  // the inserter is done with the node
       return true;
     }
   }
@@ -161,9 +170,7 @@ class LfSkipList {
       if (node->next[0].compare_exchange_strong(cur, cur | 1,
                                                 std::memory_order_seq_cst)) {
         ensure_unlinked(node, k);
-        reclaimer_->retire(static_cast<void*>(node), [](void* p) {
-          delete static_cast<Node*>(p);
-        });
+        finish(node);
         stats_.inc_commits();
         return true;
       }
@@ -300,6 +307,16 @@ class LfSkipList {
     }
     return succs[0] != tail_ && !node_less(succs[0], k) &&
            !key_less(k, succs[0]);
+  }
+
+  // Called once by the inserter when it stops linking and once by the
+  // winning remover after its sweep; the second call retires the node.
+  void finish(Node* node) {
+    if (node->finished.fetch_add(1, std::memory_order_acq_rel) == 1) {
+      reclaimer_->retire(static_cast<void*>(node), [](void* p) {
+        delete static_cast<Node*>(p);
+      });
+    }
   }
 
   // Unlink-by-identity: guarantees `node` is physically unreachable at

@@ -47,6 +47,24 @@ struct OpStatsSnapshot {
   std::uint64_t nodes_retired = 0;
   // Speculative nodes/Infos freed directly (never published to anyone).
   std::uint64_t unpublished_frees = 0;
+
+  OpStatsSnapshot& operator+=(const OpStatsSnapshot& o) noexcept {
+    attempts += o.attempts;
+    commits += o.commits;
+    handshake_aborts += o.handshake_aborts;
+    freeze_fail_aborts += o.freeze_fail_aborts;
+    validate_fails += o.validate_fails;
+    helps += o.helps;
+    scans += o.scans;
+    scan_helps += o.scan_helps;
+    child_cas_failures += o.child_cas_failures;
+    nodes_allocated += o.nodes_allocated;
+    infos_allocated += o.infos_allocated;
+    nodes_retired += o.nodes_retired;
+    unpublished_frees += o.unpublished_frees;
+    return *this;
+  }
+  bool operator==(const OpStatsSnapshot&) const = default;
 };
 
 struct NullOpStats {

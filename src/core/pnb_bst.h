@@ -52,7 +52,6 @@
 #include "core/tagged_update.h"
 #include "ingest/batch_apply.h"
 #include "ingest/bulk_build.h"
-#include "lifecycle/lifetime_manager.h"
 #include "mem/alloc_policy.h"
 #include "reclaim/epoch.h"
 #include "reclaim/leaky.h"
@@ -80,7 +79,7 @@ class PnbBst {
   using batch_op = ingest::BatchOp<Key>;
 
   explicit PnbBst(R& reclaimer = R::shared(), Alloc alloc = Alloc())
-      : reclaimer_(&reclaimer), lifetime_(reclaimer), alloc_(alloc) {
+      : reclaimer_(&reclaimer), alloc_(alloc) {
     dummy_ = shared_dummy();
     // Initial tree (Fig. 2, line 31): Root(∞2) with leaves ∞1 and ∞2.
     root_ = alloc_.template create<Internal>();
@@ -293,34 +292,28 @@ class PnbBst {
   }
 
   // --- Range queries (wait-free) ------------------------------------------
+  //
+  // Every one-shot query is a fresh snapshot() queried once: it opens one
+  // phase, linearized at the end of that phase (Theorem 47). Bounds may be
+  // any probe type Compare can order against Key.
 
-  // Visits every key in [lo, hi] in ascending order, linearized at the end
-  // of the scan's phase. Wait-free (Theorem 47). Bounds may be any probe
-  // type Compare can order against Key.
+  // Visits every key in [lo, hi] in ascending order.
   template <class BLo = Key, class BHi = Key, class Visitor>
     requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
   void range_visit(const BLo& lo, const BHi& hi, Visitor&& vis) {
-    auto guard = reclaimer_->pin();
-    stats_.inc_scans();
-    const std::uint64_t seq =
-        counter_.fetch_add(1, std::memory_order_seq_cst);
-    scan_tree(seq, &lo, &hi, vis);
+    snapshot().range_visit(lo, hi, vis);
   }
 
   template <class BLo = Key, class BHi = Key>
     requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
   std::vector<Key> range_scan(const BLo& lo, const BHi& hi) {
-    std::vector<Key> out;
-    range_visit(lo, hi, [&out](const Key& k) { out.push_back(k); });
-    return out;
+    return snapshot().range_scan(lo, hi);
   }
 
   template <class BLo = Key, class BHi = Key>
     requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
   std::size_t range_count(const BLo& lo, const BHi& hi) {
-    std::size_t n = 0;
-    range_visit(lo, hi, [&n](const Key&) { ++n; });
-    return n;
+    return snapshot().range_count(lo, hi);
   }
 
   // Early-terminating scan: the visitor returns false to stop. The visited
@@ -329,37 +322,18 @@ class PnbBst {
   template <class BLo = Key, class BHi = Key, class Visitor>
     requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
   void range_visit_while(const BLo& lo, const BHi& hi, Visitor&& vis) {
-    auto guard = reclaimer_->pin();
-    stats_.inc_scans();
-    const std::uint64_t seq =
-        counter_.fetch_add(1, std::memory_order_seq_cst);
-    scan_tree(seq, &lo, &hi, vis);
+    snapshot().range_visit(lo, hi, vis);
   }
 
   // First (at most) n keys of [lo, hi] in ascending order.
   template <class BLo = Key, class BHi = Key>
     requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
   std::vector<Key> range_first(const BLo& lo, const BHi& hi, std::size_t n) {
-    std::vector<Key> out;
-    if (n == 0) return out;
-    range_visit_while(lo, hi, [&out, n](const Key& k) {
-      out.push_back(k);
-      return out.size() < n;
-    });
-    return out;
+    return snapshot().range_first(lo, hi, n);
   }
 
   // Full linearizable key census (a whole-tree RangeScan).
-  std::size_t size() {
-    auto guard = reclaimer_->pin();
-    stats_.inc_scans();
-    const std::uint64_t seq =
-        counter_.fetch_add(1, std::memory_order_seq_cst);
-    std::size_t n = 0;
-    auto count = [&n](const Key&) { ++n; };
-    scan_tree<Key, Key>(seq, nullptr, nullptr, count);
-    return n;
-  }
+  std::size_t size() { return snapshot().size(); }
 
   bool empty() { return size() == 0; }
 
@@ -367,12 +341,9 @@ class PnbBst {
 
   // A Snapshot freezes one phase and supports any number of point and range
   // queries against it, all mutually consistent. The handle holds an epoch
-  // pin for its whole lifetime: destroy snapshots promptly, or memory
-  // reclamation stalls (documented limitation, DESIGN.md §6). It also
-  // holds a SnapshotLease on the tree's LifetimeManager — the uniform
-  // lifecycle registration every Snapshot in the stack carries (the
-  // sharded front-end uses the same mechanism to reclaim retired routing
-  // generations automatically; see src/lifecycle/lifetime_manager.h).
+  // pin for its whole lifetime — that pin is what keeps T_seq's nodes
+  // alive: destroy snapshots promptly, or memory reclamation stalls
+  // (documented limitation, DESIGN.md §6).
   class Snapshot {
    public:
     Snapshot(Snapshot&&) noexcept = default;
@@ -533,27 +504,22 @@ class PnbBst {
 
    private:
     friend class PnbBst;
-    Snapshot(PnbBst* tree, std::uint64_t seq, typename R::Guard&& guard,
-             lifecycle::SnapshotLease<R>&& lease)
-        : tree_(tree),
-          seq_(seq),
-          guard_(std::move(guard)),
-          lease_(std::move(lease)) {}
+    Snapshot(PnbBst* tree, std::uint64_t seq, typename R::Guard&& guard)
+        : tree_(tree), seq_(seq), guard_(std::move(guard)) {}
 
     PnbBst* tree_;
     std::uint64_t seq_;
     typename R::Guard guard_;
-    // Declared after guard_: the lease releases first, under the pin.
-    lifecycle::SnapshotLease<R> lease_;
   };
 
+  // The one place a query opens a phase (RangeScan, Fig. 4: pin, then
+  // Counter's fetch-and-increment); every one-shot query goes through it.
   Snapshot snapshot() {
     auto guard = reclaimer_->pin();
-    auto lease = lifetime_.acquire();
     stats_.inc_scans();
     const std::uint64_t seq =
         counter_.fetch_add(1, std::memory_order_seq_cst);
-    return Snapshot(this, seq, std::move(guard), std::move(lease));
+    return Snapshot(this, seq, std::move(guard));
   }
 
   // --- Parallel range queries (wait-free per chunk; src/scan/ engine) ------
@@ -575,34 +541,20 @@ class PnbBst {
     return snapshot().parallel_range_count(lo, hi, opts);
   }
 
-  // One-shot ordered queries on the live set. Each starts a new phase (like
+  // One-shot ordered queries on the live set. Each opens a new phase (like
   // a width-0 range scan) and is wait-free and linearizable.
   template <class LK = Key>
     requires ProbeFor<LK, Key, Compare>
   std::optional<Key> successor(const LK& k) {
-    auto guard = reclaimer_->pin();
-    stats_.inc_scans();
-    return bound_query(counter_.fetch_add(1, std::memory_order_seq_cst), k,
-                       /*forward=*/true);
+    return snapshot().successor(k);
   }
   template <class LK = Key>
     requires ProbeFor<LK, Key, Compare>
   std::optional<Key> predecessor(const LK& k) {
-    auto guard = reclaimer_->pin();
-    stats_.inc_scans();
-    return bound_query(counter_.fetch_add(1, std::memory_order_seq_cst), k,
-                       /*forward=*/false);
+    return snapshot().predecessor(k);
   }
-  std::optional<Key> min() {
-    auto guard = reclaimer_->pin();
-    stats_.inc_scans();
-    return extreme(counter_.fetch_add(1, std::memory_order_seq_cst), true);
-  }
-  std::optional<Key> max() {
-    auto guard = reclaimer_->pin();
-    stats_.inc_scans();
-    return extreme(counter_.fetch_add(1, std::memory_order_seq_cst), false);
-  }
+  std::optional<Key> min() { return snapshot().min(); }
+  std::optional<Key> max() { return snapshot().max(); }
 
   // --- Batch ingest (src/ingest/ engine) ------------------------------------
 
@@ -672,10 +624,6 @@ class PnbBst {
   Stats& stats() noexcept { return stats_; }
   const Stats& stats() const noexcept { return stats_; }
   R& reclaimer() noexcept { return *reclaimer_; }
-
-  // Snapshot-lease lifecycle registry (src/lifecycle/): every Snapshot of
-  // this tree holds one of its leases; the gauges expose how many are live.
-  lifecycle::LifetimeManager<R>& lifetime() noexcept { return lifetime_; }
 
   // Current phase number (number of scans started so far).
   std::uint64_t phase() const noexcept {
@@ -1086,7 +1034,6 @@ class PnbBst {
 
   [[no_unique_address]] ExtKeyLess<Key, Compare> less_{};
   R* reclaimer_;
-  lifecycle::LifetimeManager<R> lifetime_;
   [[no_unique_address]] Alloc alloc_{};
   Internal* root_ = nullptr;
   Info* dummy_ = nullptr;

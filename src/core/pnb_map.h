@@ -154,13 +154,14 @@ class PnbMap {
   }
 
   // --- Range queries (wait-free, linearizable) -----------------------------
+  //
+  // Each one-shot query is a fresh snapshot() queried once (one phase).
 
   // Visits (key, value) pairs with keys in [lo, hi] in ascending key order.
   template <class QLo = K, class QHi = K, class Visitor>
     requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
   void visit_range(const QLo& lo, const QHi& hi, Visitor&& vis) {
-    tree_.range_visit(lo, hi,
-                      [&vis](const Entry& e) { vis(e.key, e.value()); });
+    snapshot().visit_range(lo, hi, vis);
   }
 
   // Early-terminating variant: the visitor returns false to stop; the
@@ -168,25 +169,13 @@ class PnbMap {
   template <class QLo = K, class QHi = K, class Visitor>
     requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
   void range_visit_while(const QLo& lo, const QHi& hi, Visitor&& vis) {
-    tree_.range_visit_while(lo, hi, [&vis](const Entry& e) -> bool {
-      return vis(e.key, e.value());
-    });
-  }
-
-  // Compatibility alias for visit_range.
-  template <class QLo = K, class QHi = K, class Visitor>
-    requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-  void range_visit(const QLo& lo, const QHi& hi, Visitor&& vis) {
-    visit_range(lo, hi, std::forward<Visitor>(vis));
+    snapshot().visit_while(lo, hi, vis);
   }
 
   template <class QLo = K, class QHi = K>
     requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
   std::vector<std::pair<K, V>> range_scan(const QLo& lo, const QHi& hi) {
-    std::vector<std::pair<K, V>> out;
-    visit_range(lo, hi,
-                [&out](const K& k, const V& v) { out.emplace_back(k, v); });
-    return out;
+    return snapshot().range_scan(lo, hi);
   }
 
   // First (at most) n pairs of [lo, hi] in ascending key order.
@@ -194,19 +183,13 @@ class PnbMap {
     requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
   std::vector<std::pair<K, V>> range_first(const QLo& lo, const QHi& hi,
                                            std::size_t n) {
-    std::vector<std::pair<K, V>> out;
-    if (n == 0) return out;
-    range_visit_while(lo, hi, [&out, n](const K& k, const V& v) {
-      out.emplace_back(k, v);
-      return out.size() < n;
-    });
-    return out;
+    return snapshot().range_first(lo, hi, n);
   }
 
   template <class QLo = K, class QHi = K>
     requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
   std::size_t range_count(const QLo& lo, const QHi& hi) {
-    return tree_.range_count(lo, hi);
+    return snapshot().range_count(lo, hi);
   }
 
   // --- Parallel range queries (src/scan/ engine; integral keys) ------------
@@ -224,11 +207,11 @@ class PnbMap {
                                    const scan::ParallelScanOptions& opts = {})
     requires std::integral<K>
   {
-    return tree_.parallel_range_count(lo, hi, opts);
+    return snapshot().parallel_range_count(lo, hi, opts);
   }
 
-  std::size_t size() { return tree_.size(); }
-  bool empty() { return tree_.empty(); }
+  std::size_t size() { return snapshot().size(); }
+  bool empty() { return size() == 0; }
 
   // --- Batch ingest (src/ingest/ engine) -----------------------------------
 
@@ -268,20 +251,20 @@ class PnbMap {
   template <class Q = K>
     requires ProbeFor<Q, K, Compare>
   std::optional<std::pair<K, V>> successor(const Q& k) {
-    return to_pair(tree_.successor(k));
+    return snapshot().successor(k);
   }
   template <class Q = K>
     requires ProbeFor<Q, K, Compare>
   std::optional<std::pair<K, V>> predecessor(const Q& k) {
-    return to_pair(tree_.predecessor(k));
+    return snapshot().predecessor(k);
   }
-  std::optional<std::pair<K, V>> min() { return to_pair(tree_.min()); }
-  std::optional<std::pair<K, V>> max() { return to_pair(tree_.max()); }
+  std::optional<std::pair<K, V>> min() { return snapshot().min(); }
+  std::optional<std::pair<K, V>> max() { return snapshot().max(); }
 
   // --- Snapshots -----------------------------------------------------------
 
-  // Snapshot of the map at one phase; mirrors PnbBst::Snapshot. Holds an
-  // epoch pin for its lifetime — destroy promptly.
+  // Snapshot of the map at one phase; mirrors PnbBst::Snapshot. Holds only
+  // an epoch pin, for its lifetime — destroy promptly.
   class Snapshot {
    public:
     std::uint64_t phase() const { return snap_.phase(); }
@@ -314,13 +297,6 @@ class PnbMap {
     void visit_range(const QLo& lo, const QHi& hi, Visitor&& vis) const {
       snap_.range_visit(lo, hi,
                         [&vis](const Entry& e) { vis(e.key, e.value()); });
-    }
-
-    // Compatibility alias for visit_range.
-    template <class QLo = K, class QHi = K, class Visitor>
-      requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-    void range_visit(const QLo& lo, const QHi& hi, Visitor&& vis) const {
-      visit_range(lo, hi, std::forward<Visitor>(vis));
     }
 
     template <class QLo = K, class QHi = K>
@@ -411,12 +387,6 @@ class PnbMap {
 
   Stats& stats() noexcept { return tree_.stats(); }
   Tree& underlying() noexcept { return tree_; }
-
-  // Lifecycle registry of the underlying tree: every Snapshot of this map
-  // holds one of its SnapshotLeases (via the wrapped tree snapshot).
-  lifecycle::LifetimeManager<R>& lifetime() noexcept {
-    return tree_.lifetime();
-  }
 
  private:
   static std::optional<std::pair<K, V>> to_pair(std::optional<Entry>&& e) {

@@ -85,8 +85,8 @@ struct BatchResult {
   std::size_t applied = 0;   // ops issued after keep-last dedup
   std::size_t inserted = 0;  // inserts that added a key
   std::size_t erased = 0;    // erases that removed a key
-  // Ops NOT applied because admission control backpressured the batch
-  // (retired-generation memory above the watermark — ingest/admission.h).
+  // Ops NOT applied because the batch was shed (retired-generation memory
+  // above the shed watermark — ingest/admission.h).
   // A deferred batch left the structure untouched; retry it once the
   // retired-bytes gauge falls.
   std::size_t deferred = 0;

@@ -6,9 +6,11 @@
 // reshard cutover. This header makes their reclamation automatic by making
 // references first-class:
 //
-//   SnapshotLease    RAII handle held by every Snapshot (PnbBst, PnbMap,
-//                    ShardedPnbMap). Registers with the owning container's
-//                    LifetimeManager for the snapshot's lifetime.
+//   SnapshotLease    RAII handle held by every composite ShardedPnbMap
+//                    Snapshot. Registers with the owning container's
+//                    LifetimeManager for the snapshot's lifetime. Tree and
+//                    map snapshots take none: nothing in a single tree
+//                    retires a generation, so their epoch pin suffices.
 //   LifetimeManager  per-container registry of *generations*. A cutover
 //                    (reshard / rebuild_shard) closes the current
 //                    generation, attaching the resources the cutover
@@ -26,7 +28,7 @@
 //
 //   1. when the last covering lease drops, the generation's resources are
 //      handed to the epoch reclaimer (this is when the retired_bytes /
-//      retired_objects gauges fall — "reclaimed" for admission control);
+//      retired_objects gauges fall — "reclaimed" for batch shedding);
 //   2. the reclaimer frees them after its grace period, which covers any
 //      operation that was pinned while it could still reach the resource.
 //
@@ -52,8 +54,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -67,7 +67,7 @@ namespace pnbbst::lifecycle {
 
 // One retired object handed to a generation at close: type-erased pointer
 // plus deleter (freed through the epoch reclaimer), a byte estimate for
-// the admission-control gauge, and whether it counts as a primary object
+// the shed-watermark gauge, and whether it counts as a primary object
 // (a shard map) in retired_objects() — tables and auxiliary state do not.
 struct RetiredResource {
   void* ptr = nullptr;
@@ -196,12 +196,12 @@ class LifetimeManager {
     reclaim_drained_locked();
   }
 
-  // --- Gauges (admission control & introspection) -------------------------
+  // --- Gauges (batch shedding & introspection) -----------------------------
 
   // Bytes held by retired-but-not-yet-reclaimed generations. Falls when
   // the last covering lease drops (hand-off to the epoch reclaimer), not
   // when the memory is finally freed — the gauge measures what leases are
-  // still holding hostage, which is what admission control throttles on.
+  // still holding hostage, which is what batch shedding watches.
   std::size_t retired_bytes() const noexcept {
     return retired_bytes_.load(std::memory_order_acquire);
   }
@@ -218,18 +218,6 @@ class LifetimeManager {
   // Generation number leases acquired right now would pin.
   std::uint64_t current_generation() const noexcept {
     return current_.load(std::memory_order_acquire)->id;
-  }
-
-  // Blocks until retired_bytes() <= limit or the deadline passes. Woken
-  // by every reclamation that lowers the gauge. Returns whether the bound
-  // was met (false = timed out — the caller defers its batch).
-  template <class Rep, class Period>
-  bool wait_retired_bytes_below(
-      std::size_t limit, std::chrono::duration<Rep, Period> timeout) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    return cv_.wait_for(lock, timeout, [this, limit] {
-      return retired_bytes_.load(std::memory_order_relaxed) <= limit;
-    });
   }
 
   // TEST-ONLY force purge. PRECONDITION: full quiescence — no live leases,
@@ -256,7 +244,6 @@ class LifetimeManager {
       g = next;
     }
     oldest_ = g;
-    cv_.notify_all();
     return primaries;
   }
 
@@ -291,7 +278,6 @@ class LifetimeManager {
   // resources to the epoch reclaimer and retire the generation record
   // itself (late acquirers may still bounce off it under their pins).
   void reclaim_drained_locked() {
-    bool lowered = false;
     Gen* g = oldest_;
     while (g->closed.load(std::memory_order_acquire) &&
            g->leases.load(std::memory_order_seq_cst) == 0) {
@@ -300,7 +286,6 @@ class LifetimeManager {
         retired_objects_.fetch_sub(r.primary ? 1 : 0,
                                    std::memory_order_relaxed);
         reclaimer_->retire(r.ptr, r.deleter);
-        lowered = true;
       }
       g->retired.clear();
       Gen* next = g->next;
@@ -308,14 +293,12 @@ class LifetimeManager {
       g = next;
     }
     oldest_ = g;
-    if (lowered) cv_.notify_all();
   }
 
   R* reclaimer_;
   std::atomic<Gen*> current_{nullptr};
   Gen* oldest_ = nullptr;  // guarded by mutex_
   mutable std::mutex mutex_;
-  std::condition_variable cv_;
   std::atomic<std::size_t> retired_bytes_{0};
   std::atomic<std::size_t> retired_objects_{0};
   std::atomic<std::uint64_t> active_leases_{0};

@@ -16,6 +16,7 @@
 // may register once and never unregister.
 #pragma once
 
+#include <array>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -166,28 +167,16 @@ void register_admission(MetricsRegistry& reg, Registration& handle,
                         const Map& map, std::string labels) {
   reg.add_collector(
       handle, "pnb_admission_admitted_total", MetricType::kCounter,
-      "Batches admitted (no-wait + after-wait)",
+      "Batches admitted",
       [&map, labels = std::move(labels)](std::vector<Sample>& out) {
         const auto s = map.admission_stats();
         out.push_back({"pnb_admission_admitted_total", labels,
                        static_cast<double>(s.admitted)});
-        out.push_back({"pnb_admission_blocked_total", labels,
-                       static_cast<double>(s.blocked)});
         out.push_back({"pnb_admission_deferred_total", labels,
                        static_cast<double>(s.deferred)});
-        out.push_back({"pnb_admission_timed_out_total", labels,
-                       static_cast<double>(s.timed_out)});
-        out.push_back({"pnb_admission_shed_total", labels,
-                       static_cast<double>(s.shed())});
       });
-  reg.declare("pnb_admission_blocked_total", MetricType::kCounter,
-              "kBlock waits entered");
   reg.declare("pnb_admission_deferred_total", MetricType::kCounter,
-              "Batches deferred (kDefer shed)");
-  reg.declare("pnb_admission_timed_out_total", MetricType::kCounter,
-              "kBlock waits that timed out");
-  reg.declare("pnb_admission_shed_total", MetricType::kCounter,
-              "Batches shed (deferred + timed out)");
+              "Batches shed above the retired-bytes watermark");
 }
 
 // ShardedPnbMap: per-shard size gauges, plus per-shard mechanism
@@ -227,16 +216,31 @@ void register_sharded_map(MetricsRegistry& reg, Registration& handle,
               "Max shard size over mean shard size (1.0 = balanced)");
   if constexpr (Map::kStatsEnabled) {
     // Per-shard mechanism gauges plus the aggregate pnb_engine_* view
-    // (summed across shards; what an operator alerts on).
+    // (lifetime totals across shards; what an operator alerts on).
     detail::declare_engine_families(reg);
     reg.add_collector(
         handle, "pnb_shard_commits_total", MetricType::kCounter,
         "Committed updates per shard",
         [&map, labels](std::vector<Sample>& out) {
+          // Lifetime totals are the retired shards' carried counters plus
+          // the live shards. A cutover folds and swaps in one step, so an
+          // unchanged carried_stats() around the shard reads means no
+          // cutover moved counts between them.
+          std::array<OpStatsSnapshot, Map::kNumShards> shards;
           OpStatsSnapshot total;
+          for (OpStatsSnapshot carried = map.carried_stats();;) {
+            total = carried;
+            for (std::size_t i = 0; i < shards.size(); ++i) {
+              shards[i] = map.shard_stats(i);
+              total += shards[i];
+            }
+            const OpStatsSnapshot after = map.carried_stats();
+            if (after == carried) break;
+            carried = after;
+          }
           char lbuf[96];
-          for (std::size_t i = 0; i < map.shard_count(); ++i) {
-            const OpStatsSnapshot s = map.shard_stats(i);
+          for (std::size_t i = 0; i < shards.size(); ++i) {
+            const OpStatsSnapshot& s = shards[i];
             std::snprintf(lbuf, sizeof(lbuf), "shard=\"%zu\"", i);
             const std::string l = detail::join_labels(labels, lbuf);
             out.push_back({"pnb_shard_commits_total", l,
@@ -247,19 +251,6 @@ void register_sharded_map(MetricsRegistry& reg, Registration& handle,
                            static_cast<double>(s.helps)});
             out.push_back({"pnb_shard_scans_total", l,
                            static_cast<double>(s.scans)});
-            total.attempts += s.attempts;
-            total.commits += s.commits;
-            total.handshake_aborts += s.handshake_aborts;
-            total.freeze_fail_aborts += s.freeze_fail_aborts;
-            total.validate_fails += s.validate_fails;
-            total.helps += s.helps;
-            total.scans += s.scans;
-            total.scan_helps += s.scan_helps;
-            total.child_cas_failures += s.child_cas_failures;
-            total.nodes_allocated += s.nodes_allocated;
-            total.infos_allocated += s.infos_allocated;
-            total.nodes_retired += s.nodes_retired;
-            total.unpublished_frees += s.unpublished_frees;
           }
           detail::emit_op_snapshot(out, labels, total);
         });

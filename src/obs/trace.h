@@ -35,7 +35,7 @@ enum class TraceKind : std::uint8_t {
   kReshardCutover = 3,   // routing-table generation swap; arg = new gen
   kLeaseOpen = 4,        // snapshot lease acquired; arg = generation
   kLeaseClose = 5,       // snapshot lease released; arg = generation
-  kAdmissionShed = 6,    // batch deferred/timed out; arg = retired bytes
+  kAdmissionShed = 6,    // batch shed (deferred); arg = retired bytes
   kRebalanceTrigger = 7,  // adaptive reshard fired; arg = skew per-mille
   kCount
 };

@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "ingest/admission.h"
 #include "ingest/batch_apply.h"
 #include "ingest/options.h"
 #include "lifecycle/lifetime_manager.h"
@@ -133,15 +132,9 @@ bool Server::start() {
     bound_port_ = ntohs(bound.sin_port);
   }
 
-  // Overload shedding contract: the loops must never block inside
-  // admission, so the serving map's policy is forced to kDefer — a batch
-  // over the watermark bounces out of apply_batch and the client sees a
-  // protocol-level kRetry. The watermark itself stays the caller's
-  // unless the config overrides it.
-  ingest::AdmissionConfig adm = map_.admission();
-  if (cfg_.shed_watermark) adm.retired_bytes_watermark = *cfg_.shed_watermark;
-  adm.policy = ingest::AdmissionConfig::OverLimit::kDefer;
-  map_.set_admission(adm);
+  // Overload shedding: a batch over the watermark bounces out of
+  // apply_batch and the client sees a protocol-level kRetry.
+  if (cfg_.shed_watermark) map_.set_shed_watermark(*cfg_.shed_watermark);
 
   const unsigned nloops = cfg_.loops == 0 ? 1 : cfg_.loops;
   for (unsigned i = 0; i < nloops; ++i) {
@@ -569,7 +562,7 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
           std::move(ops), ingest::IngestOptions(cfg_.scan_threads, executor_));
       if (!r.admitted()) {
         // Overload shed: retired-bytes watermark exceeded, batch bounced
-        // untouched (kDefer policy installed at start()).
+        // untouched.
         counters_.add(kShedResponses);
         w.u8(static_cast<std::uint8_t>(Status::kRetry));
         w.u64(r.deferred);

@@ -17,11 +17,9 @@
 //     ScanExecutor (scan_threads wide), so one loop thread drives
 //     multi-core scans without stalling siblings.
 //   * Nothing on a loop thread blocks: sockets are non-blocking, and
-//     the server forces the map's admission policy to kDefer at start —
-//     a batch arriving over the retired-bytes watermark is bounced
-//     inside apply_batch and surfaces as a protocol-level kRetry
-//     response (overload shedding) instead of parking the loop in
-//     wait_retired_bytes_below.
+//     batch admission never waits — a batch arriving over the map's
+//     retired-bytes shed watermark is bounced inside apply_batch and
+//     surfaces as a protocol-level kRetry response (overload shedding).
 //
 // Write coalescing: all responses produced by one read burst accumulate
 // in the connection's WriteBuffer and leave in single write() calls;
@@ -85,8 +83,7 @@ struct ServerConfig {
   // limit field (bounds response frames and server-side materialization).
   std::uint32_t range_pair_cap = 60000;
   // When set, installed as the map's retired-bytes shed watermark at
-  // start(). Policy is forced to kDefer either way (the event loop must
-  // never block in admission).
+  // start(); unset keeps the map's own watermark.
   std::optional<std::size_t> shed_watermark;
   // Op-latency sampling rate for the obs latency plane: every Nth frame
   // per loop thread gets timed (0 disables). Applied process-wide at

@@ -29,12 +29,14 @@
 // -----------------------------------------------------------
 // Replaced tables and maps are NOT freed manually. At every cutover they
 // are attached to the closing generation of a per-container
-// LifetimeManager; every composite Snapshot holds a SnapshotLease on that
-// manager, and in-flight point operations hold an epoch pin across their
-// table load. When the last lease covering a retired generation drops,
-// its resources are handed to the epoch reclaimer automatically (the
-// retired_maps()/retired_bytes() gauges fall at that point) and freed
-// after the grace period that covers any still-pinned operation.
+// LifetimeManager — the only one in the stack, since only cutovers retire
+// generations. Every composite Snapshot holds a SnapshotLease on that
+// manager (its per-shard tree snapshots hold only epoch pins), and
+// in-flight point operations hold an epoch pin across their table load.
+// When the last lease covering a retired generation drops, its resources
+// are handed to the epoch reclaimer automatically (the retired_maps()/
+// retired_bytes() gauges fall at that point) and freed after the grace
+// period that covers any still-pinned operation.
 //
 // Loss-free reshard contract (reshard / rebuild_shard)
 // ----------------------------------------------------
@@ -64,12 +66,11 @@
 //   * reshard() and rebuild_shard() serialize against each other on an
 //     internal mutex; they never block readers.
 //
-// Ingest admission control (src/ingest/admission.h)
-// -------------------------------------------------
-// apply_batch consults the container's AdmissionConfig: when
-// retired_bytes() exceeds the configured watermark (snapshot leases are
-// holding too many retired generations alive), the batch blocks until
-// reclamation catches up or returns with BatchResult::deferred set.
+// Ingest admission (src/ingest/admission.h)
+// -----------------------------------------
+// apply_batch sheds: while retired_bytes() is above the shed watermark
+// (snapshot leases are holding too many retired generations alive), the
+// batch returns unapplied with BatchResult::deferred set. It never waits.
 // Point operations are never throttled.
 //
 // Cross-shard consistency contract
@@ -101,11 +102,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <type_traits>
@@ -387,10 +388,10 @@ class ShardedPnbMap {
   // still parallelize within their shards). Per-op linearizability is per
   // shard, exactly as for single ops; the batch as a whole is not atomic.
   //
-  // Interactions with this PR's lifecycle machinery:
-  //   * ADMISSION — if retired-generation memory exceeds the configured
-  //     watermark (set_admission), the batch blocks until reclamation
-  //     catches up or returns untouched with `deferred = ops.size()`.
+  // Interactions with the lifecycle machinery:
+  //   * ADMISSION — if retired-generation memory exceeds the shed
+  //     watermark (set_shed_watermark), the batch returns untouched with
+  //     `deferred = ops.size()`.
   //   * MIGRATION — shard batches racing a reshard are recorded in the
   //     write-intent ledger exactly like single ops, so they are NOT lost;
   //     a shard batch that loses its table to a cutover re-routes itself
@@ -399,17 +400,14 @@ class ShardedPnbMap {
                                   const ingest::IngestOptions& opts = {}) {
     ingest::BatchResult total;
     if (ops.empty()) return total;
-    const ingest::AdmissionOutcome adm = ingest::admit_batch_outcome(
-        admission(),
-        [this] { return lifetime_.retired_bytes(); },
-        [this](std::size_t limit, std::chrono::milliseconds timeout) {
-          return lifetime_.wait_retired_bytes_below(limit, timeout);
-        });
-    record_admission(adm);
-    if (!ingest::admitted(adm)) {
+    const std::size_t debt = lifetime_.retired_bytes();
+    if (debt > shed_watermark_.load(std::memory_order_relaxed)) {
+      adm_deferred_.fetch_add(1, std::memory_order_relaxed);
+      obs::trace_event(obs::TraceKind::kAdmissionShed, debt);
       total.deferred = ops.size();
       return total;
     }
+    adm_admitted_.fetch_add(1, std::memory_order_relaxed);
     // Normalize up front so the ledger records exactly the ops that get
     // applied (one op per key, last wins); the per-shard re-normalization
     // inside Map::apply_batch is then a cheap no-op re-sort.
@@ -785,9 +783,12 @@ class ShardedPnbMap {
   // Mechanism counters folded in from shards retired by past reshards.
   // shard_stats(i) covers only the live generation (fresh bulk-built
   // trees restart from zero at every cutover); lifetime totals are
-  // carried_stats() plus the sum of the live shards.
+  // carried_stats() plus the sum of the live shards. Never waits on a
+  // migration: the fold and the cutover's table store happen together
+  // under carried_mutex_, so a reader that sees the same carried_stats()
+  // before and after its shard_stats() reads saw no cutover in between.
   OpStatsSnapshot carried_stats() const {
-    std::lock_guard<std::mutex> lock(reshard_mutex_);
+    std::lock_guard<std::mutex> lock(carried_mutex_);
     return carried_stats_;
   }
 
@@ -802,7 +803,7 @@ class ShardedPnbMap {
   }
 
   // Snapshot-lease lifecycle registry for this container (active_leases,
-  // current_generation, wait_retired_bytes_below, ...).
+  // current_generation, ...). Only composite snapshots take its leases.
   lifecycle::LifetimeManager<R>& lifetime() noexcept { return lifetime_; }
   const lifecycle::LifetimeManager<R>& lifetime() const noexcept {
     return lifetime_;
@@ -819,31 +820,19 @@ class ShardedPnbMap {
     key_sampler_.store(sampler, std::memory_order_release);
   }
 
-  // Admission-control policy consulted by apply_batch (ingest/admission.h).
-  // Safe to call while batches are in flight: the config is guarded by a
-  // small mutex and each apply_batch snapshots it once on entry.
-  void set_admission(const ingest::AdmissionConfig& cfg) {
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    admission_ = cfg;
-  }
-  ingest::AdmissionConfig admission() const {
-    std::lock_guard<std::mutex> lock(admission_mutex_);
-    return admission_;
+  // Retired bytes above which apply_batch sheds (ingest/admission.h).
+  // The default never sheds. Safe to change while batches are in flight.
+  void set_shed_watermark(std::size_t bytes) noexcept {
+    shed_watermark_.store(bytes, std::memory_order_relaxed);
   }
 
-  // Monotone admission-outcome gauges, aggregated across every apply_batch
+  // Monotone admission counters, aggregated across every apply_batch
   // since construction (BatchResult::deferred is per-call; these are the
   // per-container source of truth for shed-rate reporting — the
-  // pnb_admission_* families read them). Lock-free relaxed reads: the
-  // counters are independent, so a snapshot taken under load may be
-  // mid-update by one batch, which is fine for gauges.
+  // pnb_admission_* families read them).
   ingest::AdmissionStats admission_stats() const noexcept {
-    ingest::AdmissionStats s;
-    s.admitted = adm_admitted_.load(std::memory_order_relaxed);
-    s.blocked = adm_blocked_.load(std::memory_order_relaxed);
-    s.deferred = adm_deferred_.load(std::memory_order_relaxed);
-    s.timed_out = adm_timed_out_.load(std::memory_order_relaxed);
-    return s;
+    return {adm_admitted_.load(std::memory_order_relaxed),
+            adm_deferred_.load(std::memory_order_relaxed)};
   }
 
  private:
@@ -1048,22 +1037,22 @@ class ShardedPnbMap {
         ingest::apply_ordered<K, V>(router, mig->ledgers[s].ops);
         mig->ledgers[s].ops.clear();
       }
-      table_.store(t_new, std::memory_order_seq_cst);
+      {
+        // Fold the retiring shards' mechanism counters into the carried
+        // aggregate at the cutover itself (see carried_stats()); the fresh
+        // bulk-built trees start from zero.
+        std::lock_guard<std::mutex> stats_lock(carried_mutex_);
+        table_.store(t_new, std::memory_order_seq_cst);
+        for (const auto& replaced_shard : replaced) {
+          carried_stats_ += replaced_shard.first->map.stats().snapshot();
+        }
+      }
       mig->open.store(false, std::memory_order_release);
     }
     // The cutover instant — the event the trace timeline anchors shard
     // rebalances on (arg = lifecycle generation being retired).
     obs::trace_event(obs::TraceKind::kReshardCutover,
                      lifetime_.current_generation());
-    // Fold the retiring shards' mechanism counters into the carried
-    // aggregate before they're reclaimed; bulk_load rebuilds fresh trees
-    // with zeroed stats, so without this every reshard would erase the
-    // generation's history. Serialized by reshard_mutex_ (both callers
-    // hold it); readers go through carried_stats() under the same lock.
-    for (const auto& [sh, entries] : replaced) {
-      (void)entries;
-      accumulate_stats(carried_stats_, sh->map.stats().snapshot());
-    }
     std::vector<lifecycle::RetiredResource> resources;
     resources.reserve(replaced.size() + 3);
     resources.push_back({const_cast<Table*>(t_old), &delete_table,
@@ -1124,63 +1113,22 @@ class ShardedPnbMap {
     return Snapshot(this, table, std::move(lease), first, std::move(snaps));
   }
 
-  void record_admission(ingest::AdmissionOutcome o) noexcept {
-    using ingest::AdmissionOutcome;
-    switch (o) {
-      case AdmissionOutcome::kAdmitted:
-        adm_admitted_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case AdmissionOutcome::kAdmittedAfterWait:
-        adm_admitted_.fetch_add(1, std::memory_order_relaxed);
-        adm_blocked_.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case AdmissionOutcome::kDeferred:
-        adm_deferred_.fetch_add(1, std::memory_order_relaxed);
-        obs::trace_event(obs::TraceKind::kAdmissionShed,
-                         lifetime_.retired_bytes());
-        break;
-      case AdmissionOutcome::kTimedOut:
-        adm_blocked_.fetch_add(1, std::memory_order_relaxed);
-        adm_timed_out_.fetch_add(1, std::memory_order_relaxed);
-        obs::trace_event(obs::TraceKind::kAdmissionShed,
-                         lifetime_.retired_bytes());
-        break;
-    }
-  }
-
   R* reclaimer_;
   lifecycle::LifetimeManager<R> lifetime_;
-  // Guarded by admission_mutex_ (runtime-tunable from any thread).
-  ingest::AdmissionConfig admission_{};
-  mutable std::mutex admission_mutex_;
-  // Admission-outcome gauges (admission_stats()); relaxed monotone counters.
+  // apply_batch sheds above this (set_shed_watermark); max never sheds.
+  std::atomic<std::size_t> shed_watermark_{
+      std::numeric_limits<std::size_t>::max()};
+  // Admission counters (admission_stats()); relaxed monotone counters.
   std::atomic<std::uint64_t> adm_admitted_{0};
-  std::atomic<std::uint64_t> adm_blocked_{0};
   std::atomic<std::uint64_t> adm_deferred_{0};
-  std::atomic<std::uint64_t> adm_timed_out_{0};
   // Optional write-path key sampler (set_key_sampler); null = sampling off.
   std::atomic<KeySampler<K>*> key_sampler_{nullptr};
   std::atomic<const Table*> table_{nullptr};
-  static void accumulate_stats(OpStatsSnapshot& into,
-                               const OpStatsSnapshot& from) noexcept {
-    into.attempts += from.attempts;
-    into.commits += from.commits;
-    into.handshake_aborts += from.handshake_aborts;
-    into.freeze_fail_aborts += from.freeze_fail_aborts;
-    into.validate_fails += from.validate_fails;
-    into.helps += from.helps;
-    into.scans += from.scans;
-    into.scan_helps += from.scan_helps;
-    into.child_cas_failures += from.child_cas_failures;
-    into.nodes_allocated += from.nodes_allocated;
-    into.infos_allocated += from.infos_allocated;
-    into.nodes_retired += from.nodes_retired;
-    into.unpublished_frees += from.unpublished_frees;
-  }
-
   // Serializes reshard()/rebuild_shard() (one migration at a time).
-  mutable std::mutex reshard_mutex_;
-  // Sum of retired generations' shard stats (guarded by reshard_mutex_).
+  std::mutex reshard_mutex_;
+  // Sum of retired generations' shard stats; carried_mutex_ is held only
+  // while folding at a cutover and while copying in carried_stats().
+  mutable std::mutex carried_mutex_;
   OpStatsSnapshot carried_stats_{};
 };
 

@@ -1,20 +1,16 @@
 // Snapshot-lease lifecycle (src/lifecycle/lifetime_manager.h): generation
 // retirement gated by leases, ordered oldest-first draining, gauges,
 // force-purge, automatic reclamation through the whole sharded stack, and
-// ingest admission control (defer + block policies).
+// batch shedding above the retired-bytes watermark.
 #include "lifecycle/lifetime_manager.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "core/pnb_bst.h"
-#include "core/pnb_map.h"
-#include "ingest/admission.h"
 #include "reclaim/epoch.h"
 #include "shard/sharded_map.h"
 
@@ -260,26 +256,6 @@ TEST(Lifecycle, RebuildRetiresOneMapAndTablesOnly) {
   EXPECT_EQ(map.retired_maps(), 0u);
 }
 
-TEST(Lifecycle, TreeSnapshotsCarryLeases) {
-  PnbBst<long> tree;
-  tree.insert(1);
-  EXPECT_EQ(tree.lifetime().active_leases(), 0u);
-  {
-    auto s1 = tree.snapshot();
-    auto s2 = tree.snapshot();
-    EXPECT_EQ(tree.lifetime().active_leases(), 2u);
-  }
-  EXPECT_EQ(tree.lifetime().active_leases(), 0u);
-
-  PnbMap<long, long> pmap;
-  pmap.insert(1, 2);
-  {
-    auto s = pmap.snapshot();
-    EXPECT_EQ(pmap.lifetime().active_leases(), 1u);
-  }
-  EXPECT_EQ(pmap.lifetime().active_leases(), 0u);
-}
-
 // --- Admission control -----------------------------------------------------
 
 TEST(Lifecycle, BatchAdmissionDefersAboveWatermark) {
@@ -287,10 +263,8 @@ TEST(Lifecycle, BatchAdmissionDefersAboveWatermark) {
   ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, 1000});
   for (long k = 0; k < 1000; ++k) map.insert(k, k);
 
-  ingest::AdmissionConfig cfg;
-  cfg.retired_bytes_watermark = 1;  // tiny: any retired generation trips it
-  cfg.policy = ingest::AdmissionConfig::OverLimit::kDefer;
-  map.set_admission(cfg);
+  constexpr std::size_t kWatermark = 1;  // any retired generation trips it
+  map.set_shed_watermark(kWatermark);
 
   // Below the watermark: admitted as usual.
   std::vector<Op> ops;
@@ -303,7 +277,7 @@ TEST(Lifecycle, BatchAdmissionDefersAboveWatermark) {
   // A held snapshot pins the reshard's retired generation over the mark.
   auto snap = map.snapshot();
   map.reshard(RangeSplitter<long>{0, 4000});
-  ASSERT_GT(map.retired_bytes(), cfg.retired_bytes_watermark);
+  ASSERT_GT(map.retired_bytes(), kWatermark);
   const std::size_t debt = map.retired_bytes();
 
   std::vector<Op> deferred_ops;
@@ -316,6 +290,8 @@ TEST(Lifecycle, BatchAdmissionDefersAboveWatermark) {
   // Deferral left the structure AND the debt untouched (gauge bounded).
   EXPECT_EQ(map.retired_bytes(), debt);
   EXPECT_FALSE(map.contains(5000));
+  EXPECT_EQ(map.admission_stats().admitted, 1u);
+  EXPECT_EQ(map.admission_stats().deferred, 1u);
 
   // Reclamation (snapshot drop) reopens admission.
   { auto drop = std::move(snap); }
@@ -325,56 +301,6 @@ TEST(Lifecycle, BatchAdmissionDefersAboveWatermark) {
   r = map.apply_batch(std::move(retry_ops));
   EXPECT_TRUE(r.admitted());
   EXPECT_EQ(r.inserted, 64u);
-}
-
-TEST(Lifecycle, BatchAdmissionBlocksUntilReclamationCatchesUp) {
-  using Op = ingest::BatchOp<long, long>;
-  ShardedPnbMap<long, long, 2> map(RangeSplitter<long>{0, 100});
-  for (long k = 0; k < 100; ++k) map.insert(k, k);
-
-  ingest::AdmissionConfig cfg;
-  cfg.retired_bytes_watermark = 1;
-  cfg.policy = ingest::AdmissionConfig::OverLimit::kBlock;
-  cfg.block_timeout = std::chrono::milliseconds(5000);
-  map.set_admission(cfg);
-
-  auto snap = map.snapshot();
-  map.reshard(RangeSplitter<long>{0, 200});
-  ASSERT_GT(map.retired_bytes(), 1u);
-
-  // Release the pinning snapshot shortly after the batch starts blocking.
-  std::thread releaser([&snap] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    auto drop = std::move(snap);
-  });
-  std::vector<Op> ops;
-  ops.push_back(Op::insert(500, 1));
-  const auto r = map.apply_batch(std::move(ops));
-  releaser.join();
-  EXPECT_TRUE(r.admitted()) << "block policy should ride out the debt";
-  EXPECT_EQ(r.inserted, 1u);
-  EXPECT_EQ(map.retired_bytes(), 0u);
-}
-
-TEST(Lifecycle, BlockPolicyTimesOutIntoDeferral) {
-  using Op = ingest::BatchOp<long, long>;
-  ShardedPnbMap<long, long, 2> map(RangeSplitter<long>{0, 100});
-  map.insert(1, 1);
-  ingest::AdmissionConfig cfg;
-  cfg.retired_bytes_watermark = 1;
-  cfg.policy = ingest::AdmissionConfig::OverLimit::kBlock;
-  cfg.block_timeout = std::chrono::milliseconds(20);
-  map.set_admission(cfg);
-
-  auto snap = map.snapshot();
-  map.reshard(RangeSplitter<long>{0, 300});
-  ASSERT_GT(map.retired_bytes(), 1u);
-  std::vector<Op> ops;
-  ops.push_back(Op::insert(7, 7));
-  const auto r = map.apply_batch(std::move(ops));
-  EXPECT_FALSE(r.admitted());
-  EXPECT_EQ(r.deferred, 1u);
-  EXPECT_FALSE(map.contains(7));
 }
 
 }  // namespace

@@ -302,6 +302,30 @@ TEST(Adapters, ShardedMapCollectorEmitsFamilies) {
             std::string::npos);
 }
 
+// pnb_engine_* are lifetime counters: a reshard bulk-builds fresh shard
+// trees whose own counters restart at zero, and the aggregate must carry
+// the retired shards' counts across the cutover instead of dropping.
+TEST(Adapters, ShardedEngineTotalsSurviveReshard) {
+  using Map = ShardedPnbMap<long, long, 4, EpochReclaimer, CountingOpStats>;
+  Map map(RangeSplitter<long>{0, 1024});
+  for (long k = 0; k < 500; ++k) map.insert(k, k);
+  obs::MetricsRegistry reg;
+  obs::Registration handle;
+  obs::register_sharded_map(reg, handle, map, "");
+  const auto commits = [&reg] {
+    for (const auto& s : reg.snapshot()) {
+      if (s.name == "pnb_engine_commits_total") return s.value;
+    }
+    return -1.0;
+  };
+  const double before = commits();
+  EXPECT_EQ(before, 500.0);
+  map.reshard(RangeSplitter<long>{0, 512});
+  EXPECT_GE(commits(), before);
+  map.insert(2000, 1);
+  EXPECT_EQ(commits(), before + 1);
+}
+
 // Native le-bucketed histogram exposition next to the summary: declared
 // as TYPE histogram, bucket counts cumulative and non-decreasing in
 // NUMERIC le order, terminal +Inf bucket == _hist_count == the summary

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
 #include "common.h"
+#include "core/op_stats.h"
 #include "core/pnb_bst.h"
+#include "core/pnb_map.h"
+#include "scan/parallel_scan.h"
 
 namespace pnbbst {
 namespace {
@@ -22,29 +26,76 @@ TEST(PhaseSemantics, UpdatesDoNotAdvancePhases) {
   EXPECT_EQ(t.phase(), p0);  // only scans open phases
 }
 
+// Runs each query once and checks it opened exactly one phase and counted
+// exactly one scan (core.*_per_kscan metrics divide by that counter).
+template <class Container, class Phase>
+void expect_one_phase_and_scan_each(
+    Container& c, Phase phase,
+    const std::vector<std::function<void(Container&)>>& queries) {
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto p0 = phase(c);
+    const auto scans0 = c.stats().snapshot().scans;
+    queries[i](c);
+    EXPECT_EQ(phase(c), p0 + 1) << "query #" << i;
+    EXPECT_EQ(c.stats().snapshot().scans, scans0 + 1) << "query #" << i;
+  }
+}
+
 TEST(PhaseSemantics, EveryScanKindAdvancesExactlyOnce) {
-  Tree t;
+  using CountedTree =
+      PnbBst<long, std::less<long>, EpochReclaimer, CountingOpStats>;
+  CountedTree t;
   t.insert(1);
-  const auto p0 = t.phase();
-  t.range_scan(0, 10);
-  EXPECT_EQ(t.phase(), p0 + 1);
-  t.range_count(0, 10);
-  EXPECT_EQ(t.phase(), p0 + 2);
-  t.range_visit(0, 10, [](long) {});
-  EXPECT_EQ(t.phase(), p0 + 3);
-  t.range_first(0, 10, 1);
-  EXPECT_EQ(t.phase(), p0 + 4);
-  t.size();
-  EXPECT_EQ(t.phase(), p0 + 5);
-  t.successor(0);
-  EXPECT_EQ(t.phase(), p0 + 6);
-  t.predecessor(5);
-  EXPECT_EQ(t.phase(), p0 + 7);
-  t.min();
-  t.max();
-  EXPECT_EQ(t.phase(), p0 + 9);
-  { auto s = t.snapshot(); }
-  EXPECT_EQ(t.phase(), p0 + 10);
+  t.insert(5);
+  const scan::ParallelScanOptions two_chunks(2);
+  expect_one_phase_and_scan_each<CountedTree>(
+      t, [](CountedTree& c) { return c.phase(); },
+      {
+          [](CountedTree& c) { c.range_scan(0, 10); },
+          [](CountedTree& c) { c.range_count(0, 10); },
+          [](CountedTree& c) { c.range_visit(0, 10, [](long) {}); },
+          [](CountedTree& c) {
+            c.range_visit_while(0, 10, [](long) { return false; });
+          },
+          [](CountedTree& c) { c.range_first(0, 10, 1); },
+          [](CountedTree& c) { c.size(); },
+          [](CountedTree& c) { c.successor(0); },
+          [](CountedTree& c) { c.predecessor(5); },
+          [](CountedTree& c) { c.min(); },
+          [](CountedTree& c) { c.max(); },
+          [&](CountedTree& c) { c.parallel_range_scan(0L, 10L, two_chunks); },
+          [&](CountedTree& c) { c.parallel_range_count(0L, 10L, two_chunks); },
+          [](CountedTree& c) { auto s = c.snapshot(); },
+      });
+}
+
+TEST(PhaseSemantics, EveryMapScanKindAdvancesExactlyOnce) {
+  using CountedMap =
+      PnbMap<long, long, std::less<long>, EpochReclaimer, CountingOpStats>;
+  CountedMap m;
+  m.insert(1, 10);
+  m.insert(5, 50);
+  const scan::ParallelScanOptions two_chunks(2);
+  expect_one_phase_and_scan_each<CountedMap>(
+      m, [](CountedMap& c) { return c.underlying().phase(); },
+      {
+          [](CountedMap& c) { c.range_scan(0, 10); },
+          [](CountedMap& c) { c.range_count(0, 10); },
+          [](CountedMap& c) { c.visit_range(0, 10, [](long, long) {}); },
+          [](CountedMap& c) {
+            c.range_visit_while(0, 10, [](long, long) { return false; });
+          },
+          [](CountedMap& c) { c.range_first(0, 10, 1); },
+          [](CountedMap& c) { c.size(); },
+          [](CountedMap& c) { c.empty(); },
+          [](CountedMap& c) { c.successor(0); },
+          [](CountedMap& c) { c.predecessor(5); },
+          [](CountedMap& c) { c.min(); },
+          [](CountedMap& c) { c.max(); },
+          [&](CountedMap& c) { c.parallel_range_scan(0, 10, two_chunks); },
+          [&](CountedMap& c) { c.parallel_range_count(0, 10, two_chunks); },
+          [](CountedMap& c) { auto s = c.snapshot(); },
+      });
 }
 
 TEST(PhaseSemantics, UpdatesInOnePhaseShareSequenceNumbers) {

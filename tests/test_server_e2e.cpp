@@ -243,7 +243,7 @@ TEST_F(ServerE2E, MetricsReportPerOpcodeRequestCounters) {
   EXPECT_EQ(req("metrics"), 1.0);
   EXPECT_EQ(req("unknown"), 0.0);
   EXPECT_EQ(sample(mr.text, "pnb_server_ops_served_total"), 7.0);
-  EXPECT_EQ(sample(mr.text, "pnb_admission_shed_total"), 0.0);
+  EXPECT_EQ(sample(mr.text, "pnb_admission_deferred_total"), 0.0);
 }
 
 TEST_F(ServerE2E, MetricsOpcodeServesPrometheusText) {
@@ -604,7 +604,7 @@ TEST_F(ServerE2E, ShedsBatchesWithRetryWhileReadsKeepFlowing) {
   EXPECT_GE(sample(mr.text, "pnb_admission_deferred_total"), 1.0);
   EXPECT_GT(sample(mr.text, "pnb_lifecycle_retired_bytes"), 1.0);
   EXPECT_EQ(map_.admission_stats().deferred, 1u);
-  EXPECT_EQ(map_.admission_stats().shed(), 1u);
+  EXPECT_EQ(map_.admission_stats().admitted, 1u);
 
   // Reclamation (the snapshot drops) reopens admission; the retry the
   // protocol asked for now succeeds.
