@@ -16,11 +16,13 @@
 //   static-bal   boundaries fixed at the stream's own quantiles before
 //                the run (the offline ideal the rebalancer aims for);
 //   adaptive     equal-width start plus the background Rebalancer
-//                (src/shard/rebalance.h) sensing skew off the metrics
-//                registry and resharding at sampled-key quantiles.
+//                (src/shard/rebalance.h) sensing write skew from its
+//                key sample and resharding at sampled-key quantiles
+//                when the proposed cuts are predicted to balance it.
 // The adaptive row should recover most of static-bal's throughput and
 // clearly beat static-skew at high theta; `rebalances` counts the
-// triggers it took (0 for every non-adaptive row).
+// triggers it took (0 for every non-adaptive row). A static Zipf stream
+// needs one: the controller settles once its cuts balance the sample.
 #include <chrono>
 #include <cstdio>
 #include <optional>
@@ -29,7 +31,6 @@
 #include "bench_common.h"
 #include "benchsupport/reporter.h"
 #include "nbbst/nb_bst.h"
-#include "obs/adapters.h"
 #include "obs/registry.h"
 #include "shard/rebalance.h"
 #include "shard/sharded_map.h"
@@ -128,8 +129,6 @@ void run_sharded_row(Table& table, const BenchConfig& base, double theta,
   // Private registry per row: registry counters are find-or-create, so
   // reusing one registry would accumulate pnb_rebalance_* across rows.
   obs::MetricsRegistry reg;
-  obs::Registration handle;
-  obs::register_sharded_map(reg, handle, map, "map=\"tab8\"");
   std::optional<Rebalancer<ShardMap>> rb;
   if (mode == ShardMode::kAdaptive) {
     typename Rebalancer<ShardMap>::Config rcfg;

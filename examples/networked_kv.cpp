@@ -49,10 +49,10 @@ int main(int argc, char** argv) {
   std::printf("serving 127.0.0.1:%u (2 event loops, 8 shards)\n",
               server.port());
 
-  // Adaptive sharding on the serving map: the rebalancer senses skew off
-  // the same per-shard families the server just registered (label
-  // selector == the server's port label) and reshards through the
-  // loss-free migration path while traffic runs. The sequential bulk
+  // Adaptive sharding on the serving map: the rebalancer senses write
+  // skew from its own key sample, exports its pnb_rebalance_* families
+  // under the server's port label, and reshards through the loss-free
+  // migration path while traffic runs. The sequential bulk
   // load below lands on the low shards, so a trigger is expected. Built
   // BEFORE the METRICS_URL announcement so a scraper that fetches the
   // moment the line appears already sees the pnb_rebalance_* families.

@@ -27,6 +27,7 @@
 #include "core/pnb_bst.h"
 #include "ingest/batch_apply.h"
 #include "scan/parallel_scan.h"
+#include "util/cacheline.h"
 
 namespace pnbbst {
 
@@ -112,13 +113,17 @@ class PnbMap {
   // Inserts (k, v) if k is absent; returns false (leaving the existing
   // value untouched) otherwise.
   bool insert(K k, V v) {
-    return tree_.insert(Entry(std::move(k), std::move(v)));
+    const bool added = tree_.insert(Entry(std::move(k), std::move(v)));
+    if (added) entries_.add(kInserted);
+    return added;
   }
 
   template <class Q = K>
     requires ProbeFor<Q, K, Compare>
   bool erase(const Q& k) {
-    return tree_.erase(k);
+    const bool removed = tree_.erase(k);
+    if (removed) entries_.add(kErased);
+    return removed;
   }
 
   template <class Q = K>
@@ -148,8 +153,8 @@ class PnbMap {
   // reader may observe the key briefly absent. Returns true if a previous
   // mapping existed.
   bool assign(const K& k, const V& v) {
-    const bool existed = tree_.erase(k);
-    tree_.insert(Entry(k, v));
+    const bool existed = erase(k);
+    insert(k, v);
     return existed;
   }
 
@@ -210,8 +215,19 @@ class PnbMap {
     return snapshot().parallel_range_count(lo, hi, opts);
   }
 
+  // Exact entry count at one phase: a snapshot walk, O(n).
   std::size_t size() { return snapshot().size(); }
   bool empty() { return size() == 0; }
+
+  // Maintained entry count, O(1) and phase-free: successful inserts
+  // (bulk_load included) minus successful erases. Exact when quiescent;
+  // approximate under concurrent writes (each bump trails its update).
+  std::size_t entry_count() const noexcept {
+    const std::uint64_t erased = entries_.value(kErased);
+    const std::uint64_t inserted = entries_.value(kInserted);
+    return inserted > erased ? static_cast<std::size_t>(inserted - erased)
+                             : 0;
+  }
 
   // --- Batch ingest (src/ingest/ engine) -----------------------------------
 
@@ -225,7 +241,9 @@ class PnbMap {
     for (bulk_item& it : items) {
       entries.emplace_back(std::move(it.first), std::move(it.second));
     }
-    return tree_.bulk_load(std::move(entries), opts);
+    const std::size_t loaded = tree_.bulk_load(std::move(entries), opts);
+    entries_.add(kInserted, loaded);
+    return loaded;
   }
 
   // Batched inserts/erases against the live map; each op takes the normal
@@ -394,7 +412,11 @@ class PnbMap {
     return std::make_pair(std::move(e->key), std::move(e->value()));
   }
 
+  static constexpr std::size_t kInserted = 0;  // entries_ cells
+  static constexpr std::size_t kErased = 1;
+
   Tree tree_;
+  StripedCounters<2> entries_;
 };
 
 // The map models the concept surface it defines (core/concepts.h); checked

@@ -277,6 +277,8 @@ class LifetimeManager {
   // Oldest-first: hand every leading fully-drained closed generation's
   // resources to the epoch reclaimer and retire the generation record
   // itself (late acquirers may still bounce off it under their pins).
+  // retire_shared: this (often resharding) thread may then go idle, and a
+  // map copy must not wait in its limbo.
   void reclaim_drained_locked() {
     Gen* g = oldest_;
     while (g->closed.load(std::memory_order_acquire) &&
@@ -285,7 +287,7 @@ class LifetimeManager {
         retired_bytes_.fetch_sub(r.bytes, std::memory_order_relaxed);
         retired_objects_.fetch_sub(r.primary ? 1 : 0,
                                    std::memory_order_relaxed);
-        reclaimer_->retire(r.ptr, r.deleter);
+        reclaimer_->retire_shared(r.ptr, r.deleter);
       }
       g->retired.clear();
       Gen* next = g->next;

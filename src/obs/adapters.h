@@ -180,15 +180,15 @@ void register_admission(MetricsRegistry& reg, Registration& handle,
 }
 
 // ShardedPnbMap: per-shard size gauges, plus per-shard mechanism
-// counters when the map's stats policy is enabled. Size sampling takes
-// a per-shard snapshot (O(n) walk) at every scrape — fine for a scrape
-// cadence of seconds, documented in DESIGN.md §14.
+// counters when the map's stats policy is enabled. Sizes are the shards'
+// maintained entry counts (shard_sizes(), O(NumShards)): a scrape opens
+// no phase and walks no tree (DESIGN.md §14).
 template <class Map>
 void register_sharded_map(MetricsRegistry& reg, Registration& handle,
                           Map& map, std::string labels) {
   reg.add_collector(
       handle, "pnb_shard_size", MetricType::kGauge,
-      "Keys per shard (snapshot walk at scrape time)",
+      "Keys per shard (maintained count; exact when quiescent)",
       [&map, labels](std::vector<Sample>& out) {
         const auto sizes = map.shard_sizes();
         char lbuf[96];
@@ -203,9 +203,9 @@ void register_sharded_map(MetricsRegistry& reg, Registration& handle,
           if (sizes[i] > biggest) biggest = sizes[i];
         }
         // max/mean size skew: 1.0 = perfectly balanced, NumShards = all
-        // keys on one shard. The one skew definition shared by dashboards
-        // and the adaptive rebalancer (src/shard/rebalance.h reads this
-        // family back out of the registry rather than re-deriving it).
+        // keys on one shard. A dashboard view only: the rebalancer acts on
+        // sampled write skew (pnb_rebalance_last_skew_ratio), since range
+        // cuts that balance writes need not balance sizes.
         const double mean =
             static_cast<double>(total) / static_cast<double>(sizes.size());
         out.push_back({"pnb_shard_imbalance_ratio", labels,

@@ -21,6 +21,10 @@
 // a thread that exits migrates its un-freed limbo items to a mutex-guarded
 // orphan list drained by whoever advances the epoch later.
 //
+// retire_shared() puts an item on that orphan list directly: for rare,
+// large retirements by a thread that may then go idle (a reshard's old
+// shard maps), which its own limbo would hold until its next scan.
+//
 // Memory ordering: the pin protocol needs a StoreLoad edge between
 // announcing the epoch and the operation's subsequent shared-memory loads;
 // we use an explicit seq_cst fence plus a re-read loop bounding staleness.
@@ -176,6 +180,17 @@ class EpochReclaimer {
       drain_safe_buckets(rec);
       drain_orphans();
     }
+  }
+
+  // retire() onto the orphan list: any thread's periodic scan frees it
+  // two epochs from now. Takes the orphan mutex — not for per-node use.
+  void retire_shared(void* ptr, void (*deleter)(void*)) {
+    const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
+    {
+      std::lock_guard<std::mutex> lock(orphan_mutex_);
+      orphans_.push_back(OrphanItem{RetiredItem{ptr, deleter}, e});
+    }
+    retired_total_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Attempts to advance the global epoch by one. Fails (returns false) if
@@ -355,19 +370,25 @@ class EpochReclaimer {
     }
   }
 
+  // Frees the expired orphans outside the lock: a deleter may re-enter
+  // retire() (and from there this function) on the same thread.
   void drain_orphans() {
     const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
-    std::unique_lock<std::mutex> lock(orphan_mutex_, std::try_to_lock);
-    if (!lock.owns_lock()) return;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < orphans_.size(); ++i) {
-      if (orphans_[i].epoch + 2 <= e) {
-        free_item(orphans_[i].item);
-      } else {
-        orphans_[keep++] = orphans_[i];
+    std::vector<RetiredItem> expired;
+    {
+      std::unique_lock<std::mutex> lock(orphan_mutex_, std::try_to_lock);
+      if (!lock.owns_lock()) return;
+      std::size_t keep = 0;
+      for (std::size_t i = 0; i < orphans_.size(); ++i) {
+        if (orphans_[i].epoch + 2 <= e) {
+          expired.push_back(orphans_[i].item);
+        } else {
+          orphans_[keep++] = orphans_[i];
+        }
       }
+      orphans_.resize(keep);
     }
-    orphans_.resize(keep);
+    for (const RetiredItem& item : expired) free_item(item);
   }
 
   // Deleters may themselves call retire() (freeing a node drops the last

@@ -51,6 +51,10 @@ class LeakyReclaimer {
     retired_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  void retire_shared(void* ptr, void (*deleter)(void*)) noexcept {
+    retire(ptr, deleter);
+  }
+
   std::uint64_t retired_count() const noexcept {
     return retired_.load(std::memory_order_relaxed);
   }

@@ -42,14 +42,6 @@ class KeySampler {
   KeySampler(const KeySampler&) = delete;
   KeySampler& operator=(const KeySampler&) = delete;
 
-  // 0 disables sampling (maybe_record returns after one relaxed load).
-  void set_sample_every(std::uint32_t n) {
-    every_.store(n, std::memory_order_relaxed);
-  }
-  std::uint32_t sample_every() const {
-    return every_.load(std::memory_order_relaxed);
-  }
-
   // Write-path hook. The countdown is thread_local and SHARED across all
   // KeySampler instances in the process (like LatencyPlane's): a thread
   // writing through two sampled maps interleaves its samples between them.

@@ -1,32 +1,23 @@
 // Adaptive sharding: a background rebalancer that turns the loss-free
-// reshard() machinery (write-intent ledgers, PR 5) from a manual tool
-// into automatic hot-shard recovery (DESIGN.md §15).
+// reshard() machinery from a manual tool into automatic hot-shard
+// recovery (DESIGN.md §15).
 //
-// The control loop is deliberately TELEMETRY-DRIVEN: every input comes
-// out of a MetricsRegistry snapshot — the same pnb_shard_commits_total /
-// pnb_shard_imbalance_ratio samples a dashboard scrapes — rather than
-// ad-hoc reads of container internals. That keeps one skew definition
-// across operators and automation, and means anything visible to the
-// rebalancer is visible on /metrics when a decision needs explaining.
-// The only direct map calls are splitter() (current bounds) and
-// reshard() (the actuator).
+// One objective, one data source: the controller balances WRITES, the
+// only load a range cut can move, as seen by the write-path key sample it
+// owns (shard/key_sampler.h). It reads no registry and walks no tree; its
+// only map calls are splitter() and reshard().
 //
-//   sense   registry snapshot -> per-shard commit deltas since the last
-//           tick (Prometheus-style counter-reset detection: a reshard
-//           replaces the shard maps, so their counters restart) and the
-//           size-skew gauge
-//   decide  skew = max(op-skew, size-skew), where op-skew is the max
-//           shard's share of the tick's commit delta over the ideal
-//           1/NumShards share; trigger when skew >= threshold, gated by
-//           a cooldown (hysteresis) and a minimum key-sample count
-//   act     new RangeSplitter boundaries at the NumShards-quantiles of
-//           the sampled-key ring (shard/key_sampler.h, 1-in-N write-path
-//           sampling), applied via reshard() — acknowledged writes
-//           survive by the ledger contract
+//   sense   skew = max/mean of the sampled keys' per-shard counts under
+//           the current splitter (1.0 = balanced)
+//   decide  skew >= threshold, past the cooldown and min-samples gates
+//   gate    cuts at the sample's NumShards-quantiles must bring the same
+//           skew below the threshold, else "no-benefit" (e.g. one hot
+//           key no range cut can spread)
+//   act     reshard() to those cuts, loss-free by the ledger contract
 //
-// Decisions are themselves exported: pnb_rebalance_* counters/gauges and
-// a kRebalanceTrigger MechanismTrace event per firing, so a soak run's
-// rebalancing history reads straight off the trace dump.
+// An accepted cut balances the sample, so the controller settles after
+// one useful reshard. Decisions are exported as pnb_rebalance_* families
+// and a kRebalanceTrigger trace event per firing.
 #pragma once
 
 #include <algorithm>
@@ -53,29 +44,26 @@ class Rebalancer {
   using Key = typename Map::key_type;
 
   struct Config {
-    // Label selector: a sample participates when its label body contains
-    // this substring. MUST equal the labels the owner passed to
-    // obs::register_sharded_map for this map on the same registry —
-    // otherwise no per-shard sample matches and the loop never sees skew.
+    // Label body of the rebalancer's own pnb_rebalance_* families on the
+    // registry (e.g. the server's port="N"), so several maps' controllers
+    // can share one registry.
     std::string labels;
     // Background cadence (start()); tick() ignores it.
     std::chrono::milliseconds interval{100};
-    // Trigger at skew >= threshold. 1.0 = balanced, NumShards = all load
-    // on one shard; 1.75 tolerates normal jitter on 8 shards while
-    // catching any real hot range.
+    // Trigger at skew >= threshold, and reshard only to cuts predicted
+    // below it. 1.0 = balanced, NumShards = all writes on one shard; 1.75
+    // tolerates normal jitter on 8 shards while catching any real hot
+    // range.
     double skew_threshold = 1.75;
-    // Hysteresis: ticks to skip after a trigger, letting the migration's
-    // own churn (ledger replay commits into the fresh maps) wash out of
-    // the deltas before the next decision.
+    // Hysteresis: ticks to skip after a trigger or a no-benefit skip,
+    // letting the ring refill with post-decision writes before the next
+    // decision.
     std::uint32_t cooldown_ticks = 5;
     // Write-path sampling rate handed to the KeySampler (1-in-N; 0
     // leaves the sampler off and effectively disables triggering).
     std::uint32_t sample_every = 16;
-    // Don't cut boundaries from fewer sampled keys than this.
+    // Don't decide from fewer sampled keys than this.
     std::uint64_t min_samples = 256;
-    // Ignore op-skew computed from fewer commits than this per tick
-    // (idle maps jitter hard; size-skew still applies).
-    std::uint64_t min_ops_delta = 256;
   };
 
   // One tick's outcome, for tests and logs. `note` is a static string
@@ -90,7 +78,6 @@ class Rebalancer {
              obs::MetricsRegistry& reg = obs::MetricsRegistry::global())
       : map_(&map),
         cfg_(std::move(cfg)),
-        reg_(&reg),
         sampler_(cfg_.sample_every),
         ticks_(&reg.counter("pnb_rebalance_ticks_total",
                             "Rebalancer decision passes", cfg_.labels)),
@@ -103,9 +90,13 @@ class Rebalancer {
         skipped_samples_(&reg.counter(
             "pnb_rebalance_skipped_samples_total",
             "Over-threshold ticks with too few sampled keys",
+            cfg_.labels)),
+        skipped_no_benefit_(&reg.counter(
+            "pnb_rebalance_skipped_no_benefit_total",
+            "Over-threshold ticks whose proposed cuts would stay skewed",
             cfg_.labels)) {
     reg.add_gauge(gauges_, "pnb_rebalance_last_skew_ratio",
-                  "Skew seen by the last rebalancer tick (max/mean)",
+                  "Sampled write skew seen by the last tick (max/mean)",
                   cfg_.labels, [this] {
                     return last_skew_.load(std::memory_order_relaxed);
                   });
@@ -166,8 +157,9 @@ class Rebalancer {
   TickResult tick() {
     std::lock_guard<std::mutex> lk(tick_mu_);
     ticks_->inc();
-    const std::vector<obs::Sample> samples = reg_->snapshot();
-    const double skew = sense(samples);
+    std::vector<Key> keys = sampler_.snapshot();
+    const RangeSplitter<Key> cur = map_->splitter();
+    const double skew = skew_of(cur, keys);
     last_skew_.store(skew, std::memory_order_relaxed);
     TickResult r;
     r.skew = skew;
@@ -182,122 +174,74 @@ class Rebalancer {
       r.note = "cooldown";
       return r;
     }
-    std::vector<Key> keys = sampler_.snapshot();
     if (keys.size() < cfg_.min_samples) {
       skipped_samples_->inc();
       r.note = "too-few-samples";
       return r;
     }
-    act(std::move(keys), skew);
     cooldown_left_ = cfg_.cooldown_ticks;
+    RangeSplitter<Key> proposed = quantile_cuts(cur, keys);
+    if (skew_of(proposed, keys) >= cfg_.skew_threshold) {
+      skipped_no_benefit_->inc();
+      r.note = "no-benefit";
+      return r;
+    }
+    map_->reshard(std::move(proposed));
+    triggers_->inc();
+    obs::trace_event(obs::TraceKind::kRebalanceTrigger,
+                     static_cast<std::uint64_t>(skew * 1000.0));
     r.triggered = true;
     return r;
   }
 
-  KeySampler<Key>& sampler() noexcept { return sampler_; }
   std::uint64_t triggers() const { return triggers_->value(); }
   double last_skew() const {
     return last_skew_.load(std::memory_order_relaxed);
   }
 
  private:
-  static bool matches(const std::string& labels, const std::string& sel) {
-    return sel.empty() || labels.find(sel) != std::string::npos;
+  // Write skew of `keys` under `sp`: the busiest shard's sample count over
+  // the mean (0 for an empty sample).
+  static double skew_of(const RangeSplitter<Key>& sp,
+                        const std::vector<Key>& keys) {
+    if (keys.empty()) return 0.0;
+    std::vector<std::size_t> counts(Map::shard_count(), 0);
+    for (const Key& k : keys) ++counts[sp.shard_of(k, Map::shard_count())];
+    const std::size_t biggest =
+        *std::max_element(counts.begin(), counts.end());
+    return static_cast<double>(biggest * Map::shard_count()) /
+           static_cast<double>(keys.size());
   }
 
-  // shard="N" out of a preformatted label body.
-  static bool shard_index(const std::string& labels, std::size_t& out) {
-    static constexpr char kTag[] = "shard=\"";
-    const auto pos = labels.find(kTag);
-    if (pos == std::string::npos) return false;
-    std::size_t i = pos + sizeof(kTag) - 1;
-    if (i >= labels.size() || labels[i] < '0' || labels[i] > '9') {
-      return false;
-    }
-    std::size_t v = 0;
-    for (; i < labels.size() && labels[i] >= '0' && labels[i] <= '9'; ++i) {
-      v = v * 10 + static_cast<std::size_t>(labels[i] - '0');
-    }
-    out = v;
-    return true;
-  }
-
-  // Skew out of one registry snapshot: the larger of op-skew (this
-  // tick's commit-delta concentration) and the exported size-skew gauge.
-  double sense(const std::vector<obs::Sample>& samples) {
-    std::vector<double> commits(Map::shard_count(), -1.0);
-    double size_skew = 0.0;
-    for (const obs::Sample& s : samples) {
-      if (!matches(s.labels, cfg_.labels)) continue;
-      if (s.name == "pnb_shard_commits_total") {
-        std::size_t idx = 0;
-        if (shard_index(s.labels, idx) && idx < commits.size()) {
-          commits[idx] = s.value;
-        }
-      } else if (s.name == "pnb_shard_imbalance_ratio") {
-        size_skew = s.value;
-      }
-    }
-    double op_skew = 0.0;
-    if (last_commits_.size() != commits.size()) {
-      last_commits_.assign(commits.size(), 0.0);
-    }
-    double total = 0.0;
-    double biggest = 0.0;
-    bool have_ops = false;
-    for (std::size_t i = 0; i < commits.size(); ++i) {
-      if (commits[i] < 0.0) continue;  // family absent (stats disabled)
-      have_ops = true;
-      // Counter-reset detection: a reshard swaps in fresh shard maps
-      // whose counters restart from 0, exactly like a restarted scrape
-      // target — a shrunk value means the delta IS the new value.
-      const double delta = commits[i] >= last_commits_[i]
-                               ? commits[i] - last_commits_[i]
-                               : commits[i];
-      last_commits_[i] = commits[i];
-      total += delta;
-      if (delta > biggest) biggest = delta;
-    }
-    if (have_ops && total >= static_cast<double>(cfg_.min_ops_delta)) {
-      op_skew = biggest / (total / static_cast<double>(commits.size()));
-    }
-    return op_skew > size_skew ? op_skew : size_skew;
-  }
-
-  // New boundaries at the NumShards-quantiles of the sampled keys, fed
-  // through the loss-free reshard. Keeps the configured [lo, hi) bounds;
-  // with_boundaries dedups/clamps (a hyper-hot single key can collapse
-  // several quantiles into one cut — the remaining cuts still peel the
-  // hot range apart as far as a range partition can).
-  void act(std::vector<Key> keys, double skew) {
+  // Cuts at the NumShards-quantiles of the sample, keeping the current
+  // [lo, hi) bounds. Sorts `keys` in place. with_boundaries dedups/clamps:
+  // a hyper-hot single key collapses several quantiles into one cut, which
+  // is exactly the case the no-benefit gate then declines.
+  static RangeSplitter<Key> quantile_cuts(const RangeSplitter<Key>& cur,
+                                          std::vector<Key>& keys) {
     std::sort(keys.begin(), keys.end());
     std::vector<Key> cuts;
     cuts.reserve(Map::shard_count() - 1);
     for (std::size_t i = 1; i < Map::shard_count(); ++i) {
       cuts.push_back(keys[i * keys.size() / Map::shard_count()]);
     }
-    const RangeSplitter<Key> cur = map_->splitter();
-    map_->reshard(RangeSplitter<Key>::with_boundaries(
-        cur.lo, cur.hi, std::move(cuts), Map::shard_count()));
-    triggers_->inc();
-    obs::trace_event(obs::TraceKind::kRebalanceTrigger,
-                     static_cast<std::uint64_t>(skew * 1000.0));
+    return RangeSplitter<Key>::with_boundaries(
+        cur.lo, cur.hi, std::move(cuts), Map::shard_count());
   }
 
   Map* map_;
   Config cfg_;
-  obs::MetricsRegistry* reg_;
   KeySampler<Key> sampler_;
   obs::Counter* ticks_;
   obs::Counter* triggers_;
   obs::Counter* skipped_cooldown_;
   obs::Counter* skipped_samples_;
+  obs::Counter* skipped_no_benefit_;
   obs::Registration gauges_;
   std::atomic<double> last_skew_{0.0};
 
-  // tick() state (tick_mu_): commit baselines + hysteresis.
+  // tick() state (tick_mu_): hysteresis.
   std::mutex tick_mu_;
-  std::vector<double> last_commits_;
   std::uint32_t cooldown_left_ = 0;
 
   // Background-thread plumbing.

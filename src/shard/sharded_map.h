@@ -474,7 +474,7 @@ class ShardedPnbMap {
     std::vector<bulk_item> items;
     {
       auto snap = t_m->shards[i]->map.snapshot();
-      items.reserve(snap.size());
+      items.reserve(t_m->shards[i]->map.entry_count());
       snap.visit_all([&items](const K& k, const V& v) {
         items.emplace_back(k, v);
       });
@@ -505,16 +505,15 @@ class ShardedPnbMap {
     drain_writers(t_old, 0, NumShards);
     // Snapshot every shard (sequentially, ascending — the same structure
     // as a merged scan), then reserve once for the whole union before
-    // extracting.
+    // extracting. Writers are drained, so the maintained counts are exact.
+    const std::array<std::size_t, NumShards> old_entries = shard_sizes();
     std::vector<typename Map::Snapshot> snaps;
     snaps.reserve(NumShards);
-    std::array<std::size_t, NumShards> old_entries{};
-    std::size_t union_size = 0;
     for (std::size_t i = 0; i < NumShards; ++i) {
       snaps.push_back(t_m->shards[i]->map.snapshot());
-      old_entries[i] = snaps.back().size();
-      union_size += old_entries[i];
     }
+    std::size_t union_size = 0;
+    for (const std::size_t n : old_entries) union_size += n;
     std::vector<bulk_item> items;
     items.reserve(union_size);
     for (auto& snap : snaps) {
@@ -757,15 +756,17 @@ class ShardedPnbMap {
   // gate their per-shard op-stats collector on this).
   static constexpr bool kStatsEnabled = Stats::kEnabled;
 
-  // Per-shard key counts for the pnb_shard_size gauge (and, eventually,
-  // the adaptive-sharding rebalancer). Each count is a wait-free
-  // snapshot walk, O(total keys) — a scrape-cadence API, not a hot path.
-  std::array<std::size_t, NumShards> shard_sizes() {
+  // Per-shard key counts for the pnb_shard_size gauge: each shard map's
+  // maintained entry_count(), so O(NumShards). Takes no snapshot, opens no
+  // phase, and pins the epoch only across the NumShards counter reads.
+  // Exact when the map is quiescent; approximate under concurrent writes
+  // (see PnbMap::entry_count). snapshot().size() is the exact census.
+  std::array<std::size_t, NumShards> shard_sizes() const {
     auto guard = reclaimer_->pin();
     const Table* table = table_.load(std::memory_order_acquire);
     std::array<std::size_t, NumShards> out{};
     for (std::size_t i = 0; i < NumShards; ++i) {
-      out[i] = table->shards[i]->map.size();
+      out[i] = table->shards[i]->map.entry_count();
     }
     return out;
   }

@@ -7,12 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <cstdint>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "mem/alloc_policy.h"
+#include "mem/arena.h"
 #include "reclaim/epoch.h"
 #include "shard/sharded_map.h"
+#include "util/random.h"
 
 namespace pnbbst {
 namespace {
@@ -254,6 +260,68 @@ TEST(Lifecycle, RebuildRetiresOneMapAndTablesOnly) {
   EXPECT_EQ(map.retired_maps(), 1u);  // only shard 2's map was replaced
   { auto drop = std::move(snap); }
   EXPECT_EQ(map.retired_maps(), 0u);
+}
+
+// A generation handed off on a thread that then idles is freed by the next
+// grace period on whichever thread keeps retiring — it must not wait in
+// the idle thread's limbo until that thread retires again or exits. The
+// arena's live-slot gauge shows the old shard maps coming back.
+TEST(Lifecycle, HandedOffGenerationIsFreedWhileRetiringThreadIdles) {
+  using ArenaMap = ShardedPnbMap<long, long, 4, EpochReclaimer, NullOpStats,
+                                 mem::ArenaAlloc>;
+  constexpr long kKeys = 1 << 16;
+  const auto live_slots = [] {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      n += mem::ArenaDomain::pooled(i).stats().slots_live();
+    }
+    return n;
+  };
+  EpochReclaimer epochs;
+  ArenaMap map(RangeSplitter<long>{0, kKeys}, epochs);
+  std::vector<std::pair<long, long>> items;
+  for (long k = 0; k < kKeys; ++k) items.emplace_back(k, k);
+  const std::uint64_t before_load = live_slots();
+  map.bulk_load(std::move(items));
+  const std::uint64_t one_copy = live_slots() - before_load;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool resharded = false;
+  bool release = false;
+  std::thread resharder([&] {
+    map.reshard(RangeSplitter<long>{0, 2 * kKeys});
+    std::unique_lock<std::mutex> lk(mu);
+    resharded = true;
+    cv.notify_all();
+    cv.wait(lk, [&] { return release; });  // idle, but alive
+  });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return resharded; });
+  }
+  EXPECT_EQ(map.retired_maps(), 0u);  // no lease: handed off at cutover
+  EXPECT_GE(live_slots(), before_load + 2 * one_copy - one_copy / 8);
+
+  // Another thread keeps updating: its periodic scans advance the epoch
+  // and must free the old generation while the resharder still idles.
+  Xoshiro256 rng(4242);
+  std::uint64_t live = live_slots();
+  for (int i = 0; i < 400000 && live > before_load + one_copy + one_copy / 2;
+       ++i) {
+    const long k = static_cast<long>(rng.next_bounded(kKeys));
+    map.erase(k);
+    map.insert(k, k);
+    if (i % 1024 == 0) live = live_slots();
+  }
+  EXPECT_LT(live_slots(), before_load + one_copy + one_copy / 2)
+      << "the old shard maps are still waiting in the idle thread's limbo";
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    release = true;
+  }
+  cv.notify_all();
+  resharder.join();
 }
 
 // --- Admission control -----------------------------------------------------

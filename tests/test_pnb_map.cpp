@@ -180,5 +180,31 @@ TEST(PnbMapRedesign, ConcurrentNonDefaultConstructibleValues) {
   }
 }
 
+// entry_count() moves only on successful inserts and erases: duplicate
+// inserts, absent erases and bulk_load duplicates leave it alone, and it
+// never opens a phase.
+TEST(PnbMapRedesign, EntryCountFollowsOnlySuccessfulUpdates) {
+  PnbMap<long, long> m;
+  EXPECT_EQ(m.bulk_load({{1, 10}, {2, 20}, {1, 11}, {3, 30}, {2, 21}}), 3u);
+  EXPECT_EQ(m.entry_count(), 3u);
+  EXPECT_FALSE(m.insert(2, 99));  // duplicate
+  EXPECT_FALSE(m.erase(7));       // absent
+  EXPECT_EQ(m.entry_count(), 3u);
+  EXPECT_TRUE(m.insert(4, 40));
+  EXPECT_TRUE(m.erase(1));
+  EXPECT_TRUE(m.assign(2, 22));   // replaces: count unchanged
+  EXPECT_FALSE(m.assign(5, 50));  // adds
+  EXPECT_EQ(m.entry_count(), 4u);
+  using Op = ingest::BatchOp<long, long>;
+  const auto r = m.apply_batch(
+      {Op::insert(3, 0), Op::erase(8), Op::insert(6, 0), Op::erase(4)});
+  EXPECT_EQ(r.inserted, 1u);
+  EXPECT_EQ(r.erased, 1u);
+  const std::uint64_t phase = m.underlying().phase();
+  EXPECT_EQ(m.entry_count(), 4u);
+  EXPECT_EQ(m.underlying().phase(), phase);
+  EXPECT_EQ(m.size(), m.entry_count());
+}
+
 }  // namespace
 }  // namespace pnbbst

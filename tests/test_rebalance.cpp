@@ -1,9 +1,10 @@
 // Adaptive-sharding unit coverage (DESIGN.md §15): the write-path
 // KeySampler, explicit RangeSplitter boundaries, and the Rebalancer's
 // sense/decide/act loop driven deterministically through tick() against
-// a private MetricsRegistry — skew sensing from the exported per-shard
-// samples, quantile boundary selection, cooldown hysteresis, the
-// min-samples gate, and the exported pnb_rebalance_* families.
+// a private MetricsRegistry — write skew sensed from the key sample,
+// quantile boundary selection, the predicted-benefit gate, settling after
+// one useful reshard, cooldown hysteresis, the min-samples gate, and the
+// exported pnb_rebalance_* families.
 #include "shard/rebalance.h"
 
 #include <gtest/gtest.h>
@@ -137,8 +138,8 @@ TEST(RangeSplitterCuts, ReshardAcceptsCutSplitter) {
 }
 
 // A hot range concentrated on one shard triggers an adaptive reshard
-// whose quantile cuts rebalance the sizes — sensed purely through the
-// registry families, and reported back out through pnb_rebalance_*.
+// whose quantile cuts rebalance the sizes — sensed from the key sample,
+// and reported back out through pnb_rebalance_*.
 TEST(Rebalancer, HotRangeTriggersAndRebalances) {
   StatsMap map(RangeSplitter<long>{0, 1 << 16});
   obs::MetricsRegistry reg;
@@ -151,7 +152,6 @@ TEST(Rebalancer, HotRangeTriggersAndRebalances) {
   cfg.cooldown_ticks = 3;
   cfg.sample_every = 1;
   cfg.min_samples = 256;
-  cfg.min_ops_delta = 256;
   Rebalancer<StatsMap> rb(map, cfg, reg);
 
   // Offered load entirely inside shard 0's equal-width quarter.
@@ -251,7 +251,6 @@ TEST(Rebalancer, CooldownSuppressesBackToBackTriggers) {
   cfg.cooldown_ticks = 2;
   cfg.sample_every = 1;
   cfg.min_samples = 256;
-  cfg.min_ops_delta = 256;
   Rebalancer<StatsMap> rb(map, cfg, reg);
 
   // Hot range -> trigger #1.
@@ -287,6 +286,72 @@ TEST(Rebalancer, CooldownSuppressesBackToBackTriggers) {
   EXPECT_NE(
       text.find("pnb_rebalance_skipped_cooldown_total{map=\"cool\"} 2"),
       std::string::npos);
+}
+
+// Static skew over a uniformly prefilled map: the first tick cuts the hot
+// range apart, and from then on the sampled writes are balanced, so the
+// controller settles even with no cooldown — although the prefilled keys
+// above the hot range leave the SIZES skewed for good.
+TEST(Rebalancer, SettlesUnderStaticSkew) {
+  StatsMap map(RangeSplitter<long>{0, 1 << 16});
+  obs::MetricsRegistry reg;
+  obs::Registration handle;
+  obs::register_sharded_map(reg, handle, map, "map=\"settle\"");
+  Xoshiro256 rng(31);
+  for (int i = 0; i < 16384; ++i) {
+    map.insert(static_cast<long>(rng.next_bounded(1 << 16)), 0);
+  }
+
+  typename Rebalancer<StatsMap>::Config cfg;
+  cfg.labels = "map=\"settle\"";
+  cfg.cooldown_ticks = 0;
+  cfg.sample_every = 1;
+  Rebalancer<StatsMap> rb(map, cfg, reg);
+  for (int tick = 0; tick < 10; ++tick) {
+    for (int i = 0; i < 4096; ++i) {
+      const long k = static_cast<long>(rng.next_bounded(1 << 12));
+      if (rng.next_bounded(2) == 0) {
+        map.insert(k, tick);
+      } else {
+        map.erase(k);
+      }
+    }
+    rb.tick();
+  }
+  EXPECT_EQ(rb.triggers(), 1u);
+  EXPECT_LT(rb.last_skew(), cfg.skew_threshold);
+  const auto sizes = map.shard_sizes();
+  EXPECT_GT(*std::max_element(sizes.begin(), sizes.end()),
+            2 * *std::min_element(sizes.begin(), sizes.end()));
+}
+
+// Every write hits one key: no range cut can spread it, so the gate
+// declines the reshard instead of rebuilding the map for nothing.
+TEST(Rebalancer, UnsplittableHotKeyIsSkippedNotResharded) {
+  StatsMap map(RangeSplitter<long>{0, 1 << 16});
+  obs::MetricsRegistry reg;
+  typename Rebalancer<StatsMap>::Config cfg;
+  cfg.labels = "map=\"one\"";
+  cfg.sample_every = 1;
+  Rebalancer<StatsMap> rb(map, cfg, reg);
+  for (int i = 0; i < 4096; ++i) {
+    if (i % 2 == 0) {
+      map.insert(4321, i);
+    } else {
+      map.erase(4321);
+    }
+  }
+  const auto r = rb.tick();
+  EXPECT_FALSE(r.triggered);
+  EXPECT_STREQ(r.note, "no-benefit");
+  EXPECT_GE(r.skew, 4.0);
+  EXPECT_EQ(rb.triggers(), 0u);
+  EXPECT_TRUE(map.splitter().cuts.empty());
+  EXPECT_NE(reg.prometheus_text().find(
+                "pnb_rebalance_skipped_no_benefit_total{map=\"one\"} 1"),
+            std::string::npos);
+  // The skip starts the cooldown like a trigger would.
+  EXPECT_STREQ(rb.tick().note, "cooldown");
 }
 
 // Triggering emits a kRebalanceTrigger mechanism-trace event carrying

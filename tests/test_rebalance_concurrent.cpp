@@ -64,7 +64,6 @@ TEST(RebalanceConcurrent, SkewFlipChurnLosesNoAcksWhileRebalancerFires) {
   cfg.cooldown_ticks = 1;
   cfg.sample_every = 2;
   cfg.min_samples = 256;
-  cfg.min_ops_delta = 512;
   Rebalancer<ChurnMap> rb(map, cfg, reg);
 
   std::atomic<unsigned> done{0};
@@ -171,7 +170,6 @@ TEST(RebalanceConcurrent, BackgroundLoopRacesWritersWithoutLosingAcks) {
   cfg.cooldown_ticks = 1;
   cfg.sample_every = 2;
   cfg.min_samples = 256;
-  cfg.min_ops_delta = 512;
   Rebalancer<ChurnMap> rb(map, cfg, reg);
   rb.start();
 

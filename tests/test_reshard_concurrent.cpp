@@ -16,13 +16,18 @@
 //    the churn — every batch must report full insertion, and the final
 //    count must equal everything ever acknowledged;
 //  * snapshots taken mid-churn stay repeatable, and once every snapshot
-//    is dropped the retired generations reclaim to zero automatically.
+//    is dropped the retired generations reclaim to zero automatically;
+//  * the maintained shard sizes (shard_sizes(), no snapshot walk) agree
+//    with the snapshot census once writers quiesce, across every kind of
+//    write and every kind of migration.
 //
 // Swept under ASan+UBSan and TSan (CI runs the stress label in the
 // sanitizer jobs).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <thread>
 #include <utility>
@@ -226,6 +231,78 @@ TEST(ReshardConcurrent, SnapshotsStayRepeatableAndReclamationCompletes) {
   EXPECT_EQ(map.retired_maps(), 0u);
   EXPECT_EQ(map.retired_bytes(), 0u);
   EXPECT_EQ(map.size(), static_cast<std::size_t>(kKeys));
+}
+
+TEST(ReshardConcurrent, ShardSizesMatchSnapshotsAfterChurnAndReshard) {
+  // Overlapping writers on purpose: the counts only have to follow the
+  // successful ops, whoever wins each race.
+  constexpr long kKeys = 6000;
+  constexpr int kOps = 8000;
+  using Op = BatchOp<long, long>;
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeys});
+
+  std::atomic<unsigned> done{0};
+  std::vector<std::thread> writers;
+  for (unsigned t = 0; t < 2; ++t) {
+    writers.emplace_back([&map, &done, t] {
+      Xoshiro256 rng(thread_seed(733, t));
+      for (int i = 0; i < kOps; ++i) {
+        const long k = static_cast<long>(rng.next_bounded(kKeys));
+        switch (rng.next_bounded(3)) {
+          case 0:
+            map.insert(k, i);
+            break;
+          case 1:
+            map.erase(k);
+            break;
+          default:
+            map.assign(k, i);
+            break;
+        }
+      }
+      done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  writers.emplace_back([&map, &done] {
+    Xoshiro256 rng(734);
+    for (int b = 0; b < kOps / 128; ++b) {
+      std::vector<Op> ops;
+      for (int i = 0; i < 128; ++i) {
+        const long k = static_cast<long>(rng.next_bounded(kKeys));
+        ops.push_back(rng.next_bounded(2) == 0 ? Op::insert(k, b)
+                                               : Op::erase(k));
+      }
+      map.apply_batch(std::move(ops));
+    }
+    done.fetch_add(1, std::memory_order_release);
+  });
+
+  int migrations = 0;
+  while (done.load(std::memory_order_acquire) < writers.size() ||
+         migrations < 6) {
+    if (migrations % 2 == 0) {
+      map.reshard(RangeSplitter<long>::with_boundaries(
+          0, kKeys, {kKeys / 8 + migrations, kKeys / 2, kKeys - 100}, 4));
+    } else {
+      map.rebuild_shard(static_cast<std::size_t>(migrations / 2) % 4);
+    }
+    ++migrations;
+  }
+  for (auto& th : writers) th.join();
+
+  std::array<std::uint64_t, 4> phases{};
+  for (std::size_t i = 0; i < 4; ++i) {
+    phases[i] = map.shard_ref(i).underlying().phase();
+  }
+  const auto sizes = map.shard_sizes();
+  std::size_t sum = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    // shard_sizes() opened no phase on any shard.
+    EXPECT_EQ(map.shard_ref(i).underlying().phase(), phases[i]) << i;
+    EXPECT_EQ(sizes[i], map.shard_ref(i).snapshot().size()) << "shard " << i;
+    sum += sizes[i];
+  }
+  EXPECT_EQ(sum, map.snapshot().size());
 }
 
 }  // namespace
