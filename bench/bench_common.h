@@ -5,6 +5,9 @@
 // per-thread deterministic op streams, report a table row per series point.
 #pragma once
 
+#include <sched.h>
+#include <unistd.h>
+
 #include <string>
 
 #include "baseline/set_adapter.h"
@@ -98,15 +101,46 @@ inline BenchConfig config_from_cli(const Cli& cli) {
   return cfg;
 }
 
+// The hardware a run saw: `nproc=<online CPUs> affinity=<CPU list this
+// process may run on>`, e.g. "nproc=4 affinity=0-3". tools/bench_diff.py
+// warns when a fresh run's stamp differs from its baseline's, since a
+// multi-thread row recorded on one core does not predict four.
+inline std::string hardware_stamp() {
+  std::string out =
+      "nproc=" + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) + " affinity=";
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return out + "unknown";
+  bool first = true;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &set)) continue;
+    int last = cpu;  // CPU lists print runs as "first-last"
+    while (last + 1 < CPU_SETSIZE && CPU_ISSET(last + 1, &set)) ++last;
+    if (!first) out += ',';
+    out += std::to_string(cpu);
+    if (last > cpu) {
+      out += '-';
+      out += std::to_string(last);
+    }
+    first = false;
+    cpu = last;
+  }
+  return out;
+}
+
+// `params` followed by the hardware stamp: what every --json params
+// string carries.
+inline std::string stamped(const std::string& params) {
+  return params + " " + hardware_stamp();
+}
+
 inline std::string params_string(const BenchConfig& cfg,
                                  const std::string& extra = "") {
   char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "keyrange=%ld secs=%.2f seed=%llu zipf=%.2f %s",
+  std::snprintf(buf, sizeof(buf), "keyrange=%ld secs=%.2f seed=%llu zipf=%.2f",
                 cfg.key_range, cfg.seconds,
-                static_cast<unsigned long long>(cfg.seed), cfg.zipf_theta,
-                extra.c_str());
-  return buf;
+                static_cast<unsigned long long>(cfg.seed), cfg.zipf_theta);
+  return stamped(extra.empty() ? buf : std::string(buf) + " " + extra);
 }
 
 }  // namespace pnbbst::bench

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   }
   char extra[64];
   std::snprintf(extra, sizeof(extra), "reps=%d preps=%d", reps, preps);
-  rep.preamble(extra);
+  rep.preamble(stamped(extra));
 
   Table table({"tree_size", "scan_width", "scan_threads", "p50_us", "p99_us",
                "mkeys_per_s", "speedup_x"});

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   }
   char extra[64];
   std::snprintf(extra, sizeof(extra), "probes=%d scans=%d", probes, scans);
-  rep.preamble(extra);
+  rep.preamble(stamped(extra));
 
   const long max_threads = *std::max_element(threads.begin(), threads.end());
   scan::ScanExecutor executor(static_cast<unsigned>(max_threads));

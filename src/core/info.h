@@ -20,6 +20,10 @@
 // reclaimer (its state is final by then, Lemma 9); a `retired` latch makes
 // the transition idempotent against late helpers that transiently
 // resurrect the count (+1/-1 around a doomed CAS).
+//
+// Layout: the `retired` latch sits in the padding after the four one-byte
+// header fields, so for the serving map (24-byte key) the record is 128 B,
+// exactly a two-line arena slot (DESIGN.md §11.3).
 #pragma once
 
 #include <atomic>
@@ -57,6 +61,7 @@ struct PnbInfo {
   std::uint8_t num_nodes = 0;     // 2 for Insert, 4 for Delete
   bool is_dummy = false;          // the per-tree Dummy record (line 30)
   bool from_delete = false;       // provenance (debug / stats only)
+  std::atomic<bool> retired{false};  // lifetime latch (see ref_release)
   Node* nodes[kMaxNodes] = {};  // nodes to freeze; [0] flagged, rest marked
   Update old_update[kMaxNodes];   // expected values for the freeze CASes
   Internal* par = nullptr;        // node whose child pointer will change
@@ -66,7 +71,6 @@ struct PnbInfo {
 
   // Lifetime manager (not part of the paper's record).
   std::atomic<std::int64_t> live_refs{0};
-  std::atomic<bool> retired{false};
   // Type-erased hook back to the owning tree's reclaimer, installed at
   // construction; invoked by whichever thread drops the last reference.
   void* reclaim_ctx = nullptr;

@@ -6,6 +6,12 @@
 // `seq` (the phase that created it). Dispatch between Leaf and Internal is a
 // branch on a flag rather than a vtable (nodes are CASed, copied and traced
 // as raw memory; virtual dispatch buys nothing and costs a word).
+//
+// The flag is the top bit of the `seq` word, not a byte of its own: phases
+// stay below 2^63 (see PnbBst::counter_), and a separate `bool` would pad
+// to a whole word. Packed, the serving map's leaf (24-byte key) is 48 B and
+// its internal node 64 B: one cache line, both child pointers on the key's
+// line (DESIGN.md §2, §11.1).
 #pragma once
 
 #include <atomic>
@@ -27,12 +33,12 @@ struct PnbNode {
   ExtKey<Key> key;                       // immutable (Observation 1)
   std::atomic<std::uintptr_t> update{0}; // the one-CAS-word freeze field
   PnbNode* prev = nullptr;               // immutable: node this one replaced
-  std::uint64_t seq = 0;                 // immutable: creating phase
-  const bool leaf;                       // immutable type tag
+  std::uint64_t seq : 63;                // immutable: creating phase
+  const std::uint64_t leaf : 1;          // immutable type tag
 
-  explicit PnbNode(bool is_leaf) : leaf(is_leaf) {}
+  explicit PnbNode(bool is_leaf) : seq(0), leaf(is_leaf) {}
 
-  bool is_leaf() const noexcept { return leaf; }
+  bool is_leaf() const noexcept { return leaf != 0; }
 
   Update load_update(std::memory_order order = std::memory_order_seq_cst)
       const noexcept {

@@ -1037,6 +1037,8 @@ class PnbBst {
   [[no_unique_address]] Alloc alloc_{};
   Internal* root_ = nullptr;
   Info* dummy_ = nullptr;
+  // Phases must stay below 2^63: nodes store theirs in the 63-bit `seq`
+  // field beside the type tag (core/node.h).
   alignas(kCacheLine) std::atomic<std::uint64_t> counter_{0};
   Stats stats_{};
 };

@@ -22,7 +22,10 @@
 //     immortal pooled(i) domain, decoupling domain lifetime from the
 //     epoch-retired shard object);
 //   * `reserve_run<T>(n)` is the bulk-build hint: a no-op on the heap, a
-//     contiguous-slab reservation on an arena.
+//     contiguous-slab reservation on an arena;
+//   * `slot_bytes<T>()` is what one T really occupies (sizeof on the heap,
+//     the cache-line-rounded slot on an arena) — the unit of footprint
+//     estimates, so callers never learn about slab classes.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +53,11 @@ struct HeapAlloc {
 
   template <class T>
   void reserve_run(std::size_t) const noexcept {}
+
+  template <class T>
+  static constexpr std::size_t slot_bytes() noexcept {
+    return sizeof(T);
+  }
 
   static HeapAlloc for_shard(std::size_t) noexcept { return {}; }
 };
@@ -88,6 +96,11 @@ class ArenaAlloc {
   template <class T>
   void reserve_run(std::size_t n) const {
     domain_->reserve_run(n, sizeof(T));
+  }
+
+  template <class T>
+  static constexpr std::size_t slot_bytes() noexcept {
+    return ArenaDomain::slot_bytes(sizeof(T));
   }
 
   static ArenaAlloc for_shard(std::size_t i) noexcept {

@@ -109,6 +109,12 @@ class ArenaDomain {
     return *pool[i % kPooledDomains];
   }
 
+  // Bytes of the slot alloc_slot(bytes) hands out: `bytes` rounded up to
+  // whole cache lines.
+  static constexpr std::size_t slot_bytes(std::size_t bytes) noexcept {
+    return (class_index(bytes) + 1) * kCacheLine;
+  }
+
   // Carves (or recycles) one slot of at least `bytes` bytes, cacheline
   // aligned. Thread-safe; never returns nullptr (aborts on OOM like new).
   void* alloc_slot(std::size_t bytes) {
@@ -202,7 +208,7 @@ class ArenaDomain {
     ClassState classes[kClasses];
   };
 
-  static std::size_t class_index(std::size_t bytes) noexcept {
+  static constexpr std::size_t class_index(std::size_t bytes) noexcept {
     assert(bytes > 0 && bytes <= kMaxSlotBytes);
     return (bytes + kCacheLine - 1) / kCacheLine - 1;
   }

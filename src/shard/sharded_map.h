@@ -1078,11 +1078,13 @@ class ShardedPnbMap {
   }
 
   // Footprint estimate of a retired shard map for the admission gauge: a
-  // leaf-oriented tree with n entries holds ~n leaves and ~n internals.
+  // leaf-oriented tree with n entries holds ~n leaves and ~n internals,
+  // each priced at the bytes its allocator really hands out for it.
   static std::size_t map_bytes_estimate(std::size_t entries) {
+    using Tree = typename Map::Tree;
     return sizeof(Shard) +
-           entries * (sizeof(typename Map::Tree::Leaf) +
-                      sizeof(typename Map::Tree::Internal));
+           entries * (Alloc::template slot_bytes<typename Tree::Leaf>() +
+                      Alloc::template slot_bytes<typename Tree::Internal>());
   }
 
   // Shard routed for a read: the epoch pin the CALLER holds keeps the

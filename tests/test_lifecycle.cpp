@@ -324,6 +324,57 @@ TEST(Lifecycle, HandedOffGenerationIsFreedWhileRetiringThreadIdles) {
   resharder.join();
 }
 
+// The retired-bytes gauge prices a replaced arena map at the slot bytes
+// its nodes really hold. A bulk-loaded tree is a full binary tree of
+// leaves and internals (internals = leaves - 1), so the pooled domains'
+// live-slot delta fixes both counts; each record's slot size is read off
+// the arena as the stride between two carves from a fresh domain.
+TEST(Lifecycle, RetiredBytesGaugeMatchesArenaSlotBytes) {
+  using ArenaMap = ShardedPnbMap<long, long, 4, EpochReclaimer, NullOpStats,
+                                 mem::ArenaAlloc>;
+  using Tree = ArenaMap::Map::Tree;
+  constexpr long kKeys = 1 << 15;
+  const auto stride = []<class T>() {
+    mem::ArenaDomain domain;
+    mem::ArenaAlloc alloc(domain);
+    T* a = alloc.create<T>();
+    T* b = alloc.create<T>();
+    const auto bytes = reinterpret_cast<char*>(b) - reinterpret_cast<char*>(a);
+    mem::ArenaAlloc::destroy(a);
+    mem::ArenaAlloc::destroy(b);
+    return static_cast<std::size_t>(bytes);
+  };
+  const std::size_t leaf_slot = stride.operator()<Tree::Leaf>();
+  const std::size_t internal_slot = stride.operator()<Tree::Internal>();
+  const auto live_slots = [] {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      n += mem::ArenaDomain::pooled(i).stats().slots_live();
+    }
+    return n;
+  };
+
+  EpochReclaimer epochs;
+  ArenaMap map(RangeSplitter<long>{0, kKeys}, epochs);
+  std::vector<std::pair<long, long>> items;
+  for (long k = 0; k < kKeys; ++k) items.emplace_back(k, k);
+  const std::uint64_t before_load = live_slots();
+  map.bulk_load(std::move(items));
+  const std::uint64_t slots = live_slots() - before_load;
+  const std::size_t leaves = static_cast<std::size_t>((slots + 1) / 2);
+  const std::size_t real_bytes =
+      leaves * leaf_slot + (leaves - 1) * internal_slot;
+
+  auto snap = map.snapshot();  // keeps the replaced maps on the gauge
+  map.reshard(RangeSplitter<long>{0, 2 * kKeys});
+  ASSERT_EQ(map.retired_maps(), 4u);
+  const std::size_t gauge = map.retired_bytes();
+  const double ratio =
+      static_cast<double>(gauge) / static_cast<double>(real_bytes);
+  EXPECT_GT(ratio, 0.95) << "gauge " << gauge << " B, slots " << real_bytes;
+  EXPECT_LT(ratio, 1.05) << "gauge " << gauge << " B, slots " << real_bytes;
+}
+
 // --- Admission control -----------------------------------------------------
 
 TEST(Lifecycle, BatchAdmissionDefersAboveWatermark) {

@@ -5,13 +5,16 @@
 //   - marked (removed) nodes stay marked forever (Lemma 23),
 //   - nodes in the current tree are never frozen at quiescence,
 //   - new nodes carry the phase that created them (seq field discipline),
-//   - prev pointers record exactly the replaced node.
+//   - prev pointers record exactly the replaced node,
+//   - the serving map's records fit one-line nodes and two-line Infos.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <vector>
 
 #include "core/pnb_bst.h"
+#include "core/pnb_map.h"
 #include "core/validate.h"
 #include "util/random.h"
 
@@ -166,6 +169,40 @@ TEST(Whitebox, SeqFieldsTrackPhases) {
   for (Node* n : all_nodes(t)) max_seq = std::max(max_seq, n->seq);
   EXPECT_EQ(max_seq, 2u);         // newest nodes belong to phase 2
   EXPECT_EQ(t.phase(), 2u);       // Observation 3: seq <= Counter
+}
+
+// The serving map's records (int64 -> int64, a 24-byte ExtKey<MapEntry>)
+// fill whole cache lines: the type tag rides in `seq`'s top bit, so an
+// internal node is one line with both children beside its key, and the
+// Info's `retired` latch sits in header padding, so an Info is two lines.
+TEST(Whitebox, ServingRecordsFitWholeCacheLines) {
+  using Entry = MapEntry<std::int64_t, std::int64_t>;
+  static_assert(sizeof(ExtKey<Entry>) == 24);
+  EXPECT_EQ(sizeof(PnbInternal<Entry>), 64u);
+  EXPECT_LE(sizeof(PnbLeaf<Entry>), 64u);
+  EXPECT_LE(sizeof(PnbInfo<Entry>), 128u);
+  EXPECT_LE(sizeof(PnbInternal<std::int64_t>), 64u);
+}
+
+TEST(Whitebox, TypeTagSurvivesLargestPhase) {
+  constexpr std::uint64_t kMaxPhase = (std::uint64_t{1} << 63) - 1;
+  PnbLeaf<long> leaf;
+  PnbInternal<long> internal;
+  EXPECT_EQ(leaf.seq, 0u);
+  EXPECT_EQ(internal.seq, 0u);
+  // Assigned after construction, as make_leaf/make_internal do.
+  leaf.seq = kMaxPhase;
+  internal.seq = kMaxPhase;
+  EXPECT_EQ(leaf.seq, kMaxPhase);
+  EXPECT_EQ(internal.seq, kMaxPhase);
+  EXPECT_TRUE(leaf.is_leaf());
+  EXPECT_FALSE(internal.is_leaf());
+  // Lowering the phase again clears no tag bit either.
+  leaf.seq = 1;
+  internal.seq = 1;
+  EXPECT_EQ(leaf.seq, 1u);
+  EXPECT_TRUE(leaf.is_leaf());
+  EXPECT_FALSE(internal.is_leaf());
 }
 
 TEST(Whitebox, PrevChainsRecordHistory) {

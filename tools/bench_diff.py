@@ -31,6 +31,12 @@ build directory:
 When the baseline argument is a directory, the file whose "experiment"
 matches the fresh run is selected automatically.
 
+Hardware stamp: every bench writes `nproc=<online CPUs> affinity=<CPU
+list>` into its "params" string. When the fresh run's stamp differs from
+the baseline's, or the baseline has none, a WARN line says so; the verdict
+and exit status are unchanged, but a drift on different hardware says
+little about the code.
+
 Smoke sweep: `--sweep --build-dir build [--only SUBSTR] [--regen]`, from
 the repo root, runs every bench binary with --smoke --json, one at a time,
 and diffs each against bench/baselines/smoke/ (--regen overwrites those
@@ -62,6 +68,9 @@ CONFIG_COL_RE = re.compile(
     r"(size|width|threads|shards|keyrange|reps|rounds|mode|structure)",
     re.IGNORECASE,
 )
+
+# The hardware stamp bench/bench_common.h appends to every params string.
+STAMP_RE = re.compile(r"nproc=\S+ affinity=\S+")
 
 # --sweep defaults and inventory: the bench binaries with a committed
 # bench/baselines/smoke/BENCH_<binary>.json.
@@ -185,10 +194,29 @@ def compare(fresh, baseline, tol, ignore_re, abs_eps):
     return failures
 
 
+def hardware_stamp(doc):
+    """The `nproc=... affinity=...` part of a document's params, or None."""
+    match = STAMP_RE.search(str(doc.get("params", "")))
+    return match.group(0) if match else None
+
+
+def stamp_warning(fresh, baseline):
+    """Why the two runs may not share hardware, or None when they do."""
+    fresh_stamp, base_stamp = hardware_stamp(fresh), hardware_stamp(baseline)
+    if base_stamp is None:
+        return f"baseline has no hardware stamp (fresh: {fresh_stamp})"
+    if fresh_stamp != base_stamp:
+        return f"hardware differs: fresh {fresh_stamp}, baseline {base_stamp}"
+    return None
+
+
 def report(fresh, fresh_name, baseline, baseline_name, args, ignore_re):
     """Prints the OK/FAIL verdict of one diff; returns True on a pass."""
     failures = compare(fresh, baseline, args.tol, ignore_re, args.abs_eps)
     label = f"{fresh['experiment']}: {fresh_name} vs {baseline_name}"
+    warning = stamp_warning(fresh, baseline)
+    if warning:
+        print(f"WARN {label}: {warning}")
     if failures:
         print(f"FAIL {label}")
         for f in failures:
