@@ -1,17 +1,16 @@
 // Networked key/value service: the whole PR-7 stack in one binary. An
 // epoll Server fronts a ShardedPnbMap on a loopback ephemeral port; a
-// few Client connections drive point traffic, one bulk-loads through
-// BATCH frames, one watches with RANGE queries; then the open-loop load
-// generator measures the service's SLO latency (p50/p99/p999 from the
-// scheduled send time, coordinated-omission-safe) and the METRICS page
-// reports the server- and map-side gauges — including the shed counters
-// that would light up under retired-bytes overload. The same page is
-// served over HTTP on the serving port (DESIGN.md §14), announced as a
-// METRICS_URL= line that tools/obs_scrape.py --spawn parses to scrape and
-// validate it.
+// Client connection bulk-loads through BATCH frames, one watches with
+// RANGE queries, then --conns threads each run a fixed GET/PUT/DEL
+// sequence on their own Client, and the METRICS page reports the server-
+// and map-side gauges — including the shed counters that would light up
+// under retired-bytes overload. The same page is served over HTTP on the
+// serving port (DESIGN.md §14), announced as a METRICS_URL= line that
+// tools/obs_scrape.py --spawn parses to scrape and validate it. Latency
+// and throughput over the wire are pnbbench's job (benchmark/README.md).
 //
-//   build/examples/networked_kv [--events=N] [--conns=N] [--qps=N]
-//                               [--linger-ms=N]
+//   build/examples/networked_kv [--events=N] [--conns=N] [--linger-ms=N]
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "loadgen/client.h"
-#include "loadgen/loadgen.h"
 #include "server/server.h"
 #include "shard/rebalance.h"
 #include "util/cli.h"
@@ -30,13 +28,16 @@ int main(int argc, char** argv) {
   using namespace pnbbst;
   Cli cli(argc, argv);
   const long events = cli.get_int("events", 50000);
-  const unsigned conns = static_cast<unsigned>(cli.get_int("conns", 2));
-  const double qps = cli.get_double("qps", 4000.0);
+  const long conns = cli.get_int("conns", 2);
   // Keep serving this long after the workload finishes, so an external
   // scraper (CI's obs_scrape --spawn step) has a window to hit /metrics.
   const long linger_ms = cli.get_int("linger-ms", 0);
   for (const auto& unknown : cli.unknown()) {
     std::fprintf(stderr, "unknown flag: --%s\n", unknown.c_str());
+    return 2;
+  }
+  if (conns < 1 || conns > 64) {
+    std::fprintf(stderr, "--conns must be in [1, 64]\n");
     return 2;
   }
 
@@ -101,22 +102,37 @@ int main(int argc, char** argv) {
   std::printf("RANGE first-5 of [1000,2000]: %zu pairs\n",
               first.pairs.size());
 
-  // Open-loop load: requests due on a fixed schedule, latency measured
-  // from the scheduled send time so server stalls inflate the tail.
-  loadgen::LoadOptions lopts;
-  lopts.port = server.port();
-  lopts.connections = conns;
-  lopts.seconds = 0.5;
-  lopts.target_qps = qps;
-  lopts.key_range = kKeySpace;
-  const loadgen::LoadResult lr = run_load(lopts);
-  std::printf("open loop @ %.0f qps x %u conns: %.0f qps served, "
-              "p50=%.1fus p99=%.1fus p999=%.1fus (%" PRIu64 " late)\n",
-              qps, conns, lr.qps(),
-              static_cast<double>(lr.latency_ns.p50()) / 1000.0,
-              static_cast<double>(lr.latency_ns.p99()) / 1000.0,
-              static_cast<double>(lr.latency_ns.p999()) / 1000.0,
-              lr.late_sends);
+  // Point traffic: each connection runs the same deterministic
+  // 8:1:1 GET/PUT/DEL sequence from its own offset in the keyspace.
+  // kOk and kNotFound are the expected answers; anything else (a
+  // transport failure included) is an error.
+  std::atomic<std::uint64_t> replies{0}, errors{0};
+  std::vector<std::thread> workers;
+  for (long c = 0; c < conns; ++c) {
+    workers.emplace_back([&, c] {
+      net::Client client;
+      if (!client.connect("127.0.0.1", server.port())) {
+        errors.fetch_add(1);
+        return;
+      }
+      for (long i = 0; i < events / conns; ++i) {
+        const std::int64_t k = (i * 7919 + c * 104729) % kKeySpace;
+        const net::Status st =
+            i % 10 == 8   ? client.put(k, i).status
+            : i % 10 == 9 ? client.del(k).status
+                          : client.get(k).status;
+        if (st != net::Status::kOk && st != net::Status::kNotFound) {
+          errors.fetch_add(1);
+        } else {
+          replies.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  std::printf("point traffic: %ld conns, %" PRIu64 " replies, %" PRIu64
+              " errors\n",
+              conns, replies.load(), errors.load());
 
   // The METRICS opcode returns the Prometheus page GET /metrics serves:
   // server counters plus the map's admission and lifecycle gauges (sheds
@@ -160,5 +176,5 @@ int main(int argc, char** argv) {
   std::printf("rebalancer: %" PRIu64 " adaptive reshards, last skew %.2f\n",
               rebalancer.triggers(), rebalancer.last_skew());
   std::printf("done: map holds %zu keys\n", map.size());
-  return lr.errors == 0 ? 0 : 1;
+  return errors.load() == 0 ? 0 : 1;
 }

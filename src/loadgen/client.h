@@ -2,9 +2,9 @@
 //
 // One Client is one TCP connection with simple request/response
 // round-trip helpers (get/put/del/batch/range/metrics) plus the raw
-// send_bytes/recv_frame surface the load generator uses for pipelined
-// traffic and the robustness tests use to inject malformed bytes. Not
-// thread-safe: one Client per thread, like a socket.
+// send_bytes/recv_frame surface the robustness tests use to pipeline
+// requests and to inject malformed bytes. Not thread-safe: one Client
+// per thread, like a socket.
 //
 // Round-trip helpers return a Status; transport failures (peer closed,
 // I/O error) surface as kTransport so callers can distinguish "server

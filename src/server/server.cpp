@@ -617,7 +617,7 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
     case Opcode::kMetrics: {
       if (!req.done()) break;
       // Same payload as GET /metrics, over the binary transport (so
-      // loadgen/Client can scrape without a second socket family).
+      // Client can scrape without a second socket family).
       const std::string text =
           obs::MetricsRegistry::global().prometheus_text();
       w.u8(static_cast<std::uint8_t>(Status::kOk));

@@ -109,6 +109,7 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -231,6 +232,7 @@ class ShardedPnbMap {
   explicit ShardedPnbMap(RangeSplitter<K> splitter,
                          R& reclaimer = R::shared())
       : reclaimer_(&reclaimer), lifetime_(reclaimer) {
+    check(splitter);
     auto* table = new Table;
     table->splitter = std::move(splitter);
     for (std::size_t i = 0; i < NumShards; ++i) {
@@ -465,6 +467,7 @@ class ShardedPnbMap {
   // replay may add more by the time the cutover publishes).
   std::size_t rebuild_shard(std::size_t i,
                             const ingest::IngestOptions& opts = {}) {
+    check({}, i);
     std::lock_guard<std::mutex> lock(reshard_mutex_);
     auto guard = reclaimer_->pin();
     const Table* t_old = table_.load(std::memory_order_acquire);
@@ -494,9 +497,11 @@ class ShardedPnbMap {
   // parallel, replay the write-intent ledgers, and cut over atomically.
   // Returns the number of entries in the migration's base snapshots.
   // Readers see pre- or post-reshard state, never a mix; racing writes are
-  // recorded and replayed (contract above).
+  // recorded and replayed (contract above). A splitter the constructor
+  // would reject throws std::invalid_argument here, changing nothing.
   std::size_t reshard(RangeSplitter<K> new_splitter,
                       const ingest::IngestOptions& opts = {}) {
+    check(new_splitter);
     std::lock_guard<std::mutex> lock(reshard_mutex_);
     auto guard = reclaimer_->pin();
     const Table* t_old = table_.load(std::memory_order_acquire);
@@ -837,6 +842,20 @@ class ShardedPnbMap {
   }
 
  private:
+  // Rejects, before anything is locked or published, what shard_of would
+  // route past the shard array or out of key order: more than
+  // NumShards - 1 cuts, cuts not strictly ascending inside (lo, hi), or a
+  // shard index >= NumShards.
+  static void check(const RangeSplitter<K>& s, std::size_t shard = 0) {
+    const std::vector<K>& c = s.cuts;
+    if (shard >= NumShards || c.size() >= NumShards ||
+        (!c.empty() && (c.front() <= s.lo || c.back() >= s.hi)) ||
+        std::adjacent_find(c.begin(), c.end(), std::greater_equal<K>()) !=
+            c.end()) {
+      throw std::invalid_argument("ShardedPnbMap: bad splitter or shard");
+    }
+  }
+
   // One immutable (splitter, shards) routing generation. Published through
   // table_; operations load it once and stay internally consistent.
   // `migration` (non-null only on the intermediate generation a migration

@@ -1,7 +1,8 @@
 // ShardedPnbMap single-threaded behavior: the range splitter's monotone
 // routing, sequential differential against a single PnbMap, merged scans
-// (in-order shard concatenation, exactness, span restriction), and the
-// composite snapshot.
+// (in-order shard concatenation, exactness, span restriction), the
+// composite snapshot, and the rejection of splitters and shard indices
+// that cannot be routed.
 #include "shard/sharded_map.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -426,6 +428,65 @@ TEST(ShardedMap, RouteMatchesSplitter) {
     EXPECT_EQ(holders, 1u);
     EXPECT_TRUE(m.shard_ref(m.shard_of(k)).contains(k));
   }
+}
+
+// A splitter shard_of cannot route into [0, NumShards) in key order is
+// rejected up front: more cuts than NumShards - 1 would index past the
+// shard array, and unsorted or out-of-(lo, hi) cuts break monotone routing.
+TEST(ShardedMap, ConstructorRejectsAnUnroutableSplitter) {
+  using Map4 = ShardedPnbMap<long, long, 4>;
+  // with_boundaries keeps nshards - 1 = 7 cuts: key 650 would route to 6.
+  EXPECT_THROW(Map4(RangeSplitter<long>::with_boundaries(
+                   0, 1000, {100, 200, 300, 400, 500, 600, 700}, 8)),
+               std::invalid_argument);
+  EXPECT_THROW(Map4(RangeSplitter<long>{0, 1000, {500, 200}}),
+               std::invalid_argument);
+  EXPECT_THROW(Map4(RangeSplitter<long>{0, 1000, {200, 200}}),
+               std::invalid_argument);
+  EXPECT_THROW(Map4(RangeSplitter<long>{0, 1000, {0, 500}}),
+               std::invalid_argument);
+  EXPECT_THROW(Map4(RangeSplitter<long>{0, 1000, {500, 1000}}),
+               std::invalid_argument);
+  Map4 ok(RangeSplitter<long>::with_boundaries(0, 1000, {100, 200, 300}, 4));
+  EXPECT_TRUE(ok.insert(650, 1));
+  EXPECT_EQ(ok.shard_of(650), 3u);
+}
+
+TEST(ShardedMap, ReshardRejectsUnsortedCutsAndLeavesTheMapUntouched) {
+  ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 1000});
+  for (long k = 0; k < 1000; k += 7) m.insert(k, -k);
+  const auto contents = m.range_scan(0, 999);
+  const auto sizes = m.shard_sizes();
+
+  EXPECT_THROW(m.reshard(RangeSplitter<long>{0, 1000, {600, 200, 400}}),
+               std::invalid_argument);
+  const RangeSplitter<long> sp = m.splitter();
+  EXPECT_EQ(sp.lo, 0);
+  EXPECT_EQ(sp.hi, 1000);
+  EXPECT_TRUE(sp.cuts.empty());
+  EXPECT_EQ(m.range_scan(0, 999), contents);
+  EXPECT_EQ(m.shard_sizes(), sizes);
+  EXPECT_EQ(m.retired_maps(), 0u);
+  EXPECT_EQ(m.retired_bytes(), 0u);
+
+  // No migration was left open: writes land, and a valid reshard works.
+  EXPECT_TRUE(m.insert(1001, 1));
+  EXPECT_TRUE(m.erase(1001));
+  EXPECT_EQ(m.reshard(RangeSplitter<long>::with_boundaries(
+                0, 1000, {200, 400, 600}, 4)),
+            contents.size());
+  EXPECT_EQ(m.splitter().cuts, (std::vector<long>{200, 400, 600}));
+  EXPECT_EQ(m.range_scan(0, 999), contents);
+}
+
+TEST(ShardedMap, RebuildShardRejectsAnIndexPastTheShards) {
+  ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 1000});
+  for (long k = 0; k < 1000; k += 3) m.insert(k, k);
+  const auto contents = m.range_scan(0, 999);
+  EXPECT_THROW(m.rebuild_shard(4), std::invalid_argument);
+  EXPECT_EQ(m.retired_maps(), 0u);
+  EXPECT_EQ(m.rebuild_shard(3), m.shard_sizes()[3]);
+  EXPECT_EQ(m.range_scan(0, 999), contents);
 }
 
 }  // namespace
