@@ -8,19 +8,19 @@
 //
 // Part (b), PR 5: the snapshot-lease lifecycle under RESHARD CHURN on the
 // sharded front-end. Writer threads hammer a ShardedPnbMap while the main
-// thread migrates it continuously (reshard/rebuild cutovers, each retiring
-// a generation of shard maps). Two policies:
+// thread migrates it continuously (reshard cutovers, each retiring a
+// generation of 8 shard maps). Two policies:
 //
 //   lease-auto    nothing pins the retired generations: every cutover's
 //                 maps are reclaimed automatically when the (transient)
 //                 snapshot leases drop — pending_at_end ~ 0 with zero
 //                 manual calls. Mops/s includes the full lease lifecycle
 //                 on the write path (writer gauges + generation closes).
-//   pinned+purge  one snapshot lease held across the whole window models
+//   pinned        one snapshot lease held across the whole window models
 //                 the old manual world: nothing reclaims until the end
 //                 (pending_at_end == everything retired), then the lease
-//                 drops and a force-purge empties the backlog. The Mops/s
-//                 delta vs lease-auto is the cost/benefit of in-window
+//                 drops and the backlog reclaims itself. The Mops/s delta
+//                 vs lease-auto is the cost/benefit of in-window
 //                 reclamation.
 //
 // Columns (shared with part (a)): retired/freed/pending_at_end count shard
@@ -192,13 +192,12 @@ void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
     if (m % 3 == 2) {
-      map.rebuild_shard(static_cast<std::size_t>(m) % 8);
-      maps_retired += 1;
+      map.reshard(map.splitter());
     } else {
       const long hi = (m % 2 == 0) ? cfg.key_range : 2 * cfg.key_range;
       map.reshard(RangeSplitter<long>{0, hi});
-      maps_retired += 8;
     }
+    maps_retired += 8;
   }
   for (auto& th : writers) th.join();
   const std::uint64_t ops = total_ops;
@@ -207,14 +206,12 @@ void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
       1e6;
 
   const std::size_t pending = map.retired_maps();
-  window_pin.reset();           // drop the window lease (auto-reclaims)
-  // Manual world's final purge (a no-op once the lease lifecycle drained).
-  (void)map.lifetime().force_purge();
+  window_pin.reset();  // drop the window lease (auto-reclaims)
   const double mops =
       static_cast<double>(ops) / 1e6 / (secs > 0 ? secs : 1);
   // The node-level and arena columns do not apply to map-granularity
   // churn rows; they print 0.
-  table.add_row({"sharded-8", pin_window ? "pinned+purge" : "lease-auto",
+  table.add_row({"sharded-8", pin_window ? "pinned" : "lease-auto",
                  Table::num(mops, 3), Table::num(maps_retired),
                  Table::num(maps_retired - pending), Table::num(pending),
                  "0", "0", "0", "0"});

@@ -425,7 +425,7 @@ class PnbBst {
 
     // Visits every key of this version in ascending order (an unbounded
     // ScanHelper traversal) — the full-extraction primitive behind shard
-    // rebuilds (src/shard/sharded_map.h reshard/rebuild_shard).
+    // rebuilds (src/shard/sharded_map.h reshard).
     template <class Visitor>
     void visit_all(Visitor&& vis) const {
       tree_->template scan_tree<Key, Key>(seq_, nullptr, nullptr, vis);
@@ -609,14 +609,7 @@ class PnbBst {
     ingest::normalize_batch(ops, [this](const Key& a, const Key& b) {
       return less_.cmp(a, b);
     });
-    return ingest::apply_runs(
-        ops, opts, [this](batch_op& op, ingest::BatchResult& r) {
-          if (op.kind == ingest::BatchOpKind::kInsert) {
-            r.inserted += insert(op.key);
-          } else {
-            r.erased += erase(op.key);
-          }
-        });
+    return ingest::apply_runs(*this, ops, opts);
   }
 
   // --- Introspection ---------------------------------------------------------

@@ -254,14 +254,7 @@ class PnbMap {
     ingest::normalize_batch(ops, [cmp = Compare{}](const K& a, const K& b) {
       return cmp(a, b);
     });
-    return ingest::apply_runs(
-        ops, opts, [this](batch_op& op, ingest::BatchResult& r) {
-          if (op.kind == ingest::BatchOpKind::kInsert) {
-            r.inserted += insert(std::move(op.key), std::move(op.value));
-          } else {
-            r.erased += erase(op.key);
-          }
-        });
+    return ingest::apply_runs(*this, ops, opts);
   }
 
   // --- Ordered queries -----------------------------------------------------

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -112,15 +113,34 @@ void normalize_batch(std::vector<Op>& ops, KeyLess key_less) {
   });
 }
 
-// Applies a normalized (sorted, one-op-per-key) batch in contiguous index
-// runs fanned across the executor. `apply_one(op, result)` must route the
-// op through the target's ordinary update path and bump result.inserted /
-// result.erased; ops are passed as mutable references (each is applied
-// exactly once, so apply_one may move out of the op's payload). apply_one
-// runs concurrently across runs and must not throw.
-template <class Op, class ApplyFn>
-BatchResult apply_runs(std::vector<Op>& ops, const IngestOptions& opts,
-                       ApplyFn&& apply_one) {
+// Applies one op through target's ordinary insert/erase path (moving out
+// of the op's payload), counts a change in `r`, and returns the op's ack.
+// The one dispatch on op.kind: batches, ledger replay and the sharded
+// map's single-key writes all go through it.
+template <class K, class V, class Target>
+bool apply_op(Target& target, BatchOp<K, V>& op, BatchResult& r) {
+  if (op.kind == BatchOpKind::kErase) {
+    const bool hit = target.erase(op.key);
+    r.erased += hit;
+    return hit;
+  }
+  bool hit;
+  if constexpr (std::is_void_v<V>) {
+    hit = target.insert(std::move(op.key));
+  } else {
+    hit = target.insert(std::move(op.key), std::move(op.value));
+  }
+  r.inserted += hit;
+  return hit;
+}
+
+// Applies a normalized (sorted, one-op-per-key) batch to `target` in
+// contiguous index runs fanned across the executor, each op through
+// apply_op. Runs execute concurrently, so target's insert/erase must be
+// safe to call concurrently (the lock-free paths are).
+template <class Target, class Op>
+BatchResult apply_runs(Target& target, std::vector<Op>& ops,
+                       const IngestOptions& opts) {
   BatchResult total;
   if (ops.empty()) return total;
   const std::size_t want = opts.resolve_runs(ops.size());
@@ -130,7 +150,7 @@ BatchResult apply_runs(std::vector<Op>& ops, const IngestOptions& opts,
   scan::run_tasks(opts.scan_options(), runs.size(), [&](std::size_t r) {
     BatchResult local;
     for (std::size_t i = runs[r].first; i <= runs[r].second; ++i) {
-      apply_one(ops[i], local);
+      apply_op(target, ops[i], local);
     }
     local.applied = runs[r].second - runs[r].first + 1;
     parts[r] = local;
@@ -146,24 +166,15 @@ BatchResult apply_runs(std::vector<Op>& ops, const IngestOptions& opts,
 // the op that takes effect on a key is the FIRST insert while the key is
 // absent, not the last. A ledger [insert(k,v1), insert(k,v2)] acknowledged
 // v1 on the source structure; keep-last replay would install v2 in the
-// rebuilt one. An assign is recorded as its erase+insert pair, which
-// keep-last would collapse into a bare insert-if-absent (a no-op when the
-// rebuilt tree already holds the key's pre-assign value — losing the
-// assignment). In-order replay reproduces the recorded outcome exactly;
+// rebuilt one. In-order replay reproduces the recorded outcome exactly;
 // `target` is a fresh still-private or single-writer structure, so plain
 // sequential application is both correct and cheap (ledgers are small —
 // they only hold ops accepted during one migration window).
 template <class K, class V, class Target>
 BatchResult apply_ordered(Target& target, std::vector<BatchOp<K, V>>& ops) {
   BatchResult r;
-  for (BatchOp<K, V>& op : ops) {
-    if (op.kind == BatchOpKind::kInsert) {
-      r.inserted += target.insert(std::move(op.key), std::move(op.value));
-    } else {
-      r.erased += target.erase(op.key);
-    }
-    ++r.applied;
-  }
+  for (BatchOp<K, V>& op : ops) apply_op(target, op, r);
+  r.applied = ops.size();
   return r;
 }
 

@@ -11,13 +11,12 @@
 //                    LifetimeManager for the snapshot's lifetime. Tree and
 //                    map snapshots take none: nothing in a single tree
 //                    retires a generation, so their epoch pin suffices.
-//   LifetimeManager  per-container registry of *generations*. A cutover
-//                    (reshard / rebuild_shard) closes the current
-//                    generation, attaching the resources the cutover
-//                    retired (old table, replaced maps). A closed
-//                    generation's resources are reclaimed automatically
-//                    when every lease acquired in that generation OR ANY
-//                    OLDER one has been released.
+//   LifetimeManager  per-container registry of *generations*. A reshard
+//                    cutover closes the current generation, attaching
+//                    the resources the cutover retired (old tables,
+//                    replaced maps). A closed generation's resources are
+//                    reclaimed automatically when every lease acquired in
+//                    that generation OR ANY OLDER one has been released.
 //
 // Two-layer reclamation (leases gate retirement, epochs gate freeing)
 // -------------------------------------------------------------------
@@ -32,12 +31,13 @@
 //   2. the reclaimer frees them after its grace period, which covers any
 //      operation that was pinned while it could still reach the resource.
 //
-// Why ordered (oldest-first) draining: a resource retired at generation g
-// can be referenced through any OLDER retired table too (rebuild_shard
-// copies surviving shard pointers forward), so gen g's resources are only
-// safe once every lease with generation <= g is gone. The manager frees
-// generations strictly oldest-first; a middle generation hitting zero
-// leases just waits for the generations before it.
+// Why ordered (oldest-first) draining: a lease can load a table that was
+// published after its acquire (a cutover may land between the two), so a
+// lease on generation g can reach resources that retire at g+1 or later.
+// Gen g's resources are therefore only safe once every lease with
+// generation <= g is gone. The manager frees generations strictly
+// oldest-first; a middle generation hitting zero leases just waits for the
+// generations before it.
 //
 // Lease acquire is lock-free (one fetch_add + a seq_cst recheck of the
 // current-generation pointer); release is a fetch_sub, taking the short
@@ -218,33 +218,6 @@ class LifetimeManager {
   // Generation number leases acquired right now would pin.
   std::uint64_t current_generation() const noexcept {
     return current_.load(std::memory_order_acquire)->id;
-  }
-
-  // TEST-ONLY force purge. PRECONDITION: full quiescence — no live leases,
-  // no concurrent operations anywhere in the owning container. Frees every
-  // closed generation's resources immediately (bypassing both the lease
-  // gate and the epoch grace period) and returns the number of primary
-  // resources freed. The happy path never needs this: generations reclaim
-  // themselves when their last covering lease drops.
-  std::size_t force_purge() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::size_t primaries = 0;
-    Gen* g = oldest_;
-    while (g->closed.load(std::memory_order_acquire)) {
-      for (const RetiredResource& r : g->retired) {
-        retired_bytes_.fetch_sub(r.bytes, std::memory_order_relaxed);
-        retired_objects_.fetch_sub(r.primary ? 1 : 0,
-                                   std::memory_order_relaxed);
-        primaries += r.primary ? 1 : 0;
-        r.deleter(r.ptr);
-      }
-      g->retired.clear();
-      Gen* next = g->next;
-      delete g;
-      g = next;
-    }
-    oldest_ = g;
-    return primaries;
   }
 
  private:

@@ -27,6 +27,19 @@
 
 namespace pnbbst::net {
 
+// Empties a fully drained buffer. Capacity above twice the server's 64 KiB
+// recv burst is released, so a connection that once buffered up to a
+// high mark does not hold that memory while idle; steady traffic stays
+// below it and never reallocates.
+inline void reset_drained(std::vector<std::uint8_t>& buf) {
+  constexpr std::size_t kKeepCapacity = 128 * 1024;
+  if (buf.capacity() > kKeepCapacity) {
+    std::vector<std::uint8_t>().swap(buf);
+  } else {
+    buf.clear();
+  }
+}
+
 class FrameReader {
  public:
   enum class Next : std::uint8_t {
@@ -86,6 +99,7 @@ class FrameReader {
   // the first bytes of a connection that turned out not to be framed.
   std::size_t buffered() const noexcept { return buf_.size() - off_; }
   const std::uint8_t* pending() const noexcept { return buf_.data() + off_; }
+  std::size_t capacity() const noexcept { return buf_.capacity(); }
 
  private:
   // Drop consumed bytes once they dominate the buffer; amortized O(1)
@@ -93,7 +107,7 @@ class FrameReader {
   void compact() {
     if (off_ == 0) return;
     if (off_ == buf_.size()) {
-      buf_.clear();
+      reset_drained(buf_);
       off_ = 0;
       return;
     }
@@ -134,7 +148,7 @@ class WriteBuffer {
   void consumed(std::size_t n) {
     off_ += n;
     if (off_ == buf_.size()) {
-      buf_.clear();
+      reset_drained(buf_);
       off_ = 0;
     } else if (off_ >= 4096 && off_ * 2 >= buf_.size()) {
       buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(

@@ -21,9 +21,9 @@
 // `Table` published through a single atomic pointer. Every operation loads
 // the table exactly once, so it always sees a *mutually consistent*
 // (splitter, shards) pair — there is no window where a key routes with the
-// new splitter into an old shard or vice versa. reshard()/rebuild_shard()
-// build replacement maps offline (snapshot-scan → bulk_build) and cut over
-// by swapping that one pointer.
+// new splitter into an old shard or vice versa. reshard() builds
+// replacement maps offline (snapshot-scan → bulk_build) and cuts over by
+// swapping that one pointer; it is the only cutover.
 //
 // Snapshot-lease lifecycle (src/lifecycle/lifetime_manager.h)
 // -----------------------------------------------------------
@@ -38,8 +38,8 @@
 // retired_bytes() gauges fall at that point) and freed after the grace
 // period that covers any still-pinned operation.
 //
-// Loss-free reshard contract (reshard / rebuild_shard)
-// ----------------------------------------------------
+// Loss-free reshard contract
+// --------------------------
 //   * READS stay safe and table-consistent throughout: an operation runs
 //     entirely against the table it loaded — either the pre-reshard or the
 //     post-reshard world, never a mix — so a concurrent reader observes no
@@ -48,9 +48,10 @@
 //   * WRITES racing a migration are NOT lost. A migration publishes an
 //     intermediate table generation carrying a write-intent ledger; every
 //     write accepted on a migrating shard during the migration window is
-//     recorded (under a short per-shard ledger lock) before it is applied
-//     to the pre-reshard world, and the recorded ops are replayed IN ORDER
-//     into the replacement maps before the atomic cutover. Writers that
+//     recorded as its one BatchOp (under a short per-shard ledger lock)
+//     before it is applied to the pre-reshard world, and the recorded ops
+//     are replayed IN ORDER into the replacement maps before the atomic
+//     cutover. Writers that
 //     arrive after the ledger closes re-route themselves to the new table.
 //     Residual weakening, documented: during the window, writes on
 //     migrating shards take that short ledger lock (the non-blocking
@@ -59,12 +60,12 @@
 //     order rather than the pre-reshard world's internal order — any
 //     per-key single-writer discipline observes exact loss-freedom
 //     (asserted by tests/test_reshard_concurrent.cpp).
-//   * reshard() changes the routing function; the shard *count* is a
+//   * reshard() changes the routing function (reshard(splitter()) keeps it
+//     and just rebuilds every shard balanced); the shard *count* is a
 //     template parameter and fixed for the instance's lifetime.
 //   * Snapshots taken before a cutover stay valid and keep answering from
 //     the pre-reshard world (their lease pins the retired generation).
-//   * reshard() and rebuild_shard() serialize against each other on an
-//     internal mutex; they never block readers.
+//   * reshards serialize on an internal mutex; they never block readers.
 //
 // Ingest admission (src/ingest/admission.h)
 // -----------------------------------------
@@ -92,7 +93,8 @@
 //     of the map: an update sequence spanning two shards during the scan
 //     can be observed half-applied. Scans whose splitter span is a single
 //     shard (always true for point-like ranges) ARE fully linearizable.
-//   * assign keeps PnbMap's documented non-atomicity on top of this.
+//   * assign is erase then insert, with PnbMap::assign's documented
+//     non-atomicity on top of this.
 //
 // The per-shard wait-freedom bound is preserved: a merged scan performs
 // NumShards wait-free scans plus a bounded concatenation, so it cannot be
@@ -211,12 +213,10 @@ class ShardedPnbMap {
 
  private:
   // One shard: the per-shard map plus its in-flight writer gauge. The
-  // gauge lives on the SHARD, not the routing table, deliberately: a
-  // long-running batch entered through table generation g keeps writing
-  // to its map while later generations g+1, g+2, ... are published (the
-  // map pointer is shared forward by rebuilds), so a migration must wait
-  // on the data it is about to snapshot — the map — not on whichever
-  // table the writer happened to enter through.
+  // gauge lives on the SHARD, not the routing table: a migration's
+  // intermediate table shares its shards with the table it copies, so a
+  // writer counts in the one place the drain reads, whichever of the two
+  // tables it entered through.
   // Each shard gets Alloc::for_shard(i): with mem::ArenaAlloc that is the
   // immortal pooled(i) arena domain, so shard i's nodes pack into their
   // own slab set (per-shard arena domains) and the domain's lifetime is
@@ -258,22 +258,9 @@ class ShardedPnbMap {
   // --- Point operations (single shard, fully linearizable) -----------------
 
   bool insert(K k, V v) {
-    return routed_write(
-        k,
-        [&](std::vector<batch_op>& ledger) {
-          ledger.push_back(batch_op::insert(k, v));
-        },
-        [&](Map& m) { return m.insert(std::move(k), std::move(v)); });
+    return routed_write(batch_op::insert(std::move(k), std::move(v)));
   }
-
-  bool erase(const K& k) {
-    return routed_write(
-        k,
-        [&](std::vector<batch_op>& ledger) {
-          ledger.push_back(batch_op::erase(k));
-        },
-        [&](Map& m) { return m.erase(k); });
-  }
+  bool erase(const K& k) { return routed_write(batch_op::erase(k)); }
 
   bool contains(const K& k) {
     auto guard = reclaimer_->pin();
@@ -288,18 +275,13 @@ class ShardedPnbMap {
     return shard(k).get_or(k, std::move(fallback));
   }
 
-  // Erase+insert on the owning shard; inherits PnbMap::assign's documented
-  // non-atomicity (a reader may observe the key briefly absent). During a
-  // migration the intent is recorded as its erase+insert pair, replayed in
-  // order, so the assignment survives the cutover.
+  // erase(k) then insert(k, v), returning whether k was present: exactly
+  // PnbMap::assign's documented non-atomic contract (a reader may observe
+  // the key briefly absent). Each half is loss-free across a cutover.
   bool assign(const K& k, const V& v) {
-    return routed_write(
-        k,
-        [&](std::vector<batch_op>& ledger) {
-          ledger.push_back(batch_op::erase(k));
-          ledger.push_back(batch_op::insert(k, v));
-        },
-        [&](Map& m) { return m.assign(k, v); });
+    const bool existed = erase(k);
+    insert(k, v);
+    return existed;
   }
 
   // --- Merged range queries (see consistency contract above) ---------------
@@ -369,11 +351,7 @@ class ShardedPnbMap {
   std::size_t bulk_load(std::vector<bulk_item> items,
                         const ingest::IngestOptions& opts = {}) {
     const Table* table = table_.load(std::memory_order_acquire);
-    std::array<std::vector<bulk_item>, NumShards> routed;
-    for (bulk_item& it : items) {
-      routed[table->splitter.shard_of(it.first, NumShards)].push_back(
-          std::move(it));
-    }
+    auto routed = by_shard(table->splitter, std::move(items));
     std::array<std::size_t, NumShards> counts{};
     scan::run_tasks(opts.scan_options(), NumShards, [&](std::size_t i) {
       counts[i] = table->shards[i]->map.bulk_load(std::move(routed[i]), opts);
@@ -423,11 +401,7 @@ class ShardedPnbMap {
     for (const batch_op& op : pending) sample_key(op.key);
     while (!pending.empty()) {
       const Table* t = table_.load(std::memory_order_seq_cst);
-      std::array<std::vector<batch_op>, NumShards> routed;
-      for (batch_op& op : pending) {
-        routed[t->splitter.shard_of(op.key, NumShards)].push_back(
-            std::move(op));
-      }
+      auto routed = by_shard(t->splitter, std::move(pending));
       pending.clear();
       std::array<ingest::BatchResult, NumShards> parts{};
       std::array<std::vector<batch_op>, NumShards> retry;
@@ -459,42 +433,11 @@ class ShardedPnbMap {
 
   // --- Resharding (loss-free; see the contract above) -----------------------
 
-  // Rebuilds shard i as a freshly bulk-built, perfectly balanced tree.
-  // Readers are undisturbed (atomic table cutover); writes racing the
-  // rebuild are recorded in the shard's write-intent ledger and replayed
-  // into the fresh tree before the cutover — nothing acknowledged is lost.
-  // Returns the number of entries in the rebuild's base snapshot (ledger
-  // replay may add more by the time the cutover publishes).
-  std::size_t rebuild_shard(std::size_t i,
-                            const ingest::IngestOptions& opts = {}) {
-    check({}, i);
-    std::lock_guard<std::mutex> lock(reshard_mutex_);
-    auto guard = reclaimer_->pin();
-    const Table* t_old = table_.load(std::memory_order_acquire);
-    auto* mig = new MigrationState(i, i + 1);
-    auto* t_m = publish_migration(t_old, mig);
-    drain_writers(t_old, i, i + 1);
-    std::vector<bulk_item> items;
-    {
-      auto snap = t_m->shards[i]->map.snapshot();
-      items.reserve(t_m->shards[i]->map.entry_count());
-      snap.visit_all([&items](const K& k, const V& v) {
-        items.emplace_back(k, v);
-      });
-    }
-    const std::size_t n = items.size();
-    auto* fresh = new Shard(*reclaimer_, Alloc::for_shard(i));
-    fresh->map.bulk_load(std::move(items), opts);
-    auto* t_new = new Table(*t_m);
-    t_new->shards[i] = fresh;
-    finish_migration(t_old, t_m, mig, t_new, {{t_m->shards[i], n}});
-    return n;
-  }
-
   // Migrates the whole map to a new routing function: snapshot every shard
   // (sequentially, same structure as a merged scan), partition the union by
   // the new splitter, bulk-build NumShards fresh balanced shard trees in
   // parallel, replay the write-intent ledgers, and cut over atomically.
+  // reshard(splitter()) keeps the routing and rebalances every shard.
   // Returns the number of entries in the migration's base snapshots.
   // Readers see pre- or post-reshard state, never a mix; racing writes are
   // recorded and replayed (contract above). A splitter the constructor
@@ -505,9 +448,9 @@ class ShardedPnbMap {
     std::lock_guard<std::mutex> lock(reshard_mutex_);
     auto guard = reclaimer_->pin();
     const Table* t_old = table_.load(std::memory_order_acquire);
-    auto* mig = new MigrationState(0, NumShards);
+    auto* mig = new MigrationState;
     auto* t_m = publish_migration(t_old, mig);
-    drain_writers(t_old, 0, NumShards);
+    drain_writers(t_old);
     // Snapshot every shard (sequentially, ascending — the same structure
     // as a merged scan), then reserve once for the whole union before
     // extracting. Writers are drained, so the maintained counts are exact.
@@ -530,22 +473,13 @@ class ShardedPnbMap {
     const std::size_t total = items.size();
     auto* t_new = new Table;
     t_new->splitter = std::move(new_splitter);
-    std::array<std::vector<bulk_item>, NumShards> routed;
-    for (bulk_item& it : items) {
-      routed[t_new->splitter.shard_of(it.first, NumShards)].push_back(
-          std::move(it));
-    }
+    auto routed = by_shard(t_new->splitter, std::move(items));
     scan::run_tasks(opts.scan_options(), NumShards, [&](std::size_t i) {
       auto* fresh = new Shard(*reclaimer_, Alloc::for_shard(i));
       fresh->map.bulk_load(std::move(routed[i]), opts);
       t_new->shards[i] = fresh;
     });
-    std::vector<std::pair<Shard*, std::size_t>> replaced;
-    replaced.reserve(NumShards);
-    for (std::size_t i = 0; i < NumShards; ++i) {
-      replaced.emplace_back(t_m->shards[i], old_entries[i]);
-    }
-    finish_migration(t_old, t_m, mig, t_new, std::move(replaced));
+    finish_migration(t_old, t_m, mig, t_new, old_entries);
     return total;
   }
 
@@ -734,8 +668,8 @@ class ShardedPnbMap {
 
   // Direct reference into the current routing generation, for tests and
   // debugging. CONTRACT: the reference is only guaranteed while no
-  // reshard()/rebuild_shard() runs concurrently or afterwards — a cutover
-  // retires the shard it replaces, and with no snapshot lease pinning it
+  // reshard() runs concurrently or afterwards — a cutover retires the
+  // shards it replaces, and with no snapshot lease pinning them
   // the memory is reclaimed automatically. Quiescent/introspection use
   // only; live code goes through the point ops or a Snapshot.
   Map& shard_ref(std::size_t i) {
@@ -844,23 +778,38 @@ class ShardedPnbMap {
  private:
   // Rejects, before anything is locked or published, what shard_of would
   // route past the shard array or out of key order: more than
-  // NumShards - 1 cuts, cuts not strictly ascending inside (lo, hi), or a
-  // shard index >= NumShards.
-  static void check(const RangeSplitter<K>& s, std::size_t shard = 0) {
+  // NumShards - 1 cuts, or cuts not strictly ascending inside (lo, hi).
+  static void check(const RangeSplitter<K>& s) {
     const std::vector<K>& c = s.cuts;
-    if (shard >= NumShards || c.size() >= NumShards ||
+    if (c.size() >= NumShards ||
         (!c.empty() && (c.front() <= s.lo || c.back() >= s.hi)) ||
         std::adjacent_find(c.begin(), c.end(), std::greater_equal<K>()) !=
             c.end()) {
-      throw std::invalid_argument("ShardedPnbMap: bad splitter or shard");
+      throw std::invalid_argument("ShardedPnbMap: bad splitter");
     }
+  }
+
+  static const K& key_of(const bulk_item& it) { return it.first; }
+  static const K& key_of(const batch_op& op) { return op.key; }
+
+  // The one per-shard router: splits items by owning shard under
+  // `splitter`, keeping their relative order within each shard (ledger
+  // replay relies on it).
+  template <class Item>
+  static std::array<std::vector<Item>, NumShards> by_shard(
+      const RangeSplitter<K>& splitter, std::vector<Item> items) {
+    std::array<std::vector<Item>, NumShards> out;
+    for (Item& it : items) {
+      out[splitter.shard_of(key_of(it), NumShards)].push_back(std::move(it));
+    }
+    return out;
   }
 
   // One immutable (splitter, shards) routing generation. Published through
   // table_; operations load it once and stay internally consistent.
   // `migration` (non-null only on the intermediate generation a migration
   // publishes) is the single extra field; the writer gauges live on the
-  // Shard objects, which tables share forward across rebuilds.
+  // Shard objects, which that generation shares with the one it copies.
   struct Table {
     Table() = default;
     Table(const Table& o) : splitter(o.splitter), shards(o.shards) {}
@@ -871,46 +820,21 @@ class ShardedPnbMap {
     MigrationState* migration = nullptr;
   };
 
-  // Write-intent ledgers of one in-flight migration, covering shards
-  // [first, last). A writer on a covered shard records its op(s) under the
-  // shard's ledger lock before applying them to the pre-migration world;
+  // Write-intent ledgers of one in-flight migration, one per shard (a
+  // migration replaces every shard). A writer records its op under its
+  // shard's ledger lock before applying it to the pre-migration world;
   // the migration replays every recorded op in order into the replacement
-  // maps before the cutover, then closes the ledger (open = false) under
+  // maps before the cutover, then closes the ledgers (open = false) under
   // the locks — a writer observing the closed ledger re-routes itself to
   // the already-published new table.
   struct MigrationState {
-    MigrationState(std::size_t f, std::size_t l) : first(f), last(l) {}
-
-    bool covers(std::size_t s) const noexcept {
-      return s >= first && s < last;
-    }
-
     struct Ledger {
       std::mutex mu;
       std::vector<batch_op> ops;  // guarded by mu; recorded in accept order
     };
 
-    std::size_t first;
-    std::size_t last;
     std::array<Ledger, NumShards> ledgers;
     std::atomic<bool> open{true};
-  };
-
-  // Routes replayed ledger ops through the NEW table's splitter: a reshard
-  // changes key→shard ownership, so an op recorded under the old routing
-  // must find its key's new home. The fresh maps are private to the
-  // migration until the cutover publishes them (plus late re-routed
-  // writers, which are ordinary concurrent traffic for a live PnbMap).
-  struct ReplayRouter {
-    const Table* target;
-    bool insert(K k, V v) {
-      Shard* sh = target->shards[target->splitter.shard_of(k, NumShards)];
-      return sh->map.insert(std::move(k), std::move(v));
-    }
-    bool erase(const K& k) {
-      Shard* sh = target->shards[target->splitter.shard_of(k, NumShards)];
-      return sh->map.erase(k);
-    }
   };
 
   // --- Writer protocol ------------------------------------------------------
@@ -936,8 +860,8 @@ class ShardedPnbMap {
   };
 
   // Gauges the write in, re-checks the table, and records the intent when
-  // shard s is migrating. `record` appends the intent op(s) to the ledger
-  // vector it is handed.
+  // a migration is in flight. `record` appends the intent op(s) to the
+  // ledger vector it is handed (apply_batch records whole shard batches).
   template <class RecordFn>
   WriteAdmit admit_write(const Table* t, std::size_t s, RecordFn&& record) {
     Shard* sh = t->shards[s];
@@ -947,7 +871,7 @@ class ShardedPnbMap {
       return WriteAdmit::kRetry;
     }
     MigrationState* mig = t->migration;
-    if (mig == nullptr || !mig->covers(s)) return WriteAdmit::kCounted;
+    if (mig == nullptr) return WriteAdmit::kCounted;
     // Committed to record-or-retry: from here the write either lands in
     // the ledger (replay covers it) or bounces to the new table — it can
     // no longer reach the old world unrecorded. Release the gauge BEFORE
@@ -978,23 +902,22 @@ class ShardedPnbMap {
     }
   }
 
-  // The single-key write protocol shared by insert/erase/assign: route on
-  // the loaded table, admit (gauge + re-check + intent recording), apply
+  // The single-key write protocol shared by insert/erase: route on the
+  // loaded table, admit (gauge + re-check + recording `op`), apply `op`
   // through the routed shard's ordinary path, release the gauge when the
   // admit left it counted, and re-route from scratch whenever a cutover
-  // moved the table underneath us. `record` appends the op's intent to a
-  // ledger vector; `apply` performs it on the routed Map and returns the
-  // ack.
-  template <class RecordFn, class ApplyFn>
-  bool routed_write(const K& k, RecordFn&& record, ApplyFn&& apply) {
-    sample_key(k);
+  // moved the table underneath us. Returns the op's ack.
+  bool routed_write(batch_op op) {
+    sample_key(op.key);
     auto guard = reclaimer_->pin();
     for (;;) {
       const Table* t = table_.load(std::memory_order_seq_cst);
-      const std::size_t s = t->splitter.shard_of(k, NumShards);
-      const WriteAdmit a = admit_write(t, s, record);
+      const std::size_t s = t->splitter.shard_of(op.key, NumShards);
+      const WriteAdmit a = admit_write(
+          t, s, [&](std::vector<batch_op>& ledger) { ledger.push_back(op); });
       if (a == WriteAdmit::kRetry) continue;
-      const bool r = apply(t->shards[s]->map);
+      ingest::BatchResult unused;
+      const bool r = ingest::apply_op(t->shards[s]->map, op, unused);
       if (a == WriteAdmit::kCounted) exit_writer(t, s);
       return r;
     }
@@ -1004,9 +927,9 @@ class ShardedPnbMap {
   // about to be snapshotted. Recording writers release their gauge before
   // queueing on the ledger lock, so a write-heavy migration window cannot
   // starve this.
-  void drain_writers(const Table* t, std::size_t first, std::size_t last) {
+  void drain_writers(const Table* t) {
     Backoff backoff;
-    for (std::size_t s = first; s < last; ++s) {
+    for (std::size_t s = 0; s < NumShards; ++s) {
       while (t->shards[s]->writers.load(std::memory_order_seq_cst) != 0) {
         backoff.pause();
       }
@@ -1015,8 +938,8 @@ class ShardedPnbMap {
 
   // Publishes the intermediate migration generation: same routing as
   // t_old, plus the write-intent ledgers. After this store every NEW
-  // writer on a covered shard records before applying; drain_writers then
-  // waits out the writes that entered t_old before the store.
+  // writer records before applying; drain_writers then waits out the
+  // writes that entered t_old before the store.
   Table* publish_migration(const Table* t_old, MigrationState* mig) {
     auto* t_m = new Table(*t_old);
     t_m->migration = mig;
@@ -1025,46 +948,51 @@ class ShardedPnbMap {
   }
 
   // Replays the ledgers into t_new, cuts over, closes the migration, and
-  // retires the whole old generation {t_old, t_m, mig, replaced maps} to
-  // the lifecycle manager. `replaced` carries (map, entry-count estimate)
-  // pairs for the retired-bytes gauge.
+  // retires the whole old generation {t_old, t_m, mig, t_m's shards} to
+  // the lifecycle manager. `old_entries` sizes the replaced shards for
+  // the retired-bytes gauge.
   void finish_migration(const Table* t_old, Table* t_m, MigrationState* mig,
                         Table* t_new,
-                        std::vector<std::pair<Shard*, std::size_t>> replaced) {
-    ReplayRouter router{t_new};
+                        const std::array<std::size_t, NumShards>& old_entries) {
+    // A reshard changes key→shard ownership, so each ledger is re-routed
+    // under t_new's splitter. Per-key order survives: a key sits in one
+    // old ledger, and by_shard keeps order. The fresh maps are private to
+    // the migration until the cutover (plus late re-routed writers,
+    // ordinary concurrent traffic for a live PnbMap).
+    const auto replay = [t_new](std::vector<batch_op>&& ops) {
+      auto routed = by_shard(t_new->splitter, std::move(ops));
+      for (std::size_t i = 0; i < NumShards; ++i) {
+        ingest::apply_ordered<K, V>(t_new->shards[i]->map, routed[i]);
+      }
+    };
     // Bulk pass outside the locks: drain what accumulated during the
-    // rebuild so the locked window below only covers stragglers.
-    for (std::size_t s = mig->first; s < mig->last; ++s) {
+    // base build so the locked window below only covers stragglers.
+    for (auto& ledger : mig->ledgers) {
       std::vector<batch_op> taken;
       {
-        std::lock_guard<std::mutex> lk(mig->ledgers[s].mu);
-        taken.swap(mig->ledgers[s].ops);
+        std::lock_guard<std::mutex> lk(ledger.mu);
+        taken.swap(ledger.ops);
       }
-      ingest::apply_ordered<K, V>(router, taken);
+      replay(std::move(taken));
     }
-    // Final pass under ALL covered ledger locks: replay the remainder,
-    // publish the new table, then close the ledgers. A writer blocked on a
-    // lock here observes open == false afterwards and re-routes to the
-    // table published one line earlier — no acknowledged write can fall
-    // between the replay and the cutover.
+    // Final pass under ALL ledger locks: replay the remainder, publish the
+    // new table, then close the ledgers. A writer blocked on a lock here
+    // observes open == false afterwards and re-routes to the table
+    // published one line earlier — no acknowledged write can fall between
+    // the replay and the cutover.
     {
       std::vector<std::unique_lock<std::mutex>> locks;
-      locks.reserve(mig->last - mig->first);
-      for (std::size_t s = mig->first; s < mig->last; ++s) {
-        locks.emplace_back(mig->ledgers[s].mu);
-      }
-      for (std::size_t s = mig->first; s < mig->last; ++s) {
-        ingest::apply_ordered<K, V>(router, mig->ledgers[s].ops);
-        mig->ledgers[s].ops.clear();
-      }
+      locks.reserve(NumShards);
+      for (auto& ledger : mig->ledgers) locks.emplace_back(ledger.mu);
+      for (auto& ledger : mig->ledgers) replay(std::move(ledger.ops));
       {
         // Fold the retiring shards' mechanism counters into the carried
         // aggregate at the cutover itself (see carried_stats()); the fresh
         // bulk-built trees start from zero.
         std::lock_guard<std::mutex> stats_lock(carried_mutex_);
         table_.store(t_new, std::memory_order_seq_cst);
-        for (const auto& replaced_shard : replaced) {
-          carried_stats_ += replaced_shard.first->map.stats().snapshot();
+        for (Shard* sh : t_m->shards) {
+          carried_stats_ += sh->map.stats().snapshot();
         }
       }
       mig->open.store(false, std::memory_order_release);
@@ -1074,16 +1002,17 @@ class ShardedPnbMap {
     obs::trace_event(obs::TraceKind::kReshardCutover,
                      lifetime_.current_generation());
     std::vector<lifecycle::RetiredResource> resources;
-    resources.reserve(replaced.size() + 3);
+    resources.reserve(NumShards + 3);
     resources.push_back({const_cast<Table*>(t_old), &delete_table,
                          sizeof(Table), /*primary=*/false});
     resources.push_back({t_m, &delete_table, sizeof(Table),
                          /*primary=*/false});
     resources.push_back({mig, &delete_migration, sizeof(MigrationState),
                          /*primary=*/false});
-    for (const auto& [sh, entries] : replaced) {
-      resources.push_back(
-          {sh, &delete_shard, map_bytes_estimate(entries), /*primary=*/true});
+    for (std::size_t i = 0; i < NumShards; ++i) {
+      resources.push_back({t_m->shards[i], &delete_shard,
+                           map_bytes_estimate(old_entries[i]),
+                           /*primary=*/true});
     }
     lifetime_.retire_generation(std::move(resources));
   }
@@ -1146,7 +1075,7 @@ class ShardedPnbMap {
   // Optional write-path key sampler (set_key_sampler); null = sampling off.
   std::atomic<KeySampler<K>*> key_sampler_{nullptr};
   std::atomic<const Table*> table_{nullptr};
-  // Serializes reshard()/rebuild_shard() (one migration at a time).
+  // Serializes reshard() (one migration at a time).
   std::mutex reshard_mutex_;
   // Sum of retired generations' shard stats; carried_mutex_ is held only
   // while folding at a cutover and while copying in carried_stats().

@@ -7,8 +7,8 @@
 //    thread-count independence of the result;
 //  * apply_batch: differential vs a last-op-wins model on PnbBst, PnbMap
 //    and ShardedPnbMap, result counters, insert-if-absent semantics;
-//  * resharding: rebuild_shard / reshard preserve contents, retire and
-//    purge bookkeeping, pre-reshard snapshots stay valid;
+//  * resharding: reshard preserves contents and rebalances, retired
+//    generations reclaim automatically, pre-reshard snapshots stay valid;
 //  * BatchIngestible concept coverage (positive and negative).
 #include <gtest/gtest.h>
 
@@ -305,7 +305,7 @@ TEST(ApplyBatch, ShardedDifferentialAndCounts) {
   }
 }
 
-TEST(Reshard, RebuildShardPreservesContentsAndRebalances) {
+TEST(Reshard, SameSplitterPreservesContentsAndRebalances) {
   constexpr long kRange = 4096;
   ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kRange});
   // Sorted sequential inserts give shard 0 a degenerate right-spine tree.
@@ -313,13 +313,14 @@ TEST(Reshard, RebuildShardPreservesContentsAndRebalances) {
   const auto before = map.range_scan(0, kRange - 1);
   const std::size_t deep = max_depth(map.shard_ref(0).underlying());
   EXPECT_GE(deep, static_cast<std::size_t>(kRange / 8));  // degenerate
-  EXPECT_EQ(map.rebuild_shard(0), static_cast<std::size_t>(kRange / 4));
+  EXPECT_EQ(map.reshard(map.splitter()),
+            static_cast<std::size_t>(kRange / 4));
   EXPECT_LE(max_depth(map.shard_ref(0).underlying()), 14u);  // balanced
   EXPECT_EQ(map.range_scan(0, kRange - 1), before);
-  // No snapshot held across the rebuild: the replaced shard map was
+  // No snapshot held across the reshard: the replaced shard maps were
   // reclaimed automatically at cutover (lease lifecycle, src/lifecycle/).
   EXPECT_EQ(map.retired_maps(), 0u);
-  EXPECT_EQ(map.lifetime().force_purge(), 0u);
+  EXPECT_EQ(map.retired_bytes(), 0u);
   EXPECT_EQ(map.range_scan(0, kRange - 1), before);
 }
 
@@ -344,12 +345,11 @@ TEST(Reshard, ReshardMigratesToNewRoutingAndKeepsSnapshotsValid) {
   EXPECT_EQ(old_snap.size(), old_size);
   EXPECT_EQ(old_snap.get(0).value_or(-1), 0);
   // Retired generation: 4 replaced maps, pinned by the old snapshot's
-  // lease. Dropping the last covering lease reclaims them automatically —
-  // the test-only force-purge finds nothing left.
+  // lease. Dropping the last covering lease reclaims them automatically.
   EXPECT_EQ(map.retired_maps(), 4u);
   { auto drop = std::move(old_snap); }
   EXPECT_EQ(map.retired_maps(), 0u);
-  EXPECT_EQ(map.lifetime().force_purge(), 0u);
+  EXPECT_EQ(map.retired_bytes(), 0u);
   EXPECT_EQ(map.range_scan(0, kRange - 1), before);
 }
 

@@ -6,11 +6,12 @@
 //    overlapping key ranges) — union/idempotence invariants;
 //  * batched writes racing parallel snapshot scans — sorted-unique and
 //    monotone-count audits;
-//  * reshard / rebuild_shard under reader churn — readers always observe
-//    table-consistent state (no duplicates, no misses of untouched keys),
-//    pre-reshard snapshots stay answerable;
-//  * rebuild_shard racing writers on OTHER shards — their traffic is
-//    untouched by the rebuild.
+//  * reshard under reader churn — readers always observe table-consistent
+//    state (no duplicates, no misses of untouched keys), pre-reshard
+//    snapshots stay answerable;
+//  * same-splitter reshards racing writers on the other shards — a static
+//    shard is never disturbed, and the writers' traffic survives every
+//    cutover through the write-intent ledger.
 //
 // Swept under ASan+UBSan and TSan (CI runs the stress label in the
 // sanitizer jobs).
@@ -275,15 +276,16 @@ TEST(IngestConcurrent, ReshardUnderReadChurnKeepsEveryKeyObservable) {
   // manual purge in the happy path.
   { auto drop = std::move(pre_snap); }
   EXPECT_EQ(map.retired_maps(), 0u);
-  EXPECT_EQ(map.lifetime().force_purge(), 0u);  // nothing left to purge
+  EXPECT_EQ(map.retired_bytes(), 0u);
   EXPECT_EQ(map.size(), static_cast<std::size_t>(kKeys));
 }
 
-TEST(IngestConcurrent, RebuildShardLeavesOtherShardTrafficUntouched) {
-  // Shard 0 holds a static key set and is rebuilt repeatedly; writers hammer
-  // the other shards. Rebuild must never disturb shard 0's contents (no
-  // writers there) nor the other shards' traffic (their maps are shared
-  // into each new table, not copied).
+TEST(IngestConcurrent, SameSplitterReshardKeepsOtherShardWritesLossFree) {
+  // Shard 0 holds a static key set; writers hammer the other shards while
+  // the map is resharded to its own splitter repeatedly. A reshard must
+  // never disturb shard 0's contents (no writers there), and every write
+  // racing it on the other shards must survive the cutover through the
+  // write-intent ledger.
   constexpr long kKeys = 8000;  // 4 shards x 2000
   constexpr long kShardWidth = kKeys / 4;
   ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeys});
@@ -311,21 +313,20 @@ TEST(IngestConcurrent, RebuildShardLeavesOtherShardTrafficUntouched) {
     Xoshiro256 rng(77);
     while (!stop.load(std::memory_order_acquire)) {
       const long k = static_cast<long>(rng.next_bounded(kShardWidth));
-      ASSERT_EQ(map.get_or(k, -1), k + 7) << "rebuild disturbed shard 0";
+      ASSERT_EQ(map.get_or(k, -1), k + 7) << "reshard disturbed shard 0";
     }
   });
 
-  int rebuilds = 0;
   for (int round = 0; round < 10; ++round) {
-    ASSERT_EQ(map.rebuild_shard(0), static_cast<std::size_t>(kShardWidth));
-    ++rebuilds;
+    ASSERT_GE(map.reshard(map.splitter()),
+              static_cast<std::size_t>(kShardWidth));
   }
   for (unsigned t = 0; t < 3; ++t) pool[t].join();
   stop.store(true, std::memory_order_release);
   pool.back().join();
 
-  // No snapshot ever pinned a retired generation here, so every rebuild's
-  // replaced map was reclaimed automatically at (or right after) cutover.
+  // No snapshot ever pinned a retired generation here, so every reshard's
+  // replaced maps were reclaimed automatically at (or right after) cutover.
   EXPECT_EQ(map.retired_maps(), 0u);
   // Shard 0 exact; other shards match their writers' deterministic replay.
   for (long k = 0; k < kShardWidth; ++k) {

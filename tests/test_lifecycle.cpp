@@ -1,7 +1,7 @@
 // Snapshot-lease lifecycle (src/lifecycle/lifetime_manager.h): generation
 // retirement gated by leases, ordered oldest-first draining, gauges,
-// force-purge, automatic reclamation through the whole sharded stack, and
-// batch shedding above the retired-bytes watermark.
+// automatic reclamation through the whole sharded stack, and batch
+// shedding above the retired-bytes watermark.
 #include "lifecycle/lifetime_manager.h"
 
 #include <gtest/gtest.h>
@@ -91,8 +91,17 @@ TEST(Lifecycle, LeaseDefersReclamationUntilRelease) {
   // Release of the last covering lease reclaims synchronously.
   EXPECT_EQ(mgr.retired_bytes(), 0u);
   EXPECT_EQ(mgr.retired_objects(), 0u);
+
+  // A generation closed with no lease at all is handed over at once.
+  std::vector<RetiredResource> rs2;
+  rs2.push_back(tracked_resource(&freed, 10, true));
+  rs2.push_back(tracked_resource(&freed, 10, false));
+  mgr.retire_generation(std::move(rs2));
+  EXPECT_EQ(mgr.retired_bytes(), 0u);
+  EXPECT_EQ(mgr.retired_objects(), 0u);
+  // Both hand-off paths leave the freeing to the reclaimer's grace period.
   epochs.quiescent_flush();
-  EXPECT_EQ(freed.load(), 1);
+  EXPECT_EQ(freed.load(), 3);
 }
 
 TEST(Lifecycle, OlderLeaseGatesYoungerGenerations) {
@@ -131,36 +140,10 @@ TEST(Lifecycle, OlderLeaseGatesYoungerGenerations) {
   EXPECT_EQ(freed.load(), 2);
 }
 
-TEST(Lifecycle, ForcePurgeBypassesEpochGrace) {
-  EpochReclaimer epochs;
-  std::atomic<int> freed{0};
-  LifetimeManager<EpochReclaimer> mgr(epochs);
-  std::vector<RetiredResource> rs;
-  rs.push_back(tracked_resource(&freed, 10, true));
-  rs.push_back(tracked_resource(&freed, 10, true));
-
-  auto lease = mgr.acquire();
-  mgr.retire_generation(std::move(rs));
-  lease.release();  // auto path: handed to the reclaimer, frees later
-
-  std::vector<RetiredResource> rs2;
-  rs2.push_back(tracked_resource(&freed, 10, true));
-  mgr.retire_generation(std::move(rs2));  // no lease: handed over too
-
-  // force_purge under quiescence frees anything still gated; resources
-  // already handed to the reclaimer are on the reclaimer's schedule.
-  EXPECT_EQ(mgr.force_purge(), 0u);
-  epochs.quiescent_flush();
-  EXPECT_EQ(freed.load(), 3);
-}
-
-TEST(Lifecycle, ForcePurgeFreesLeaselessClosedGenerationsDirectly) {
-  // When a generation is still gated (lease dropped but not yet at the
-  // front — impossible — or simply not yet retired), force_purge frees
-  // closed generations directly. Exercise the direct-free path by closing
-  // while a lease exists, releasing inside a scope where the manager has
-  // pending generations... simplest honest variant: no leases at all but
-  // with a LeakyReclaimer, where the auto hand-off never frees.
+TEST(Lifecycle, LeakyHandOffDropsTheGaugesWithoutFreeing) {
+  // The gauges count what leases hold, not what is freed: with a
+  // LeakyReclaimer the hand-off at the last lease drop still lowers them,
+  // though the reclaimer never frees the resource.
   LeakyReclaimer leaky;
   std::atomic<int> freed{0};
   LifetimeManager<LeakyReclaimer> mgr(leaky);
@@ -218,8 +201,7 @@ TEST(Lifecycle, ConcurrentLeaseChurnNeverLosesAGeneration) {
   }
   stop.store(true, std::memory_order_release);
   for (auto& th : holders) th.join();
-  EXPECT_EQ(mgr.force_purge(), 0u) << "a generation was left gated";
-  EXPECT_EQ(mgr.retired_bytes(), 0u);
+  EXPECT_EQ(mgr.retired_bytes(), 0u) << "a generation was left gated";
   EXPECT_EQ(mgr.retired_objects(), 0u);
   epochs.quiescent_flush();
   EXPECT_EQ(freed.load(), kGens);
@@ -248,18 +230,7 @@ TEST(Lifecycle, ShardedReshardReclaimsWhenLastSnapshotDrops) {
   EXPECT_EQ(map.retired_maps(), 0u);
   EXPECT_EQ(map.retired_bytes(), 0u);
   EXPECT_EQ(map.lifetime().active_leases(), 0u);
-  EXPECT_EQ(map.lifetime().force_purge(), 0u);
   EXPECT_EQ(map.size(), 1000u);
-}
-
-TEST(Lifecycle, RebuildRetiresOneMapAndTablesOnly) {
-  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, 400});
-  for (long k = 0; k < 400; ++k) map.insert(k, k);
-  auto snap = map.snapshot();
-  EXPECT_EQ(map.rebuild_shard(2), 100u);
-  EXPECT_EQ(map.retired_maps(), 1u);  // only shard 2's map was replaced
-  { auto drop = std::move(snap); }
-  EXPECT_EQ(map.retired_maps(), 0u);
 }
 
 // A generation handed off on a thread that then idles is freed by the next

@@ -9,7 +9,8 @@
 //
 //  * N writer threads with disjoint key stripes run acked insert / erase /
 //    assign streams against their own sequential models while the main
-//    thread churns reshard()/rebuild_shard(); every ack must match the
+//    thread churns reshard(), to new routings and to the current one
+//    (which rebuilds every shard in place); every ack must match the
 //    single-writer model, and the final merged scan must equal the merged
 //    models exactly;
 //  * a batcher streams apply_batch bursts of brand-new unique keys across
@@ -84,7 +85,7 @@ TEST(ReshardConcurrent, AckedWritesSurviveReshardAndRebuildChurn) {
                 << "erase ack diverged, key " << k << " op " << i;
             break;
           }
-          default: {  // assign (recorded as erase+insert in the ledger)
+          default: {  // assign: erase then insert, each recorded alone
             const bool expect = model.find(k) != model.end();
             ASSERT_EQ(map.assign(k, v), expect)
                 << "assign ack diverged, key " << k << " op " << i;
@@ -97,11 +98,11 @@ TEST(ReshardConcurrent, AckedWritesSurviveReshardAndRebuildChurn) {
     });
   }
 
-  // Churn migrations until every writer finished: alternate whole-map
-  // reshards (three routings, so key→shard ownership really moves) with
-  // single-shard rebuilds. The floor of 8 keeps the churn meaningful even
-  // when a fast scheduler drains the writers early; post-writer migrations
-  // must not change the content either.
+  // Churn migrations until every writer finished: reshards to three
+  // routings (so key→shard ownership really moves) alternate with
+  // reshards to the current one. The floor of 8 keeps the churn meaningful
+  // even when a fast scheduler drains the writers early; post-writer
+  // migrations must not change the content either.
   int migrations = 0;
   while (done.load(std::memory_order_acquire) < kWriters ||
          migrations < 8) {
@@ -110,7 +111,7 @@ TEST(ReshardConcurrent, AckedWritesSurviveReshardAndRebuildChurn) {
         map.reshard(RangeSplitter<long>{0, kKeys});
         break;
       case 1:
-        map.rebuild_shard(static_cast<std::size_t>(migrations / 4) % 4);
+        map.reshard(map.splitter());
         break;
       case 2:
         map.reshard(RangeSplitter<long>{0, kKeys / 2});
@@ -171,7 +172,7 @@ TEST(ReshardConcurrent, BatchedWritesSurviveReshardChurn) {
     if (migrations % 2 == 0) {
       map.reshard(RangeSplitter<long>{0, 60000 + (migrations % 5) * 20000});
     } else {
-      map.rebuild_shard(static_cast<std::size_t>(migrations) % 4);
+      map.reshard(map.splitter());
     }
     ++migrations;
   }
@@ -218,7 +219,7 @@ TEST(ReshardConcurrent, SnapshotsStayRepeatableAndReclamationCompletes) {
 
   for (int round = 0; round < 12; ++round) {
     if (round % 3 == 2) {
-      map.rebuild_shard(static_cast<std::size_t>(round) % 4);
+      map.reshard(map.splitter());
     } else {
       map.reshard(RangeSplitter<long>{0, kKeys + round * 1000});
     }
@@ -284,7 +285,7 @@ TEST(ReshardConcurrent, ShardSizesMatchSnapshotsAfterChurnAndReshard) {
       map.reshard(RangeSplitter<long>::with_boundaries(
           0, kKeys, {kKeys / 8 + migrations, kKeys / 2, kKeys - 100}, 4));
     } else {
-      map.rebuild_shard(static_cast<std::size_t>(migrations / 2) % 4);
+      map.reshard(map.splitter());
     }
     ++migrations;
   }

@@ -479,15 +479,5 @@ TEST(ShardedMap, ReshardRejectsUnsortedCutsAndLeavesTheMapUntouched) {
   EXPECT_EQ(m.range_scan(0, 999), contents);
 }
 
-TEST(ShardedMap, RebuildShardRejectsAnIndexPastTheShards) {
-  ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 1000});
-  for (long k = 0; k < 1000; k += 3) m.insert(k, k);
-  const auto contents = m.range_scan(0, 999);
-  EXPECT_THROW(m.rebuild_shard(4), std::invalid_argument);
-  EXPECT_EQ(m.retired_maps(), 0u);
-  EXPECT_EQ(m.rebuild_shard(3), m.shard_sizes()[3]);
-  EXPECT_EQ(m.range_scan(0, 999), contents);
-}
-
 }  // namespace
 }  // namespace pnbbst
