@@ -6,22 +6,23 @@
 // the memory consequence of not reclaiming (pending counts grow without
 // bound under churn).
 //
-// Part (b), PR 5: the snapshot-lease lifecycle under RESHARD CHURN on the
+// Part (b): retired reshard generations under RESHARD CHURN on the
 // sharded front-end. Writer threads hammer a ShardedPnbMap while the main
 // thread migrates it continuously (reshard cutovers, each retiring a
-// generation of 8 shard maps). Two policies:
+// generation of 8 shard maps straight to the epoch reclaimer). Two
+// policies:
 //
-//   lease-auto    nothing pins the retired generations: every cutover's
-//                 maps are reclaimed automatically when the (transient)
-//                 snapshot leases drop — pending_at_end ~ 0 with zero
-//                 manual calls. Mops/s includes the full lease lifecycle
-//                 on the write path (writer gauges + generation closes).
-//   pinned        one snapshot lease held across the whole window models
-//                 the old manual world: nothing reclaims until the end
-//                 (pending_at_end == everything retired), then the lease
-//                 drops and the backlog reclaims itself. The Mops/s delta
-//                 vs lease-auto is the cost/benefit of in-window
-//                 reclamation.
+//   epoch         nothing pins the retired generations: the reclaimer
+//                 frees every cutover's maps once the transient pins of
+//                 in-flight operations drop. pending_at_end is read after
+//                 the writers are joined and the reclaimer flushed, so it
+//                 is 0 with no manual call on the map. Mops/s includes the
+//                 writer gauges the migration protocol adds.
+//   pinned        one snapshot held across the whole window: its epoch pin
+//                 holds every retired generation until the end
+//                 (pending_at_end == everything retired), then it drops
+//                 and the reclaimer frees the backlog. The Mops/s delta vs
+//                 epoch is the cost/benefit of in-window reclamation.
 //
 // Columns (shared with part (a)): retired/freed/pending_at_end count shard
 // MAPS for part (b) (node counts for part (a)); `reshards` rides in the
@@ -104,7 +105,7 @@ void run_one_arena(Table& table, const char* policy,
 }
 
 // Part (b): writers vs continuous migration churn, with or without a
-// window-long snapshot lease pinning every retired generation. The churn
+// window-long snapshot pinning every retired generation. The churn
 // volume is a FIXED migration count (not a timed window) so the
 // retired/freed/pending columns are deterministic for the baseline diff;
 // only Mops/s is tolerance-compared.
@@ -114,7 +115,7 @@ void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
   // PLUS in-order replay of every write its window accepted, so the churn
   // rows use a capped key range: at fig-scale ranges a single reshard
   // stretches to seconds and the run measures allocator pressure, not the
-  // lease lifecycle.
+  // churn.
   BenchConfig cfg = full_cfg;
   cfg.key_range = std::min<long>(cfg.key_range, 4096);
   cfg.threads = std::min<unsigned>(cfg.threads, 2);
@@ -137,7 +138,7 @@ void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
   // Mixed 25i/25d/50f stream. The read share is load-bearing: a pure
   // write stream on few cores produces ledger entries during a migration
   // window about as fast as the replay drains them, so migrations stretch
-  // and the row measures the feedback loop instead of the lifecycle.
+  // and the row measures the feedback loop instead of the churn.
   // Writers publish coarse progress (every kProgressGrain ops) so the
   // churn below can pace itself against THEM, and each records its own
   // finish time so Mops/s is measured over the writers' actual window —
@@ -205,13 +206,18 @@ void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
       static_cast<double>(last_done_us.load(std::memory_order_relaxed)) /
       1e6;
 
+  // Writers are joined: with no pin left, the flush frees everything the
+  // epoch row retired. The pinned row reads its backlog first (its pin is
+  // still held), then drops the pin and flushes.
+  if (!pin_window) EpochReclaimer::shared().quiescent_flush();
   const std::size_t pending = map.retired_maps();
-  window_pin.reset();  // drop the window lease (auto-reclaims)
+  window_pin.reset();
+  EpochReclaimer::shared().quiescent_flush();
   const double mops =
       static_cast<double>(ops) / 1e6 / (secs > 0 ? secs : 1);
   // The node-level and arena columns do not apply to map-granularity
   // churn rows; they print 0.
-  table.add_row({"sharded-8", pin_window ? "pinned" : "lease-auto",
+  table.add_row({"sharded-8", pin_window ? "pinned" : "epoch",
                  Table::num(mops, 3), Table::num(maps_retired),
                  Table::num(maps_retired - pending), Table::num(pending),
                  "0", "0", "0", "0"});
@@ -225,7 +231,7 @@ int main(int argc, char** argv) {
   BenchConfig base = config_from_cli(cli);
   base.threads = static_cast<unsigned>(cli.get_int("threads", smoke ? 2 : 4));
   Reporter rep(cli, "Tab.E6",
-               "reclamation ablation (50i/50d) + lease lifecycle churn");
+               "reclamation ablation (50i/50d) + reshard churn");
   const auto churns = static_cast<std::uint64_t>(
       cli.get_int("churns", smoke ? 6 : 16));
   for (const auto& unknown : cli.unknown()) {

@@ -1,8 +1,8 @@
 // Registry adapters: register every existing gauge family
-// (CountingOpStats, mem::AllocStats, LifetimeManager, AdmissionStats,
-// per-shard op/size gauges on ShardedPnbMap, ServerStats) as collector
-// callbacks on a MetricsRegistry, so one snapshot()/prometheus_text()
-// call yields the whole system state.
+// (CountingOpStats, mem::AllocStats, ShardedPnbMap::Lifetime,
+// AdmissionStats, per-shard op/size gauges on ShardedPnbMap, ServerStats)
+// as collector callbacks on a MetricsRegistry, so one
+// snapshot()/prometheus_text() call yields the whole system state.
 //
 // The adapters are duck-typed templates — they require only the gauge
 // surface (e.g. `.retired_bytes()`), not the concrete container types,
@@ -136,13 +136,13 @@ void register_arena(MetricsRegistry& reg, Registration& handle,
               "Arena slots currently live");
 }
 
-// lifecycle::LifetimeManager (retired_bytes/retired_objects-shaped).
+// ShardedPnbMap::Lifetime (retired_bytes/retired_objects-shaped).
 template <class Lifetime>
 void register_lifetime(MetricsRegistry& reg, Registration& handle,
                        const Lifetime& lm, std::string labels) {
   reg.add_collector(
       handle, "pnb_lifecycle_retired_bytes", MetricType::kGauge,
-      "Bytes awaiting generation reclamation",
+      "Bytes of shard maps retired by reshards and not yet freed",
       [&lm, labels = std::move(labels)](std::vector<Sample>& out) {
         out.push_back({"pnb_lifecycle_retired_bytes", labels,
                        static_cast<double>(lm.retired_bytes())});
@@ -154,11 +154,11 @@ void register_lifetime(MetricsRegistry& reg, Registration& handle,
                        static_cast<double>(lm.current_generation())});
       });
   reg.declare("pnb_lifecycle_retired_objects", MetricType::kGauge,
-              "Objects awaiting generation reclamation");
+              "Shard maps retired by reshards and not yet freed");
   reg.declare("pnb_lifecycle_active_leases", MetricType::kGauge,
-              "Open snapshot leases");
+              "Open composite snapshots");
   reg.declare("pnb_lifecycle_current_generation", MetricType::kGauge,
-              "Current lifecycle generation");
+              "Reshard cutovers so far");
 }
 
 // Anything with admission_stats() -> ingest::AdmissionStats.

@@ -3,17 +3,17 @@
 // The paper's claims are about mechanism behavior under contention —
 // helps, handshake aborts, freeze failures, scan/update interference —
 // but each gauge family lives in its own corner (CountingOpStats on a
-// tree, AllocStats on an arena, LifetimeManager counters,
-// AdmissionStats, ServerStats). MetricsRegistry puts them behind one
-// named, labeled, scrapeable surface:
+// tree, AllocStats on an arena, a sharded map's retired-generation
+// gauges, AdmissionStats, ServerStats). MetricsRegistry puts them behind
+// one named, labeled, scrapeable surface:
 //
 //   Counter   registry-owned monotone counter with cacheline-striped
 //             cells (util/cacheline.h): the enabled-mode hot-path cost
 //             is ONE padded relaxed fetch_add on the thread's stripe,
 //             aggregated only at read time.
-//   gauge     a sampled callback — existing gauges (AllocStats,
-//             LifetimeManager, AdmissionStats, ...) register collectors
-//             (obs/adapters.h) instead of duplicating state.
+//   gauge     a sampled callback — existing gauges (AllocStats, the
+//             retired-generation gauges, AdmissionStats, ...) register
+//             collectors (obs/adapters.h) instead of duplicating state.
 //   snapshot  one call yields every sample in the process;
 //             prometheus_text() renders the standard text exposition
 //             format served by GET /metrics and the binary METRICS

@@ -1,8 +1,8 @@
 // Mechanism event trace: fixed-size per-thread ring buffers recording
 // the paper's coordination events (freeze-fail aborts, helps, handshake
 // aborts) and the service layer's lifecycle events (reshard cutover,
-// lease open/close), dumped on demand as Chrome trace_event JSON
-// (chrome://tracing / Perfetto "instant" events).
+// admission shed, rebalance trigger), dumped on demand as Chrome
+// trace_event JSON (chrome://tracing / Perfetto "instant" events).
 //
 // Cost model: tracing is OFF by default — every hook is one relaxed
 // atomic load and a predictable branch. When enabled, an event is a
@@ -33,10 +33,8 @@ enum class TraceKind : std::uint8_t {
   kHelp = 1,             // helped a foreign Info; arg = 0 normal, 1 scan
   kHandshakeAbort = 2,   // handshaking check forced an abort
   kReshardCutover = 3,   // routing-table generation swap; arg = new gen
-  kLeaseOpen = 4,        // snapshot lease acquired; arg = generation
-  kLeaseClose = 5,       // snapshot lease released; arg = generation
-  kAdmissionShed = 6,    // batch shed (deferred); arg = retired bytes
-  kRebalanceTrigger = 7,  // adaptive reshard fired; arg = skew per-mille
+  kAdmissionShed = 4,    // batch shed (deferred); arg = retired bytes
+  kRebalanceTrigger = 5,  // adaptive reshard fired; arg = skew per-mille
   kCount
 };
 
@@ -50,10 +48,6 @@ inline const char* trace_kind_name(TraceKind k) noexcept {
       return "handshake_abort";
     case TraceKind::kReshardCutover:
       return "reshard_cutover";
-    case TraceKind::kLeaseOpen:
-      return "lease_open";
-    case TraceKind::kLeaseClose:
-      return "lease_close";
     case TraceKind::kAdmissionShed:
       return "admission_shed";
     case TraceKind::kRebalanceTrigger:

@@ -24,6 +24,7 @@
 // retire_shared() puts an item on that orphan list directly: for rare,
 // large retirements by a thread that may then go idle (a reshard's old
 // shard maps), which its own limbo would hold until its next scan.
+// collect() frees such items on demand once no pin holds them.
 //
 // Memory ordering: the pin protocol needs a StoreLoad edge between
 // announcing the epoch and the operation's subsequent shared-memory loads;
@@ -206,6 +207,16 @@ class EpochReclaimer {
     global_epoch_.compare_exchange_strong(expected, e + 1,
                                           std::memory_order_seq_cst);
     return true;  // advanced (by us or a racing thread)
+  }
+
+  // Frees the shared orphans whose grace period has passed, after trying
+  // to advance the epoch twice: retired memory that no pin holds goes now,
+  // not at some thread's next periodic scan. Safe while threads are pinned
+  // (they just hold the advance back).
+  void collect() {
+    try_advance();
+    try_advance();
+    drain_orphans();
   }
 
   // Frees everything that is reclaimable assuming *no thread is pinned*.

@@ -55,6 +55,9 @@ class LeakyReclaimer {
     retire(ptr, deleter);
   }
 
+  // Nothing is ever freed, so there is nothing to collect.
+  void collect() noexcept {}
+
   std::uint64_t retired_count() const noexcept {
     return retired_.load(std::memory_order_relaxed);
   }

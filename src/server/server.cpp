@@ -19,7 +19,6 @@
 
 #include "ingest/batch_apply.h"
 #include "ingest/options.h"
-#include "lifecycle/lifetime_manager.h"
 #include "mem/arena.h"
 #include "obs/adapters.h"
 #include "obs/latency.h"

@@ -25,26 +25,25 @@
 // replacement maps offline (snapshot-scan → bulk_build) and cuts over by
 // swapping that one pointer; it is the only cutover.
 //
-// Snapshot-lease lifecycle (src/lifecycle/lifetime_manager.h)
-// -----------------------------------------------------------
+// Lifetime of retired generations: epoch pins only
+// -------------------------------------------------
 // Replaced tables and maps are NOT freed manually. At every cutover they
-// are attached to the closing generation of a per-container
-// LifetimeManager — the only one in the stack, since only cutovers retire
-// generations. Every composite Snapshot holds a SnapshotLease on that
-// manager (its per-shard tree snapshots hold only epoch pins), and
-// in-flight point operations hold an epoch pin across their table load.
-// When the last lease covering a retired generation drops, its resources
-// are handed to the epoch reclaimer automatically (the retired_maps()/
-// retired_bytes() gauges fall at that point) and freed after the grace
-// period that covers any still-pinned operation.
+// go straight to the epoch reclaimer (retire_shared), which frees them
+// once every pin that was active at the retire has been released. Every
+// reader pins BEFORE it loads the table: point operations for their
+// duration, every composite Snapshot (one-shot merged scans included) for
+// the handle's lifetime. A reader's pin therefore predates the cutover's
+// retire of whatever table it loaded, so the grace period waits for it.
+// lifetime() keeps the gauges: retired_maps()/retired_bytes() rise at the
+// cutover and fall when the reclaimer actually frees the replaced maps.
 //
 // Loss-free reshard contract
 // --------------------------
 //   * READS stay safe and table-consistent throughout: an operation runs
 //     entirely against the table it loaded — either the pre-reshard or the
 //     post-reshard world, never a mix — so a concurrent reader observes no
-//     duplicated and no mis-routed keys. Memory stays valid via the lease
-//     lifecycle above.
+//     duplicated and no mis-routed keys. Memory stays valid via the epoch
+//     pins above.
 //   * WRITES racing a migration are NOT lost. A migration publishes an
 //     intermediate table generation carrying a write-intent ledger; every
 //     write accepted on a migrating shard during the migration window is
@@ -64,15 +63,17 @@
 //     and just rebuilds every shard balanced); the shard *count* is a
 //     template parameter and fixed for the instance's lifetime.
 //   * Snapshots taken before a cutover stay valid and keep answering from
-//     the pre-reshard world (their lease pins the retired generation).
+//     the pre-reshard world (their pin holds the retired generation).
 //   * reshards serialize on an internal mutex; they never block readers.
 //
 // Ingest admission (src/ingest/admission.h)
 // -----------------------------------------
 // apply_batch sheds: while retired_bytes() is above the shed watermark
-// (snapshot leases are holding too many retired generations alive), the
-// batch returns unapplied with BatchResult::deferred set. It never waits.
-// Point operations are never throttled.
+// (pinned snapshots are holding too many retired generations alive), the
+// batch returns unapplied with BatchResult::deferred set. Before shedding
+// it asks the reclaimer to free what no pin holds any more (collect()),
+// so a dropped snapshot reopens admission without waiting on unrelated
+// traffic. It never waits. Point operations are never throttled.
 //
 // Cross-shard consistency contract
 // --------------------------------
@@ -109,6 +110,7 @@
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -120,11 +122,11 @@
 #include "core/pnb_map.h"
 #include "ingest/admission.h"
 #include "ingest/batch_apply.h"
-#include "lifecycle/lifetime_manager.h"
 #include "obs/trace.h"
 #include "scan/parallel_scan.h"
 #include "shard/key_sampler.h"
 #include "util/backoff.h"
+#include "util/cacheline.h"
 
 namespace pnbbst {
 
@@ -211,6 +213,40 @@ class ShardedPnbMap {
   using batch_op = ingest::BatchOp<K, V>;
   static constexpr std::size_t kNumShards = NumShards;
 
+  // Retired-generation gauges (lifetime(); the pnb_lifecycle_* families).
+  // Held through a shared_ptr: a retired shard's deleter runs on the
+  // reclaimer's schedule, possibly after the map is gone, and lowers the
+  // gauges the cutover raised.
+  class Lifetime {
+   public:
+    // Bytes / shard maps retired by cutovers and not yet freed.
+    std::size_t retired_bytes() const noexcept {
+      return retired_bytes_.load(std::memory_order_acquire);
+    }
+    std::size_t retired_objects() const noexcept {
+      return retired_objects_.load(std::memory_order_acquire);
+    }
+    // Open composite Snapshot handles (one-shot merged scans included).
+    std::uint64_t active_leases() const noexcept {
+      const std::uint64_t closed = snapshots_.value(kClosed);
+      const std::uint64_t opened = snapshots_.value(kOpened);
+      return opened > closed ? opened - closed : 0;
+    }
+    // Reshard cutovers so far.
+    std::uint64_t current_generation() const noexcept {
+      return generation_.load(std::memory_order_acquire);
+    }
+
+   private:
+    friend class ShardedPnbMap;
+    static constexpr std::size_t kOpened = 0;  // snapshots_ cells
+    static constexpr std::size_t kClosed = 1;
+    std::atomic<std::size_t> retired_bytes_{0};
+    std::atomic<std::size_t> retired_objects_{0};
+    std::atomic<std::uint64_t> generation_{0};
+    StripedCounters<2> snapshots_;
+  };
+
  private:
   // One shard: the per-shard map plus its in-flight writer gauge. The
   // gauge lives on the SHARD, not the routing table: a migration's
@@ -222,16 +258,19 @@ class ShardedPnbMap {
   // own slab set (per-shard arena domains) and the domain's lifetime is
   // decoupled from the epoch-retired Shard object. HeapAlloc shards all
   // share the heap, as before.
+  // `gauges`/`retired_bytes` are set when a cutover retires the shard.
   struct Shard {
     Shard(R& r, Alloc a) : map(r, a) {}
     Map map;
     std::atomic<std::uint32_t> writers{0};
+    std::shared_ptr<Lifetime> gauges;
+    std::size_t retired_bytes = 0;
   };
 
  public:
   explicit ShardedPnbMap(RangeSplitter<K> splitter,
                          R& reclaimer = R::shared())
-      : reclaimer_(&reclaimer), lifetime_(reclaimer) {
+      : reclaimer_(&reclaimer), lifetime_(std::make_shared<Lifetime>()) {
     check(splitter);
     auto* table = new Table;
     table->splitter = std::move(splitter);
@@ -245,10 +284,8 @@ class ShardedPnbMap {
   ShardedPnbMap& operator=(const ShardedPnbMap&) = delete;
 
   // Destruction assumes quiescence: no concurrent operations and no live
-  // Snapshot handles. The current generation is freed here; retired
-  // generations still held by the LifetimeManager are freed by its
-  // destructor (resources already handed to the reclaimer are on the
-  // reclaimer's schedule, as everywhere else).
+  // Snapshot handles. The current generation is freed here; retired ones
+  // are on the reclaimer's schedule, as everywhere else.
   ~ShardedPnbMap() {
     const Table* table = table_.load(std::memory_order_acquire);
     for (Shard* sh : table->shards) delete sh;
@@ -370,7 +407,8 @@ class ShardedPnbMap {
   //
   // Interactions with the lifecycle machinery:
   //   * ADMISSION — if retired-generation memory exceeds the shed
-  //     watermark (set_shed_watermark), the batch returns untouched with
+  //     watermark (set_shed_watermark) even after the reclaimer has freed
+  //     what no pin still holds, the batch returns untouched with
   //     `deferred = ops.size()`.
   //   * MIGRATION — shard batches racing a reshard are recorded in the
   //     write-intent ledger exactly like single ops, so they are NOT lost;
@@ -380,12 +418,16 @@ class ShardedPnbMap {
                                   const ingest::IngestOptions& opts = {}) {
     ingest::BatchResult total;
     if (ops.empty()) return total;
-    const std::size_t debt = lifetime_.retired_bytes();
-    if (debt > shed_watermark_.load(std::memory_order_relaxed)) {
-      adm_deferred_.fetch_add(1, std::memory_order_relaxed);
-      obs::trace_event(obs::TraceKind::kAdmissionShed, debt);
-      total.deferred = ops.size();
-      return total;
+    const std::size_t mark = shed_watermark_.load(std::memory_order_relaxed);
+    if (retired_bytes() > mark) {
+      reclaimer_->collect();
+      const std::size_t debt = retired_bytes();
+      if (debt > mark) {
+        adm_deferred_.fetch_add(1, std::memory_order_relaxed);
+        obs::trace_event(obs::TraceKind::kAdmissionShed, debt);
+        total.deferred = ops.size();
+        return total;
+      }
     }
     adm_admitted_.fetch_add(1, std::memory_order_relaxed);
     // Normalize up front so the ledger records exactly the ops that get
@@ -489,10 +531,10 @@ class ShardedPnbMap {
   // order. Queries against it are mutually consistent per shard (and
   // repeatable: the same Snapshot always answers the same), but the shard
   // snapshots belong to different per-shard phases — see the contract above.
-  // The handle references the routing table current at creation and holds a
-  // SnapshotLease on the owning map's LifetimeManager, so it keeps
-  // answering from the pre-reshard world across a reshard and the retired
-  // generation it references is reclaimed when the last such lease drops.
+  // The handle references the routing table current at creation and holds
+  // an epoch pin taken before it loaded that table, so it keeps answering
+  // from the pre-reshard world across any number of reshards; the retired
+  // generations it references are freed after it drops.
   class Snapshot {
    public:
     bool contains(const K& k) const {
@@ -621,20 +663,27 @@ class ShardedPnbMap {
       return out;
     }
 
-    // Lifecycle generation this snapshot's lease pins (see lifetime()).
-    std::uint64_t generation() const noexcept { return lease_.generation(); }
-
    private:
     friend class ShardedPnbMap;
 
+    // Counts the handle closed in lifetime().active_leases() when it goes.
+    struct CountClose {
+      void operator()(Lifetime* l) const noexcept {
+        l->snapshots_.add(Lifetime::kClosed);
+      }
+    };
+
     Snapshot(const ShardedPnbMap* owner, const Table* table,
-             lifecycle::SnapshotLease<R>&& lease, std::size_t first,
+             typename R::Guard&& pin, std::size_t first,
              std::vector<typename Map::Snapshot>&& snaps)
         : owner_(owner),
           table_(table),
           first_(first),
-          lease_(std::move(lease)),
-          snaps_(std::move(snaps)) {}
+          open_(owner->lifetime_.get()),
+          pin_(std::move(pin)),
+          snaps_(std::move(snaps)) {
+      owner->lifetime_->snapshots_.add(Lifetime::kOpened);
+    }
 
     // Snapshot of the shard owning k — routed by the snapshot's own table,
     // so a reshard cannot re-route a live snapshot — or nullptr when k's
@@ -648,20 +697,20 @@ class ShardedPnbMap {
     const ShardedPnbMap* owner_;
     const Table* table_;
     std::size_t first_;  // shard index of snaps_[0]
+    std::unique_ptr<Lifetime, CountClose> open_;
     // Declared before snaps_: the per-shard snapshots (which reference the
-    // leased generation's maps) are destroyed first, the lease last.
-    lifecycle::SnapshotLease<R> lease_;
+    // pinned generation's maps) are destroyed first, the pin after them.
+    typename R::Guard pin_;
     std::vector<typename Map::Snapshot> snaps_;
   };
 
   // Snapshot covering all shards.
   Snapshot snapshot() {
-    // Lease BEFORE the table load: any table current after the acquire can
-    // only retire at a generation close our lease gates, so the handle's
-    // world stays reachable for its whole lifetime.
-    auto lease = lifetime_.acquire();
+    // Pin BEFORE the table load: whichever table we load, its retire comes
+    // after our pin, so the grace period waits for this handle.
+    auto pin = reclaimer_->pin();
     const Table* table = table_.load(std::memory_order_acquire);
-    return snapshot_shards(table, 0, NumShards, std::move(lease));
+    return snapshot_shards(table, 0, NumShards, std::move(pin));
   }
 
   // --- Introspection --------------------------------------------------------
@@ -669,9 +718,9 @@ class ShardedPnbMap {
   // Direct reference into the current routing generation, for tests and
   // debugging. CONTRACT: the reference is only guaranteed while no
   // reshard() runs concurrently or afterwards — a cutover retires the
-  // shards it replaces, and with no snapshot lease pinning them
-  // the memory is reclaimed automatically. Quiescent/introspection use
-  // only; live code goes through the point ops or a Snapshot.
+  // shards it replaces, and once no pin holds them the reclaimer frees
+  // them. Quiescent/introspection use only; live code goes through the
+  // point ops or a Snapshot.
   Map& shard_ref(std::size_t i) {
     auto guard = reclaimer_->pin();
     return table_.load(std::memory_order_acquire)->shards[i]->map;
@@ -732,22 +781,17 @@ class ShardedPnbMap {
     return carried_stats_;
   }
 
-  // Retired-generation gauges, read lock-free off the LifetimeManager (no
-  // side fields, no mutex — the manager's counters are the single source
-  // of truth, updated atomically with retirement and reclamation).
+  // Replaced shard maps (and their estimated bytes) retired by cutovers
+  // and not yet freed by the reclaimer.
   std::size_t retired_maps() const noexcept {
-    return lifetime_.retired_objects();
+    return lifetime_->retired_objects();
   }
   std::size_t retired_bytes() const noexcept {
-    return lifetime_.retired_bytes();
+    return lifetime_->retired_bytes();
   }
 
-  // Snapshot-lease lifecycle registry for this container (active_leases,
-  // current_generation, ...). Only composite snapshots take its leases.
-  lifecycle::LifetimeManager<R>& lifetime() noexcept { return lifetime_; }
-  const lifecycle::LifetimeManager<R>& lifetime() const noexcept {
-    return lifetime_;
-  }
+  // All retired-generation gauges (see Lifetime).
+  const Lifetime& lifetime() const noexcept { return *lifetime_; }
 
   // Attach/detach a write-path key sampler (shard/key_sampler.h). The
   // rebalancer owns the sampler and attaches it for the duration of its
@@ -949,8 +993,8 @@ class ShardedPnbMap {
 
   // Replays the ledgers into t_new, cuts over, closes the migration, and
   // retires the whole old generation {t_old, t_m, mig, t_m's shards} to
-  // the lifecycle manager. `old_entries` sizes the replaced shards for
-  // the retired-bytes gauge.
+  // the epoch reclaimer. `old_entries` sizes the replaced shards for the
+  // retired-bytes gauge.
   void finish_migration(const Table* t_old, Table* t_m, MigrationState* mig,
                         Table* t_new,
                         const std::array<std::size_t, NumShards>& old_entries) {
@@ -998,28 +1042,37 @@ class ShardedPnbMap {
       mig->open.store(false, std::memory_order_release);
     }
     // The cutover instant — the event the trace timeline anchors shard
-    // rebalances on (arg = lifecycle generation being retired).
-    obs::trace_event(obs::TraceKind::kReshardCutover,
-                     lifetime_.current_generation());
-    std::vector<lifecycle::RetiredResource> resources;
-    resources.reserve(NumShards + 3);
-    resources.push_back({const_cast<Table*>(t_old), &delete_table,
-                         sizeof(Table), /*primary=*/false});
-    resources.push_back({t_m, &delete_table, sizeof(Table),
-                         /*primary=*/false});
-    resources.push_back({mig, &delete_migration, sizeof(MigrationState),
-                         /*primary=*/false});
+    // rebalances on (arg = cutovers so far, this one included).
+    obs::trace_event(
+        obs::TraceKind::kReshardCutover,
+        lifetime_->generation_.fetch_add(1, std::memory_order_acq_rel) + 1);
+    // Retired to the shared orphan list: this (often resharding) thread may
+    // go idle next, and a map copy must not wait in its limbo.
+    reclaimer_->retire_shared(const_cast<Table*>(t_old), &delete_table);
+    reclaimer_->retire_shared(t_m, &delete_table);
+    reclaimer_->retire_shared(mig, &delete_migration);
     for (std::size_t i = 0; i < NumShards; ++i) {
-      resources.push_back({t_m->shards[i], &delete_shard,
-                           map_bytes_estimate(old_entries[i]),
-                           /*primary=*/true});
+      Shard* sh = t_m->shards[i];
+      sh->gauges = lifetime_;
+      sh->retired_bytes = map_bytes_estimate(old_entries[i]);
+      lifetime_->retired_bytes_.fetch_add(sh->retired_bytes,
+                                          std::memory_order_relaxed);
+      lifetime_->retired_objects_.fetch_add(1, std::memory_order_relaxed);
+      reclaimer_->retire_shared(sh, &delete_retired_shard);
     }
-    lifetime_.retire_generation(std::move(resources));
   }
 
-  // --- Lifecycle deleters / sizing ------------------------------------------
+  // --- Retirement deleters / sizing -----------------------------------------
 
-  static void delete_shard(void* p) { delete static_cast<Shard*>(p); }
+  // The gauges fall only once the map's memory is really gone.
+  static void delete_retired_shard(void* p) {
+    auto* sh = static_cast<Shard*>(p);
+    const std::shared_ptr<Lifetime> gauges = std::move(sh->gauges);
+    const std::size_t bytes = sh->retired_bytes;
+    delete sh;
+    gauges->retired_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+    gauges->retired_objects_.fetch_sub(1, std::memory_order_relaxed);
+  }
   static void delete_table(void* p) { delete static_cast<Table*>(p); }
   static void delete_migration(void* p) {
     delete static_cast<MigrationState*>(p);
@@ -1037,8 +1090,8 @@ class ShardedPnbMap {
 
   // Shard routed for a read: the epoch pin the CALLER holds keeps the
   // loaded table (and the map behind it) alive for the read's duration —
-  // retired generations reach the reclaimer only via retire_generation,
-  // which happens after this load, so the grace period covers us.
+  // a cutover retires the table only after this load, so the grace period
+  // covers us.
   Map& shard(const K& k) {
     const Table* table = table_.load(std::memory_order_acquire);
     return table->shards[table->splitter.shard_of(k, NumShards)]->map;
@@ -1046,26 +1099,26 @@ class ShardedPnbMap {
 
   // Snapshot restricted to the shards that can hold keys of [lo, hi].
   Snapshot snapshot_span(const K& lo, const K& hi) {
-    auto lease = lifetime_.acquire();  // before the load; see snapshot()
+    auto pin = reclaimer_->pin();  // before the load; see snapshot()
     const Table* table = table_.load(std::memory_order_acquire);
     const auto [first, last] =
         table->splitter.shard_span(lo, hi, NumShards);
-    return snapshot_shards(table, first, last, std::move(lease));
+    return snapshot_shards(table, first, last, std::move(pin));
   }
 
   Snapshot snapshot_shards(const Table* table, std::size_t first,
                            std::size_t last,
-                           lifecycle::SnapshotLease<R>&& lease) {
+                           typename R::Guard&& pin) {
     std::vector<typename Map::Snapshot> snaps;
     snaps.reserve(last - first);
     for (std::size_t i = first; i < last; ++i) {
       snaps.push_back(table->shards[i]->map.snapshot());
     }
-    return Snapshot(this, table, std::move(lease), first, std::move(snaps));
+    return Snapshot(this, table, std::move(pin), first, std::move(snaps));
   }
 
   R* reclaimer_;
-  lifecycle::LifetimeManager<R> lifetime_;
+  std::shared_ptr<Lifetime> lifetime_;
   // apply_batch sheds above this (set_shed_watermark); max never sheds.
   std::atomic<std::size_t> shed_watermark_{
       std::numeric_limits<std::size_t>::max()};

@@ -35,6 +35,23 @@ TEST(Epoch, RetireEventuallyFrees) {
   EXPECT_EQ(r.pending_count(), 0u);
 }
 
+// collect() frees a shared retire as soon as no pin holds it, with no
+// further retires on any thread; a pin that predates the retire holds it.
+TEST(Epoch, CollectFreesSharedRetiresNoPinHolds) {
+  EpochReclaimer r;
+  const int before = Tracked::live.load();
+  const auto free_tracked = [](void* p) { delete static_cast<Tracked*>(p); };
+  {
+    auto guard = r.pin();
+    r.retire_shared(new Tracked, free_tracked);
+    r.collect();
+    EXPECT_EQ(Tracked::live.load(), before + 1);
+  }
+  r.collect();
+  EXPECT_EQ(Tracked::live.load(), before);
+  EXPECT_EQ(r.pending_count(), 0u);
+}
+
 TEST(Epoch, PinBlocksReclamation) {
   EpochReclaimer r;
   static std::atomic<bool> freed{false};

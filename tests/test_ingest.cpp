@@ -317,8 +317,9 @@ TEST(Reshard, SameSplitterPreservesContentsAndRebalances) {
             static_cast<std::size_t>(kRange / 4));
   EXPECT_LE(max_depth(map.shard_ref(0).underlying()), 14u);  // balanced
   EXPECT_EQ(map.range_scan(0, kRange - 1), before);
-  // No snapshot held across the reshard: the replaced shard maps were
-  // reclaimed automatically at cutover (lease lifecycle, src/lifecycle/).
+  // No snapshot held across the reshard: nothing pins the replaced shard
+  // maps, so the reclaimer frees them and the gauges fall.
+  EpochReclaimer::shared().quiescent_flush();
   EXPECT_EQ(map.retired_maps(), 0u);
   EXPECT_EQ(map.retired_bytes(), 0u);
   EXPECT_EQ(map.range_scan(0, kRange - 1), before);
@@ -344,10 +345,11 @@ TEST(Reshard, ReshardMigratesToNewRoutingAndKeepsSnapshotsValid) {
   // The pre-reshard snapshot still answers from the pre-reshard world.
   EXPECT_EQ(old_snap.size(), old_size);
   EXPECT_EQ(old_snap.get(0).value_or(-1), 0);
-  // Retired generation: 4 replaced maps, pinned by the old snapshot's
-  // lease. Dropping the last covering lease reclaims them automatically.
+  // Retired generation: 4 replaced maps, held by the old snapshot's pin.
+  // Once it drops, the reclaimer frees them.
   EXPECT_EQ(map.retired_maps(), 4u);
   { auto drop = std::move(old_snap); }
+  EpochReclaimer::shared().quiescent_flush();
   EXPECT_EQ(map.retired_maps(), 0u);
   EXPECT_EQ(map.retired_bytes(), 0u);
   EXPECT_EQ(map.range_scan(0, kRange - 1), before);

@@ -268,13 +268,12 @@ TEST(IngestConcurrent, ReshardUnderReadChurnKeepsEveryKeyObservable) {
   EXPECT_EQ(pre_snap.size(), static_cast<std::size_t>(kKeys));
   EXPECT_EQ(pre_snap.get(7).value_or(-1), 21);
   EXPECT_EQ(map.size(), static_cast<std::size_t>(kKeys));
-  // The pre-reshard snapshot's lease pins the OLDEST generation, which
-  // gates every younger one (ordered draining): all 6 x 4 replaced maps
-  // are still retained.
+  // The pre-reshard snapshot's pin predates every cutover's retire, so it
+  // holds back every generation: all 6 x 4 replaced maps are retained.
   EXPECT_EQ(map.retired_maps(), 24u);  // 6 reshards x 4 shards
-  // Dropping the last lease reclaims every generation automatically — no
-  // manual purge in the happy path.
+  // Once it drops, nothing pins them and the reclaimer frees them all.
   { auto drop = std::move(pre_snap); }
+  EpochReclaimer::shared().quiescent_flush();
   EXPECT_EQ(map.retired_maps(), 0u);
   EXPECT_EQ(map.retired_bytes(), 0u);
   EXPECT_EQ(map.size(), static_cast<std::size_t>(kKeys));
@@ -325,8 +324,9 @@ TEST(IngestConcurrent, SameSplitterReshardKeepsOtherShardWritesLossFree) {
   stop.store(true, std::memory_order_release);
   pool.back().join();
 
-  // No snapshot ever pinned a retired generation here, so every reshard's
-  // replaced maps were reclaimed automatically at (or right after) cutover.
+  // No snapshot ever pinned a retired generation here, so once the
+  // reclaimer has run every reshard's replaced maps are freed.
+  EpochReclaimer::shared().quiescent_flush();
   EXPECT_EQ(map.retired_maps(), 0u);
   // Shard 0 exact; other shards match their writers' deterministic replay.
   for (long k = 0; k < kShardWidth; ++k) {

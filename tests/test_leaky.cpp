@@ -18,6 +18,15 @@ TEST(Leaky, RetireOnlyCounts) {
   EXPECT_EQ(r.pending_count(), 1u);
 }
 
+TEST(Leaky, CollectFreesNothing) {
+  LeakyReclaimer r;
+  int target = 7;
+  r.retire_shared(&target, [](void*) { FAIL() << "leaky must never free"; });
+  r.collect();
+  EXPECT_EQ(r.freed_count(), 0u);
+  EXPECT_EQ(r.pending_count(), 1u);
+}
+
 TEST(Leaky, PinIsFree) {
   LeakyReclaimer r;
   {

@@ -1,15 +1,14 @@
-// Snapshot-lease lifecycle (src/lifecycle/lifetime_manager.h): generation
-// retirement gated by leases, ordered oldest-first draining, gauges,
-// automatic reclamation through the whole sharded stack, and batch
-// shedding above the retired-bytes watermark.
-#include "lifecycle/lifetime_manager.h"
-
+// Lifetime of reshard generations: a cutover retires the replaced tables
+// and shard maps straight to the epoch reclaimer, composite snapshots hold
+// them through their epoch pins, the retired gauges fall when the memory
+// is freed, and batch shedding above the retired-bytes watermark.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,190 +22,6 @@
 namespace pnbbst {
 namespace {
 
-using lifecycle::LifetimeManager;
-using lifecycle::RetiredResource;
-
-// A resource whose deleter flips a flag, so tests can observe exactly when
-// the manager handed it to the reclaimer (and the reclaimer freed it).
-struct Tracked {
-  explicit Tracked(std::atomic<int>* counter) : freed(counter) {}
-  std::atomic<int>* freed;
-};
-
-void delete_tracked(void* p) {
-  auto* t = static_cast<Tracked*>(p);
-  t->freed->fetch_add(1, std::memory_order_relaxed);
-  delete t;
-}
-
-RetiredResource tracked_resource(std::atomic<int>* counter,
-                                 std::size_t bytes, bool primary) {
-  return {new Tracked(counter), &delete_tracked, bytes, primary};
-}
-
-TEST(Lifecycle, RetireWithoutLeasesReclaimsImmediately) {
-  EpochReclaimer epochs;
-  std::atomic<int> freed{0};
-  {
-    LifetimeManager<EpochReclaimer> mgr(epochs);
-    EXPECT_EQ(mgr.retired_bytes(), 0u);
-    EXPECT_EQ(mgr.current_generation(), 0u);
-
-    std::vector<RetiredResource> rs;
-    rs.push_back(tracked_resource(&freed, 100, true));
-    rs.push_back(tracked_resource(&freed, 50, false));
-    mgr.retire_generation(std::move(rs));
-
-    // No lease covered generation 0: gauges fall at retire time (hand-off
-    // to the epoch reclaimer), the new generation is open.
-    EXPECT_EQ(mgr.retired_bytes(), 0u);
-    EXPECT_EQ(mgr.retired_objects(), 0u);
-    EXPECT_EQ(mgr.current_generation(), 1u);
-  }
-  epochs.quiescent_flush();
-  EXPECT_EQ(freed.load(), 2);
-}
-
-TEST(Lifecycle, LeaseDefersReclamationUntilRelease) {
-  EpochReclaimer epochs;
-  std::atomic<int> freed{0};
-  LifetimeManager<EpochReclaimer> mgr(epochs);
-
-  auto lease = mgr.acquire();
-  EXPECT_TRUE(lease.active());
-  EXPECT_EQ(lease.generation(), 0u);
-  EXPECT_EQ(mgr.active_leases(), 1u);
-
-  std::vector<RetiredResource> rs;
-  rs.push_back(tracked_resource(&freed, 4096, true));
-  mgr.retire_generation(std::move(rs));
-
-  // The lease pins generation 0, so its resources are retained.
-  EXPECT_EQ(mgr.retired_bytes(), 4096u);
-  EXPECT_EQ(mgr.retired_objects(), 1u);
-
-  lease.release();
-  EXPECT_FALSE(lease.active());
-  EXPECT_EQ(mgr.active_leases(), 0u);
-  // Release of the last covering lease reclaims synchronously.
-  EXPECT_EQ(mgr.retired_bytes(), 0u);
-  EXPECT_EQ(mgr.retired_objects(), 0u);
-
-  // A generation closed with no lease at all is handed over at once.
-  std::vector<RetiredResource> rs2;
-  rs2.push_back(tracked_resource(&freed, 10, true));
-  rs2.push_back(tracked_resource(&freed, 10, false));
-  mgr.retire_generation(std::move(rs2));
-  EXPECT_EQ(mgr.retired_bytes(), 0u);
-  EXPECT_EQ(mgr.retired_objects(), 0u);
-  // Both hand-off paths leave the freeing to the reclaimer's grace period.
-  epochs.quiescent_flush();
-  EXPECT_EQ(freed.load(), 3);
-}
-
-TEST(Lifecycle, OlderLeaseGatesYoungerGenerations) {
-  // A resource retired at generation g may be referenced through any older
-  // retired table, so a lease on generation 0 must hold generations 1 and
-  // 2 too (oldest-first draining).
-  EpochReclaimer epochs;
-  std::atomic<int> freed{0};
-  LifetimeManager<EpochReclaimer> mgr(epochs);
-
-  auto old_lease = mgr.acquire();  // generation 0
-  std::vector<RetiredResource> rs0;
-  rs0.push_back(tracked_resource(&freed, 10, true));
-  mgr.retire_generation(std::move(rs0));  // closes gen 0
-
-  auto mid_lease = mgr.acquire();  // generation 1
-  EXPECT_EQ(mid_lease.generation(), 1u);
-  std::vector<RetiredResource> rs1;
-  rs1.push_back(tracked_resource(&freed, 20, true));
-  mgr.retire_generation(std::move(rs1));  // closes gen 1
-
-  EXPECT_EQ(mgr.retired_bytes(), 30u);
-  EXPECT_EQ(mgr.retired_objects(), 2u);
-
-  // Dropping the YOUNGER lease reclaims nothing: gen 1's resources wait
-  // for every lease of generations <= 1, and the gen-0 lease is alive.
-  mid_lease.release();
-  EXPECT_EQ(mgr.retired_bytes(), 30u);
-  EXPECT_EQ(mgr.retired_objects(), 2u);
-
-  // Dropping the oldest lease drains BOTH generations in order.
-  old_lease.release();
-  EXPECT_EQ(mgr.retired_bytes(), 0u);
-  EXPECT_EQ(mgr.retired_objects(), 0u);
-  epochs.quiescent_flush();
-  EXPECT_EQ(freed.load(), 2);
-}
-
-TEST(Lifecycle, LeakyHandOffDropsTheGaugesWithoutFreeing) {
-  // The gauges count what leases hold, not what is freed: with a
-  // LeakyReclaimer the hand-off at the last lease drop still lowers them,
-  // though the reclaimer never frees the resource.
-  LeakyReclaimer leaky;
-  std::atomic<int> freed{0};
-  LifetimeManager<LeakyReclaimer> mgr(leaky);
-  std::vector<RetiredResource> rs;
-  rs.push_back(tracked_resource(&freed, 10, true));
-  auto lease = mgr.acquire();
-  mgr.retire_generation(std::move(rs));
-  EXPECT_EQ(mgr.retired_objects(), 1u);
-  lease.release();
-  // Leaky: handed over but never freed — the gauge still fell (hand-off).
-  EXPECT_EQ(mgr.retired_objects(), 0u);
-  EXPECT_EQ(freed.load(), 0);
-}
-
-TEST(Lifecycle, ManagerDestructorFreesGatedGenerations) {
-  EpochReclaimer epochs;
-  std::atomic<int> freed{0};
-  {
-    LifetimeManager<EpochReclaimer> mgr(epochs);
-    std::vector<RetiredResource> rs;
-    rs.push_back(tracked_resource(&freed, 10, true));
-    auto lease = mgr.acquire();
-    mgr.retire_generation(std::move(rs));
-    // Leak-free even when a lease is dropped only right before
-    // destruction and nothing else ever runs.
-    lease.release();
-  }
-  epochs.quiescent_flush();
-  EXPECT_EQ(freed.load(), 1);
-}
-
-TEST(Lifecycle, ConcurrentLeaseChurnNeverLosesAGeneration) {
-  // Hammer acquire/release from several threads while the main thread
-  // retires generations; every retired resource must eventually reclaim
-  // once all leases are gone. (The seq_cst acquire/close handshake is the
-  // thing under test; ASan/TSan sweeps of the unit label cover the races.)
-  EpochReclaimer epochs;
-  std::atomic<int> freed{0};
-  LifetimeManager<EpochReclaimer> mgr(epochs);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> holders;
-  for (int t = 0; t < 3; ++t) {
-    holders.emplace_back([&mgr, &stop] {
-      while (!stop.load(std::memory_order_acquire)) {
-        auto lease = mgr.acquire();
-        EXPECT_TRUE(lease.active());
-      }
-    });
-  }
-  constexpr int kGens = 200;
-  for (int i = 0; i < kGens; ++i) {
-    std::vector<RetiredResource> rs;
-    rs.push_back(tracked_resource(&freed, 8, true));
-    mgr.retire_generation(std::move(rs));
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& th : holders) th.join();
-  EXPECT_EQ(mgr.retired_bytes(), 0u) << "a generation was left gated";
-  EXPECT_EQ(mgr.retired_objects(), 0u);
-  epochs.quiescent_flush();
-  EXPECT_EQ(freed.load(), kGens);
-}
-
 // --- The whole stack: automatic reclamation through ShardedPnbMap ---------
 
 TEST(Lifecycle, ShardedReshardReclaimsWhenLastSnapshotDrops) {
@@ -215,10 +30,12 @@ TEST(Lifecycle, ShardedReshardReclaimsWhenLastSnapshotDrops) {
 
   auto snap = map.snapshot();
   EXPECT_EQ(map.lifetime().active_leases(), 1u);
-  EXPECT_EQ(snap.generation(), 0u);
+  EXPECT_EQ(map.lifetime().current_generation(), 0u);
 
   EXPECT_EQ(map.reshard(RangeSplitter<long>{0, 2000}), 1000u);
-  // The pre-reshard snapshot pins the retired generation: 4 replaced maps.
+  EXPECT_EQ(map.lifetime().current_generation(), 1u);
+  // The pre-reshard snapshot's pin holds the retired generation: 4
+  // replaced maps.
   EXPECT_EQ(map.retired_maps(), 4u);
   EXPECT_GT(map.retired_bytes(), 0u);
   // The snapshot still answers from its world.
@@ -226,11 +43,56 @@ TEST(Lifecycle, ShardedReshardReclaimsWhenLastSnapshotDrops) {
   EXPECT_EQ(snap.get(999).value_or(-1), 999 * 7);
 
   { auto drop = std::move(snap); }
-  // Automatic: the last covering lease dropped, nothing left to purge.
+  EXPECT_EQ(map.lifetime().active_leases(), 0u);
+  // Nothing pins the generation any more: the reclaimer frees it, and
+  // the gauges fall with the memory.
+  EpochReclaimer::shared().quiescent_flush();
   EXPECT_EQ(map.retired_maps(), 0u);
   EXPECT_EQ(map.retired_bytes(), 0u);
-  EXPECT_EQ(map.lifetime().active_leases(), 0u);
   EXPECT_EQ(map.size(), 1000u);
+}
+
+// One snapshot held across three cutovers keeps all three retired
+// generations alive through its single pin, and keeps answering its
+// original contents exactly while the live map moves on.
+TEST(Lifecycle, SnapshotOutlivesSeveralReshards) {
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, 1000});
+  for (long k = 0; k < 1000; k += 2) map.insert(k, k * 3);
+  auto snap = map.snapshot();
+  const auto original = snap.range_scan(0, 999);
+  ASSERT_EQ(original.size(), 500u);
+
+  const RangeSplitter<long> routings[] = {
+      {0, 2000}, {0, 500}, {0, 1000, {100, 200, 300}}};
+  for (std::size_t i = 0; i < 3; ++i) {
+    // Live writes between cutovers change the map, never the snapshot.
+    for (long k = static_cast<long>(i); k < 1000; k += 3) {
+      map.erase(k);
+      map.insert(k + 1, -k);
+    }
+    map.reshard(routings[i]);
+    EXPECT_EQ(map.retired_maps(), 4 * (i + 1)) << "after cutover " << i;
+    EXPECT_EQ(map.lifetime().current_generation(), i + 1);
+  }
+  EXPECT_NE(map.range_scan(0, 999), original);
+  EXPECT_EQ(snap.range_scan(0, 999), original);
+  EXPECT_EQ(snap.size(), 500u);
+  EXPECT_EQ(snap.range_count(0, 999), 500u);
+  for (long k = 0; k < 1000; ++k) {
+    EXPECT_EQ(snap.get(k), k % 2 == 0 ? std::optional<long>(k * 3)
+                                      : std::nullopt)
+        << "key " << k;
+  }
+  EXPECT_EQ(map.retired_maps(), 12u);
+
+  { auto drop = std::move(snap); }
+  // The gauges count memory, not handles: they fall when the reclaimer
+  // frees the maps, not when the pin drops.
+  EXPECT_EQ(map.retired_maps(), 12u);
+  EXPECT_EQ(map.lifetime().active_leases(), 0u);
+  EpochReclaimer::shared().quiescent_flush();
+  EXPECT_EQ(map.retired_maps(), 0u);
+  EXPECT_EQ(map.retired_bytes(), 0u);
 }
 
 // A generation handed off on a thread that then idles is freed by the next
@@ -271,7 +133,7 @@ TEST(Lifecycle, HandedOffGenerationIsFreedWhileRetiringThreadIdles) {
     std::unique_lock<std::mutex> lk(mu);
     cv.wait(lk, [&] { return resharded; });
   }
-  EXPECT_EQ(map.retired_maps(), 0u);  // no lease: handed off at cutover
+  EXPECT_EQ(map.retired_maps(), 4u);  // retired at cutover, not yet freed
   EXPECT_GE(live_slots(), before_load + 2 * one_copy - one_copy / 8);
 
   // Another thread keeps updating: its periodic scans advance the epoch
@@ -287,6 +149,10 @@ TEST(Lifecycle, HandedOffGenerationIsFreedWhileRetiringThreadIdles) {
   }
   EXPECT_LT(live_slots(), before_load + one_copy + one_copy / 2)
       << "the old shard maps are still waiting in the idle thread's limbo";
+  // The retiring thread's scan ran the deleters: the gauges fell with the
+  // memory.
+  EXPECT_EQ(map.retired_maps(), 0u);
+  EXPECT_EQ(map.retired_bytes(), 0u);
   {
     std::lock_guard<std::mutex> lk(mu);
     release = true;
@@ -336,7 +202,10 @@ TEST(Lifecycle, RetiredBytesGaugeMatchesArenaSlotBytes) {
   const std::size_t real_bytes =
       leaves * leaf_slot + (leaves - 1) * internal_slot;
 
-  auto snap = map.snapshot();  // keeps the replaced maps on the gauge
+  // The snapshot keeps the replaced maps on the gauge. It drops before the
+  // map and `epochs` frees them in its destructor, after the map is gone:
+  // the deleters lower the gauges through their shared counter block.
+  auto snap = map.snapshot();
   map.reshard(RangeSplitter<long>{0, 2 * kKeys});
   ASSERT_EQ(map.retired_maps(), 4u);
   const std::size_t gauge = map.retired_bytes();
@@ -383,14 +252,17 @@ TEST(Lifecycle, BatchAdmissionDefersAboveWatermark) {
   EXPECT_EQ(map.admission_stats().admitted, 1u);
   EXPECT_EQ(map.admission_stats().deferred, 1u);
 
-  // Reclamation (snapshot drop) reopens admission.
+  // Dropping the snapshot reopens admission at once: the over-watermark
+  // batch itself has the reclaimer free what no pin holds, with no other
+  // traffic in between.
   { auto drop = std::move(snap); }
-  EXPECT_EQ(map.retired_bytes(), 0u);
   std::vector<Op> retry_ops;
   for (long k = 0; k < 64; ++k) retry_ops.push_back(Op::insert(5000 + k, k));
   r = map.apply_batch(std::move(retry_ops));
   EXPECT_TRUE(r.admitted());
   EXPECT_EQ(r.inserted, 64u);
+  EXPECT_EQ(map.retired_bytes(), 0u);
+  EXPECT_EQ(map.admission_stats().deferred, 1u);
 }
 
 }  // namespace

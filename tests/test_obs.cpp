@@ -239,11 +239,11 @@ TEST(MechanismTrace, DisabledRecordsNothing) {
 TEST(MechanismTrace, ChromeJsonShape) {
   auto& trace = obs::MechanismTrace::global();
   trace.set_enabled(true);
-  obs::trace_event(obs::TraceKind::kLeaseOpen, 5);
+  obs::trace_event(obs::TraceKind::kAdmissionShed, 5);
   trace.set_enabled(false);
   const std::string json = trace.chrome_json();
   EXPECT_NE(json.find("{\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"lease_open\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"admission_shed\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_EQ(json.back(), '}');
 }

@@ -146,6 +146,7 @@ TEST(RebalanceConcurrent, SkewFlipChurnLosesNoAcksWhileRebalancerFires) {
         << "value diverged at key " << it->first;
   }
   // Nothing pins the retired generations anymore.
+  EpochReclaimer::shared().quiescent_flush();
   EXPECT_EQ(map.retired_maps(), 0u);
 }
 
@@ -206,6 +207,7 @@ TEST(RebalanceConcurrent, BackgroundLoopRacesWritersWithoutLosingAcks) {
   for (std::size_t i = 0; i < scan.size(); ++i, ++it) {
     ASSERT_EQ(scan[i], (std::pair<long, long>{it->first, it->second}));
   }
+  EpochReclaimer::shared().quiescent_flush();
   EXPECT_EQ(map.retired_maps(), 0u);
 }
 

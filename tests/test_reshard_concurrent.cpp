@@ -16,8 +16,9 @@
 //  * a batcher streams apply_batch bursts of brand-new unique keys across
 //    the churn — every batch must report full insertion, and the final
 //    count must equal everything ever acknowledged;
-//  * snapshots taken mid-churn stay repeatable, and once every snapshot
-//    is dropped the retired generations reclaim to zero automatically;
+//  * snapshots taken mid-churn stay repeatable, also while writers run and
+//    across cutovers, and once every snapshot is dropped and the reclaimer
+//    has run, the retired gauges read zero;
 //  * the maintained shard sizes (shard_sizes(), no snapshot walk) agree
 //    with the snapshot census once writers quiesce, across every kind of
 //    write and every kind of migration.
@@ -137,6 +138,7 @@ TEST(ReshardConcurrent, AckedWritesSurviveReshardAndRebuildChurn) {
         << "value diverged at key " << it->first;
   }
   // Nothing pins the retired generations anymore.
+  EpochReclaimer::shared().quiescent_flush();
   EXPECT_EQ(map.retired_maps(), 0u);
 }
 
@@ -191,8 +193,9 @@ TEST(ReshardConcurrent, BatchedWritesSurviveReshardChurn) {
 TEST(ReshardConcurrent, SnapshotsStayRepeatableAndReclamationCompletes) {
   // Snapshot holders race the migration churn: each holder repeatedly
   // takes a composite snapshot, asserts it is internally repeatable (two
-  // reads agree — the leased world cannot be reclaimed under it), then
-  // drops it. When everyone is done, nothing is retained.
+  // reads agree — the pinned world cannot be freed under it), then drops
+  // it. When everyone is done and the reclaimer has run, nothing is
+  // retained.
   constexpr long kKeys = 6000;
   ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeys});
   std::vector<std::pair<long, long>> items;
@@ -227,11 +230,95 @@ TEST(ReshardConcurrent, SnapshotsStayRepeatableAndReclamationCompletes) {
   stop.store(true, std::memory_order_release);
   for (auto& th : holders) th.join();
 
-  // Every lease is gone: the retired generations reclaimed themselves.
+  // Every snapshot is gone, so nothing pins the retired generations.
   EXPECT_EQ(map.lifetime().active_leases(), 0u);
+  EpochReclaimer::shared().quiescent_flush();
   EXPECT_EQ(map.retired_maps(), 0u);
   EXPECT_EQ(map.retired_bytes(), 0u);
   EXPECT_EQ(map.size(), static_cast<std::size_t>(kKeys));
+}
+
+TEST(ReshardConcurrent, PinnedSnapshotsStayStableAcrossCutoversUnderWrites) {
+  // Four holders open composite snapshots (and one-shot merged counts)
+  // while two writers churn the live map and 50 reshards fire. A holder
+  // keeps its handle until a cutover lands or a bound runs out, so many
+  // handles outlive the table they loaded: their epoch pin alone must keep
+  // that generation readable, and every repeated read must agree.
+  constexpr long kKeys = 4000;
+  constexpr int kReshards = 50;
+  ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeys});
+  std::vector<std::pair<long, long>> items;
+  for (long k = 0; k < kKeys; k += 2) items.emplace_back(k, k);
+  map.bulk_load(std::move(items));
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> pool;
+  for (unsigned t = 0; t < 2; ++t) {
+    pool.emplace_back([&map, &stop, t] {
+      Xoshiro256 rng(thread_seed(811, t));
+      while (!stop.load(std::memory_order_acquire)) {
+        const long k = static_cast<long>(rng.next_bounded(kKeys));
+        if (rng.next_bounded(2) == 0) {
+          map.insert(k, k);
+        } else {
+          map.erase(k);
+        }
+      }
+    });
+  }
+  std::atomic<std::uint64_t> crossed{0};
+  for (unsigned t = 0; t < 4; ++t) {
+    pool.emplace_back([&map, &stop, &crossed, t] {
+      Xoshiro256 rng(thread_seed(812, t));
+      while (!stop.load(std::memory_order_acquire)) {
+        const long lo = static_cast<long>(rng.next_bounded(kKeys));
+        const long hi = lo + static_cast<long>(rng.next_bounded(kKeys / 4));
+        map.range_count(lo, hi);  // one-shot merged scan, same pin path
+        const std::uint64_t gen = map.lifetime().current_generation();
+        auto snap = map.snapshot();
+        const std::size_t n = snap.size();
+        const std::size_t in_range = snap.range_count(lo, hi);
+        for (int spin = 0;
+             spin < 200 && map.lifetime().current_generation() == gen;
+             ++spin) {
+          std::this_thread::yield();
+        }
+        if (map.lifetime().current_generation() != gen) {
+          crossed.fetch_add(1, std::memory_order_relaxed);
+        }
+        ASSERT_EQ(snap.size(), n) << "snapshot size moved";
+        ASSERT_EQ(snap.range_count(lo, hi), in_range);
+        const auto all = snap.range_scan(0, kKeys - 1);
+        ASSERT_EQ(all.size(), n);
+        for (const auto& [k, v] : all) ASSERT_EQ(k, v);
+      }
+    });
+  }
+
+  for (int round = 0; round < kReshards; ++round) {
+    switch (round % 3) {
+      case 0:
+        map.reshard(RangeSplitter<long>{0, kKeys / 2 + round * 50});
+        break;
+      case 1:
+        map.reshard(map.splitter());
+        break;
+      default:
+        map.reshard(RangeSplitter<long>::with_boundaries(
+            0, kKeys, {kKeys / 8 + round, kKeys / 2, kKeys - 64}, 4));
+        break;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& th : pool) th.join();
+
+  EXPECT_EQ(map.lifetime().current_generation(),
+            static_cast<std::uint64_t>(kReshards));
+  EXPECT_GT(crossed.load(), 0u) << "no snapshot outlived a cutover";
+  EXPECT_EQ(map.lifetime().active_leases(), 0u);
+  EpochReclaimer::shared().quiescent_flush();
+  EXPECT_EQ(map.retired_maps(), 0u);
+  EXPECT_EQ(map.retired_bytes(), 0u);
 }
 
 TEST(ReshardConcurrent, ShardSizesMatchSnapshotsAfterChurnAndReshard) {

@@ -577,9 +577,9 @@ TEST_F(ServerE2E, ShedsBatchesWithRetryWhileReadsKeepFlowing) {
   }
   ASSERT_EQ(c.batch(ops).status, Status::kOk);  // below watermark: admitted
 
-  // Pin retired memory over the watermark: a held snapshot keeps the
-  // pre-reshard generation alive, exactly the overload the watermark
-  // models (PR-5 lifecycle).
+  // Pin retired memory over the watermark: a held snapshot's epoch pin
+  // keeps the pre-reshard generation alive, exactly the overload the
+  // watermark models.
   auto snap = map_.snapshot();
   map_.reshard(RangeSplitter<std::int64_t>{0, kKeySpace * 2});
   ASSERT_GT(map_.retired_bytes(), 1u);
@@ -606,13 +606,15 @@ TEST_F(ServerE2E, ShedsBatchesWithRetryWhileReadsKeepFlowing) {
   EXPECT_EQ(map_.admission_stats().deferred, 1u);
   EXPECT_EQ(map_.admission_stats().admitted, 1u);
 
-  // Reclamation (the snapshot drops) reopens admission; the retry the
-  // protocol asked for now succeeds.
+  // Dropping the snapshot reopens admission: the very next BATCH, with no
+  // other traffic in between, has the reclaimer free the unpinned
+  // generation before it decides, so the retry the protocol asked for
+  // succeeds.
   { auto drop = std::move(snap); }
-  ASSERT_EQ(map_.retired_bytes(), 0u);
   br = c.batch({BatchEntry::insert(5000, 1), BatchEntry::insert(5001, 1)});
   EXPECT_EQ(br.status, Status::kOk);
   EXPECT_EQ(br.inserted, 2u);
+  EXPECT_EQ(map_.retired_bytes(), 0u);
   EXPECT_EQ(c.get(5000).status, Status::kOk);
 }
 
