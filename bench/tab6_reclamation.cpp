@@ -24,9 +24,15 @@
 //                 and the reclaimer frees the backlog. The Mops/s delta vs
 //                 epoch is the cost/benefit of in-window reclamation.
 //
+// Each part (b) row runs the churn 3 times (smoke) or 5 times (full) on
+// a fresh map and reports the MEDIAN Mops/s: one round's writer window is
+// stretched by however the scheduler interleaves the migrations with the
+// writers, and single rounds swing about 2x between identical runs.
+//
 // Columns (shared with part (a)): retired/freed/pending_at_end count shard
-// MAPS for part (b) (node counts for part (a)); `reshards` rides in the
-// structure cell as churn context.
+// MAPS for part (b) (node counts for part (a)) and are the same in every
+// round; `reshards` rides in the structure cell as churn context.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -104,26 +110,20 @@ void run_one_arena(Table& table, const char* policy,
                  Table::num(as.slots_live())});
 }
 
+// One part (b) churn round on a fresh map: writer Mops/s over the
+// writers' window, and the retired maps still pending at the end.
+struct ChurnRound {
+  double mops = 0;
+  std::size_t pending = 0;
+};
+
 // Part (b): writers vs continuous migration churn, with or without a
 // window-long snapshot pinning every retired generation. The churn
 // volume is a FIXED migration count (not a timed window) so the
 // retired/freed/pending columns are deterministic for the baseline diff;
 // only Mops/s is tolerance-compared.
-void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
-                       const BenchConfig& full_cfg) {
-  // A loss-free migration under full write pressure costs base-rebuild
-  // PLUS in-order replay of every write its window accepted, so the churn
-  // rows use a capped key range: at fig-scale ranges a single reshard
-  // stretches to seconds and the run measures allocator pressure, not the
-  // churn.
-  BenchConfig cfg = full_cfg;
-  cfg.key_range = std::min<long>(cfg.key_range, 4096);
-  cfg.threads = std::min<unsigned>(cfg.threads, 2);
-  // Fixed per-writer op budget (not a free-running timed loop): bounded
-  // writer work bounds the migration/replay feedback, so the row's
-  // runtime cannot blow up when the scheduler starves the replayer.
-  const std::uint64_t ops_per_writer =
-      cfg.seconds >= 0.1 ? 250000 : 10000;
+ChurnRound churn_round(const BenchConfig& cfg, bool pin_window,
+                       std::uint64_t churns, std::uint64_t ops_per_writer) {
   using Sharded = ShardedPnbMap<long, long, 8>;
   Sharded map(RangeSplitter<long>{0, cfg.key_range});
   {  // prefill to steady density (single-threaded, pre-publication)
@@ -186,7 +186,6 @@ void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
   // total op budget: the fixed churn volume stays deterministic for the
   // baseline diff, and every migration overlaps live writer traffic.
   const std::uint64_t total_ops = ops_per_writer * cfg.threads;
-  std::uint64_t maps_retired = 0;
   for (std::uint64_t m = 0; m < churns; ++m) {
     const std::uint64_t due = total_ops * m / churns;
     while (progress.load(std::memory_order_relaxed) < due) {
@@ -198,7 +197,6 @@ void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
       const long hi = (m % 2 == 0) ? cfg.key_range : 2 * cfg.key_range;
       map.reshard(RangeSplitter<long>{0, hi});
     }
-    maps_retired += 8;
   }
   for (auto& th : writers) th.join();
   const std::uint64_t ops = total_ops;
@@ -213,14 +211,40 @@ void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
   const std::size_t pending = map.retired_maps();
   window_pin.reset();
   EpochReclaimer::shared().quiescent_flush();
-  const double mops =
-      static_cast<double>(ops) / 1e6 / (secs > 0 ? secs : 1);
+  return {static_cast<double>(ops) / 1e6 / (secs > 0 ? secs : 1), pending};
+}
+
+void run_reshard_churn(Table& table, bool pin_window, std::uint64_t churns,
+                       int rounds, const BenchConfig& full_cfg) {
+  // A loss-free migration under full write pressure costs base-rebuild
+  // PLUS in-order replay of every write its window accepted, so the churn
+  // rows use a capped key range: at fig-scale ranges a single reshard
+  // stretches to seconds and the run measures allocator pressure, not the
+  // churn.
+  BenchConfig cfg = full_cfg;
+  cfg.key_range = std::min<long>(cfg.key_range, 4096);
+  cfg.threads = std::min<unsigned>(cfg.threads, 2);
+  // Fixed per-writer op budget (not a free-running timed loop): bounded
+  // writer work bounds the migration/replay feedback, so the row's
+  // runtime cannot blow up when the scheduler starves the replayer.
+  const std::uint64_t ops_per_writer =
+      cfg.seconds >= 0.1 ? 250000 : 10000;
+  std::vector<double> mops;
+  std::size_t pending = 0;
+  for (int r = 0; r < rounds; ++r) {
+    const ChurnRound round =
+        churn_round(cfg, pin_window, churns, ops_per_writer);
+    mops.push_back(round.mops);
+    pending = round.pending;
+  }
+  std::sort(mops.begin(), mops.end());
+  const std::uint64_t maps_retired = churns * 8;
   // The node-level and arena columns do not apply to map-granularity
   // churn rows; they print 0.
   table.add_row({"sharded-8", pin_window ? "pinned" : "epoch",
-                 Table::num(mops, 3), Table::num(maps_retired),
-                 Table::num(maps_retired - pending), Table::num(pending),
-                 "0", "0", "0", "0"});
+                 Table::num(mops[mops.size() / 2], 3),
+                 Table::num(maps_retired), Table::num(maps_retired - pending),
+                 Table::num(pending), "0", "0", "0", "0"});
 }
 
 }  // namespace
@@ -234,12 +258,14 @@ int main(int argc, char** argv) {
                "reclamation ablation (50i/50d) + reshard churn");
   const auto churns = static_cast<std::uint64_t>(
       cli.get_int("churns", smoke ? 6 : 16));
+  const int rounds = smoke ? 3 : 5;
   for (const auto& unknown : cli.unknown()) {
     std::fprintf(stderr, "unknown flag: --%s\n", unknown.c_str());
     return 2;
   }
-  char extra[32];
-  std::snprintf(extra, sizeof(extra), "threads=%u", base.threads);
+  char extra[48];
+  std::snprintf(extra, sizeof(extra), "threads=%u rounds=%d", base.threads,
+                rounds);
   rep.preamble(params_string(base, extra));
 
   Table table({"structure", "policy", "Mops/s", "retired", "freed",
@@ -263,8 +289,8 @@ int main(int argc, char** argv) {
   run_one<NbLeaky, LeakyReclaimer>(table, "leaky", base);
   run_one_arena<PnbArena, EpochReclaimer>(table, "epoch", base);
   run_one_arena<NbArena, EpochReclaimer>(table, "epoch", base);
-  run_reshard_churn(table, /*pin_window=*/false, churns, base);
-  run_reshard_churn(table, /*pin_window=*/true, churns, base);
+  run_reshard_churn(table, /*pin_window=*/false, churns, rounds, base);
+  run_reshard_churn(table, /*pin_window=*/true, churns, rounds, base);
   rep.emit(table);
   return 0;
 }

@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
     }
     for (long th : threads) {
       auto tree = std::make_unique<PnbBst<long>>();
-      const ingest::IngestOptions opts(static_cast<unsigned>(th), executor);
+      const scan::ParallelScanOptions opts(static_cast<unsigned>(th), executor);
       auto input = base;  // outside the timer: seq-insert pays no copy
       Timer t;
       if (tree->bulk_load(std::move(input), opts) !=
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
       mem::ArenaDomain dom;
       EpochReclaimer rec;
       ArenaTree tree(rec, mem::ArenaAlloc(dom));
-      const ingest::IngestOptions opts(static_cast<unsigned>(th), executor);
+      const scan::ParallelScanOptions opts(static_cast<unsigned>(th), executor);
       auto input = base;
       Timer t;
       if (tree.bulk_load(std::move(input), opts) !=
@@ -203,9 +203,8 @@ int main(int argc, char** argv) {
     // --- update burst against an established balanced tree ------------------
     auto make_loaded = [&] {
       auto tree = std::make_unique<PnbBst<long>>();
-      tree->bulk_load(base,
-                      ingest::IngestOptions(
-                          static_cast<unsigned>(max_threads), executor));
+      tree->bulk_load(base, scan::ParallelScanOptions(
+                                static_cast<unsigned>(max_threads), executor));
       return tree;
     };
     double sequp_ms;
@@ -221,7 +220,7 @@ int main(int argc, char** argv) {
       std::vector<ingest::BatchOp<long>> ops;
       ops.reserve(burst.size());
       for (long k : burst) ops.push_back(ingest::BatchOp<long>::insert(k));
-      const ingest::IngestOptions opts(static_cast<unsigned>(th), executor);
+      const scan::ParallelScanOptions opts(static_cast<unsigned>(th), executor);
       Timer t;
       tree->apply_batch(std::move(ops), opts);
       emit_row("apply_batch", th, t.elapsed_ms(), sequp_ms, u, *tree);

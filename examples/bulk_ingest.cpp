@@ -5,8 +5,9 @@
 //      precondition holds — the store is still private).
 //   2. BURST WRITES — a writer streams batched updates (apply_batch:
 //      sorted, deduplicated, fanned across the executor through the
-//      ordinary lock-free paths) while an auditor thread runs parallel
-//      merged snapshot scans and checks every observed pair.
+//      ordinary lock-free paths) while an auditor thread scans merged
+//      snapshots, checks every observed pair, and checks each snapshot's
+//      parallel per-shard count against its contents.
 //   3. LIVE RESHARD — migrate the whole store to a wider routing function
 //      while the auditor keeps reading: readers see the pre- or
 //      post-reshard table, never a mix, and any write racing the cutover
@@ -36,7 +37,7 @@
 namespace {
 
 using pnbbst::ingest::BatchOp;
-using pnbbst::ingest::IngestOptions;
+using pnbbst::scan::ParallelScanOptions;
 
 // Value scheme the auditor can verify for any key: v == k * 7.
 long value_of(long k) { return k * 7; }
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
   for (long k = 0; k < keys; ++k) items.emplace_back(k, value_of(k));
   pnbbst::Timer load_timer;
   const std::size_t loaded =
-      store.bulk_load(std::move(items), IngestOptions(8));
+      store.bulk_load(std::move(items), ParallelScanOptions(8));
   std::printf("[load] bulk_load: %zu keys in %.1f ms (balanced, phase 0)\n",
               loaded, load_timer.elapsed_ms());
 
@@ -72,8 +73,14 @@ int main(int argc, char** argv) {
   std::atomic<long> audits{0};
   std::thread auditor([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      // One composite snapshot, per-shard scans fanned across the executor.
-      const auto all = store.parallel_range_scan(0, keyspace - 1, 4);
+      // One composite snapshot: its contents, and its per-shard count
+      // fanned across the executor, which must agree.
+      auto snap = store.snapshot();
+      const auto all = snap.range_scan(0, keyspace - 1);
+      if (snap.parallel_range_count(0, keyspace - 1, 4) != all.size()) {
+        std::fprintf(stderr, "AUDIT FAILED: parallel count disagrees\n");
+        std::exit(1);
+      }
       long prev = -1;
       for (const auto& [k, v] : all) {
         if (k <= prev || v != value_of(k)) {
@@ -102,7 +109,8 @@ int main(int argc, char** argv) {
         ops.push_back(BatchOp<long, long>::erase(k));
       }
     }
-    changed += store.apply_batch(std::move(ops), IngestOptions(4)).changed();
+    changed +=
+        store.apply_batch(std::move(ops), ParallelScanOptions(4)).changed();
   }
   std::printf(
       "[burst] %d batches x %d ops in %.1f ms (%zu net changes) "
@@ -114,7 +122,8 @@ int main(int argc, char** argv) {
   const std::size_t before = store.size();
   pnbbst::Timer reshard_timer;
   const std::size_t migrated =
-      store.reshard(pnbbst::RangeSplitter<long>{0, keyspace}, IngestOptions(8));
+      store.reshard(pnbbst::RangeSplitter<long>{0, keyspace},
+                    ParallelScanOptions(8));
   std::printf(
       "[reshard] migrated %zu entries to the [0, %ld) routing in %.1f ms; "
       "reads never blocked, racing writes replay from the intent ledger\n",

@@ -77,14 +77,8 @@ struct SetAdapter<PnbBst<K, C, R, S, A>> {
     t.range_visit_while(lo, hi, std::forward<Vis>(vis));
   }
   Snapshot snapshot() { return t.snapshot(); }
-  // Parallel chunked snapshot scans (src/scan/); PNB-BST only — the
-  // baselines have no multi-version substrate to scan from concurrently.
-  std::vector<K> parallel_range_scan(const K& lo, const K& hi,
-                                     const scan::ParallelScanOptions& o = {})
-    requires std::integral<K>
-  {
-    return t.parallel_range_scan(lo, hi, o);
-  }
+  // Parallel chunked snapshot count (src/scan/); PNB-BST only — the
+  // baselines have no multi-version substrate to count from concurrently.
   std::size_t parallel_range_count(const K& lo, const K& hi,
                                    const scan::ParallelScanOptions& o = {})
     requires std::integral<K>
@@ -94,11 +88,11 @@ struct SetAdapter<PnbBst<K, C, R, S, A>> {
   // Batch ingest (src/ingest/); PNB-BST only — the baselines have no bulk
   // constructor and no executor-driven batch path.
   std::size_t bulk_load(std::vector<K> keys,
-                        const ingest::IngestOptions& o = {}) {
+                        const scan::ParallelScanOptions& o = {}) {
     return t.bulk_load(std::move(keys), o);
   }
   ingest::BatchResult apply_batch(std::vector<batch_op> ops,
-                                  const ingest::IngestOptions& o = {}) {
+                                  const scan::ParallelScanOptions& o = {}) {
     return t.apply_batch(std::move(ops), o);
   }
 };
@@ -242,7 +236,7 @@ static_assert(PrefixScannable<SetAdapter<LfSkipList<long>>, long>);
 static_assert(Snapshottable<SetAdapter<PnbBst<long>>>);
 static_assert(PhasedSnapshottable<SetAdapter<PnbBst<long>>>);
 
-// Parallel scans: modeled by the PNB-BST adapter alone (the engine chunks
+// Parallel counts: modeled by the PNB-BST adapter alone (the engine chunks
 // one multi-version snapshot; the baselines have nothing equivalent).
 static_assert(ParallelScannable<SetAdapter<PnbBst<long>>, long>);
 static_assert(!ParallelScannable<SetAdapter<LockedBst<long>>, long>);

@@ -9,7 +9,7 @@
 //   OrderedSet<S, K>        point ops: insert / erase / contains
 //   Scannable<S, K>         linear range queries: range_count / range_scan
 //   PrefixScannable<S, K>   early-terminating scans: range_visit_while
-//   ParallelScannable<S, K> multi-threaded snapshot scans (src/scan/)
+//   ParallelScannable<S, K> multi-threaded snapshot counts (src/scan/)
 //   BatchIngestible<S>      batch ingest (src/ingest/): bulk_load on a
 //                           fresh/private structure, apply_batch on a live
 //                           one
@@ -61,22 +61,16 @@ concept PrefixScannable =
       s.range_visit_while(lo, hi, vis);
     };
 
-// Multi-threaded snapshot scans (the src/scan/ engine): the same results as
-// the sequential scan surface, produced by chunking one snapshot across a
-// worker pool. The unsigned argument is the scan-thread count; structures
-// take a richer scan::ParallelScanOptions that converts implicitly from it.
-// parallel_range_scan must return exactly what range_scan returns (keys for
-// sets, pairs for maps) — chunked scans of one phase concatenate into the
-// sequential scan's output, so the concept can demand type equality. The
-// concept deliberately does not refine Scannable/MapScannable: it applies
-// to both shapes, whose materialized element types differ.
+// Multi-threaded snapshot counts (the src/scan/ engine): the same count as
+// the sequential scan surface, produced by chunking one snapshot (or one
+// task per shard snapshot) across a worker pool. The unsigned argument is
+// the scan-thread count; structures take a scan::ParallelScanOptions that
+// converts implicitly from it. Contents come from snapshot().range_scan.
 template <class S, class K>
 concept ParallelScannable =
     requires(S s, const K& lo, const K& hi, unsigned n) {
       { s.range_count(lo, hi) } -> std::same_as<std::size_t>;
       { s.parallel_range_count(lo, hi, n) } -> std::same_as<std::size_t>;
-      { s.parallel_range_scan(lo, hi, n) }
-          -> std::same_as<decltype(s.range_scan(lo, hi))>;
     };
 
 // Batch ingest surface (the src/ingest/ engine). `bulk_item` is what

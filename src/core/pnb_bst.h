@@ -39,7 +39,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <iterator>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -100,7 +99,7 @@ class PnbBst {
   // bulk_load directly for the parallel build.
   template <class It>
   PnbBst(It first, It last, R& reclaimer = R::shared()) : PnbBst(reclaimer) {
-    bulk_load(std::vector<Key>(first, last), ingest::IngestOptions(1));
+    bulk_load(std::vector<Key>(first, last), scan::ParallelScanOptions(1));
   }
 
   PnbBst(const PnbBst&) = delete;
@@ -431,40 +430,17 @@ class PnbBst {
       tree_->template scan_tree<Key, Key>(seq_, nullptr, nullptr, vis);
     }
 
-    // --- Parallel scans (src/scan/ engine) ---------------------------------
+    // --- Parallel count (src/scan/ engine) ---------------------------------
     //
-    // [lo, hi] is tiled into disjoint key-range chunks, each scanned at this
+    // [lo, hi] is tiled into disjoint key-range chunks, each counted at this
     // snapshot's phase by a ScanExecutor task (the caller participates, see
     // scan/parallel_scan.h). Every chunk traverses the same version tree
-    // T_seq, so the concatenated result is exactly the sequential
-    // range_scan at this phase — same linearizability, more cores. Worker
-    // threads pin the reclaimer for their chunk: the snapshot's own guard
-    // keeps version-seq nodes alive, and the per-task pin covers the
-    // retirements a helping worker may itself trigger. Integral probes
-    // only (chunk boundaries are computed by key arithmetic).
-    template <class B = Key>
-      requires ProbeFor<B, Key, Compare> && std::integral<B>
-    std::vector<Key> parallel_range_scan(
-        const B& lo, const B& hi,
-        const scan::ParallelScanOptions& opts = {}) const {
-      const auto chunks = scan::plan_chunks(opts, lo, hi);
-      std::vector<std::vector<Key>> parts(chunks.size());
-      scan::run_tasks(opts, chunks.size(), [&](std::size_t i) {
-        auto guard = tree_->reclaimer_->pin();
-        auto collect = [&parts, i](const Key& k) { parts[i].push_back(k); };
-        tree_->scan_tree(seq_, &chunks[i].first, &chunks[i].second, collect);
-      });
-      std::size_t total = 0;
-      for (const auto& p : parts) total += p.size();
-      std::vector<Key> out;
-      out.reserve(total);
-      for (auto& p : parts) {
-        out.insert(out.end(), std::make_move_iterator(p.begin()),
-                   std::make_move_iterator(p.end()));
-      }
-      return out;
-    }
-
+    // T_seq, so the summed count is exactly the sequential range_count at
+    // this phase — same linearizability, more cores. Worker threads pin the
+    // reclaimer for their chunk: the snapshot's own guard keeps version-seq
+    // nodes alive, and the per-task pin covers the retirements a helping
+    // worker may itself trigger. Integral probes only (chunk boundaries are
+    // computed by key arithmetic).
     template <class B = Key>
       requires ProbeFor<B, Key, Compare> && std::integral<B>
     std::size_t parallel_range_count(
@@ -522,18 +498,11 @@ class PnbBst {
     return Snapshot(this, seq, std::move(guard));
   }
 
-  // --- Parallel range queries (wait-free per chunk; src/scan/ engine) ------
+  // --- Parallel range count (wait-free per chunk; src/scan/ engine) --------
 
-  // One new phase, scanned by multiple threads in key-range chunks. Result
-  // and linearization are identical to range_scan at the same phase; see
-  // Snapshot::parallel_range_scan for the mechanism.
-  template <class B = Key>
-    requires ProbeFor<B, Key, Compare> && std::integral<B>
-  std::vector<Key> parallel_range_scan(
-      const B& lo, const B& hi, const scan::ParallelScanOptions& opts = {}) {
-    return snapshot().parallel_range_scan(lo, hi, opts);
-  }
-
+  // One new phase, counted by multiple threads in key-range chunks. Result
+  // and linearization are identical to range_count at the same phase; see
+  // Snapshot::parallel_range_count for the mechanism.
   template <class B = Key>
     requires ProbeFor<B, Key, Compare> && std::integral<B>
   std::size_t parallel_range_count(
@@ -574,7 +543,7 @@ class PnbBst {
   // scanned tree has phase() > 0), while the construction-time leaf has
   // seq 0 and no prev.
   std::size_t bulk_load(std::vector<Key> keys,
-                        const ingest::IngestOptions& opts = {}) {
+                        const scan::ParallelScanOptions& opts = {}) {
     Node* old_left = root_->left.load(std::memory_order_relaxed);
     if (!old_left->is_leaf() || old_left->key.is_finite() ||
         old_left->prev != nullptr || old_left->seq != 0 || phase() != 0) {
@@ -605,7 +574,7 @@ class PnbBst {
   // parallel issue. The batch as a whole is NOT atomic (ingest/
   // batch_apply.h has the argument).
   ingest::BatchResult apply_batch(std::vector<batch_op> ops,
-                                  const ingest::IngestOptions& opts = {}) {
+                                  const scan::ParallelScanOptions& opts = {}) {
     ingest::normalize_batch(ops, [this](const Key& a, const Key& b) {
       return less_.cmp(a, b);
     });

@@ -197,17 +197,10 @@ class PnbMap {
     return snapshot().range_count(lo, hi);
   }
 
-  // --- Parallel range queries (src/scan/ engine; integral keys) ------------
+  // --- Parallel range count (src/scan/ engine; integral keys) ---------------
 
-  // One new phase, scanned in key-range chunks by multiple threads. Same
-  // pairs, same linearization point as range_scan at that phase.
-  std::vector<std::pair<K, V>> parallel_range_scan(
-      const K& lo, const K& hi, const scan::ParallelScanOptions& opts = {})
-    requires std::integral<K>
-  {
-    return snapshot().parallel_range_scan(lo, hi, opts);
-  }
-
+  // One new phase, counted in key-range chunks by multiple threads. Same
+  // count, same linearization point as range_count at that phase.
   std::size_t parallel_range_count(const K& lo, const K& hi,
                                    const scan::ParallelScanOptions& opts = {})
     requires std::integral<K>
@@ -235,7 +228,7 @@ class PnbMap {
   // keys keep the LAST pair (batch order semantics). Same single-writer
   // precondition as PnbBst::bulk_load: fresh, empty, still-private map.
   std::size_t bulk_load(std::vector<bulk_item> items,
-                        const ingest::IngestOptions& opts = {}) {
+                        const scan::ParallelScanOptions& opts = {}) {
     std::vector<Entry> entries;
     entries.reserve(items.size());
     for (bulk_item& it : items) {
@@ -250,7 +243,7 @@ class PnbMap {
   // lock-free path (insert keeps insert-if-absent semantics). Last op per
   // key wins within the batch; the batch as a whole is not atomic.
   ingest::BatchResult apply_batch(std::vector<batch_op> ops,
-                                  const ingest::IngestOptions& opts = {}) {
+                                  const scan::ParallelScanOptions& opts = {}) {
     ingest::normalize_batch(ops, [cmp = Compare{}](const K& a, const K& b) {
       return cmp(a, b);
     });
@@ -349,23 +342,9 @@ class PnbMap {
       return out;
     }
 
-    // Parallel chunked scans at this snapshot's phase (src/scan/ engine):
-    // exactly range_scan's / range_count's result, produced by multiple
-    // threads. Integral keys only (chunk bounds are key arithmetic).
-    std::vector<std::pair<K, V>> parallel_range_scan(
-        const K& lo, const K& hi,
-        const scan::ParallelScanOptions& opts = {}) const
-      requires std::integral<K>
-    {
-      auto entries = snap_.parallel_range_scan(lo, hi, opts);
-      std::vector<std::pair<K, V>> out;
-      out.reserve(entries.size());
-      for (auto& e : entries) {
-        out.emplace_back(std::move(e.key), std::move(e.value()));
-      }
-      return out;
-    }
-
+    // Parallel chunked count at this snapshot's phase (src/scan/ engine):
+    // exactly range_count's result, produced by multiple threads. Integral
+    // keys only (chunk bounds are key arithmetic).
     std::size_t parallel_range_count(
         const K& lo, const K& hi,
         const scan::ParallelScanOptions& opts = {}) const

@@ -7,8 +7,9 @@
 //      batch behaves as if its ops were applied in order with later ops
 //      overriding earlier ones on the same key;
 //   2. tiles the sorted vector into contiguous index runs
-//      (scan::partition_range over indices — the same tiling the parallel
-//      scan engine uses over key space);
+//      (scan::plan_tasks at the kIngestGrain floor, then
+//      scan::partition_range over indices — the same planning and tiling
+//      the parallel scan engine uses over key space);
 //   3. applies each run on the scan::ScanExecutor, caller participating.
 //
 // LINEARIZABILITY: every op still goes through the structure's ordinary
@@ -43,7 +44,6 @@
 #include <vector>
 
 #include "ingest/bulk_build.h"
-#include "ingest/options.h"
 #include "scan/parallel_scan.h"
 #include "scan/partition.h"
 
@@ -140,14 +140,15 @@ bool apply_op(Target& target, BatchOp<K, V>& op, BatchResult& r) {
 // safe to call concurrently (the lock-free paths are).
 template <class Target, class Op>
 BatchResult apply_runs(Target& target, std::vector<Op>& ops,
-                       const IngestOptions& opts) {
+                       const scan::ParallelScanOptions& opts) {
   BatchResult total;
   if (ops.empty()) return total;
-  const std::size_t want = opts.resolve_runs(ops.size());
+  const std::size_t want =
+      scan::plan_tasks(opts, ops.size(), scan::kIngestGrain);
   const auto runs =
       scan::partition_range<std::size_t>(0, ops.size() - 1, want);
   std::vector<BatchResult> parts(runs.size());
-  scan::run_tasks(opts.scan_options(), runs.size(), [&](std::size_t r) {
+  scan::run_tasks(opts, runs.size(), [&](std::size_t r) {
     BatchResult local;
     for (std::size_t i = runs[r].first; i <= runs[r].second; ++i) {
       apply_op(target, ops[i], local);

@@ -43,7 +43,6 @@
 #include <utility>
 #include <vector>
 
-#include "ingest/options.h"
 #include "scan/parallel_scan.h"
 
 namespace pnbbst::ingest {
@@ -92,12 +91,13 @@ struct TreeBuilder {
   }
 
   // Builds the balanced tree over all of `leaves` (non-empty), fanning
-  // subtree construction across the executor when the input is large
-  // enough. Returns the root of the new subtree; every node is phase 0.
+  // subtree construction across the executor when the input spans more
+  // than one ingest grain. Returns the root of the new subtree; every node
+  // is phase 0.
   static Node* build(Tree& t, const std::vector<EK>& leaves,
-                     const IngestOptions& opts) {
+                     const scan::ParallelScanOptions& opts) {
     const std::size_t n = leaves.size();
-    const std::size_t runs = opts.resolve_runs(n);
+    const std::size_t runs = scan::plan_tasks(opts, n, scan::kIngestGrain);
     if (runs <= 1) return build_range(t, leaves, 0, n);
     // ceil so grain * runs >= n: the spine recursion bottoms out into at
     // most ~runs tasks of roughly equal size.
@@ -105,7 +105,7 @@ struct TreeBuilder {
     std::vector<SubtreeTask> tasks;
     tasks.reserve(runs + 1);
     Node* root = build_spine(t, leaves, 0, n, grain, tasks);
-    scan::run_tasks(opts.scan_options(), tasks.size(), [&](std::size_t i) {
+    scan::run_tasks(opts, tasks.size(), [&](std::size_t i) {
       const SubtreeTask& task = tasks[i];
       // Arena-adjacency hint: a tree whose allocator can reserve
       // contiguous slot runs gets each subtree emitted into its worker's

@@ -1,61 +1,13 @@
-// Tuning knobs for the batch ingest engine (src/ingest/ overview in
-// docs/DESIGN.md §8).
-//
-// Ingest work — building balanced subtrees in bulk_build.h, applying
-// sorted op runs in batch_apply.h — is fanned out with the same
-// scan::run_tasks primitive the parallel scan engine uses, so the options
-// mirror scan::ParallelScanOptions and convert to one. The extra knob is
-// `min_run`: the smallest number of items worth a task of its own. Batch
-// application has per-op cost (a lock-free update each), so tiny runs would
-// drown in fan-out overhead; the grain floor keeps small batches effectively
-// sequential and large ones evenly tiled.
+// Ingest fan-out options: the same scan::ParallelScanOptions every parallel
+// path takes (threads + executor; the ingest grain is the fixed
+// scan::kIngestGrain). The alias keeps the ingest-side spelling that
+// benchmark/ladder.h uses.
 #pragma once
 
-#include <algorithm>
-#include <cstddef>
-
-#include "scan/executor.h"
 #include "scan/parallel_scan.h"
 
 namespace pnbbst::ingest {
 
-struct IngestOptions {
-  unsigned threads = 0;             // 0 -> resolve to executor width
-  std::size_t runs_per_thread = 4;  // oversplit factor for load balance
-  std::size_t min_run = 1024;       // grain: min items per parallel task
-  scan::ScanExecutor* executor = nullptr;  // null -> ScanExecutor::shared()
-
-  // Implicit by design, like ParallelScanOptions: the BatchIngestible
-  // surface accepts a bare thread count.
-  IngestOptions(unsigned t = 0) noexcept : threads(t) {}
-  IngestOptions(unsigned t, scan::ScanExecutor& ex,
-                std::size_t oversplit = 4) noexcept
-      : threads(t), runs_per_thread(oversplit), executor(&ex) {}
-
-  scan::ParallelScanOptions scan_options() const noexcept {
-    scan::ParallelScanOptions o(threads);
-    o.chunks_per_thread = runs_per_thread == 0 ? 1 : runs_per_thread;
-    o.executor = executor;
-    return o;
-  }
-
-  unsigned resolve_threads() const {
-    return scan_options().resolve_threads();
-  }
-
-  // Number of contiguous runs to tile `n` items into: enough to keep every
-  // resolved thread fed (with oversplit for stealing), but never so many
-  // that a run drops below the min_run grain.
-  std::size_t resolve_runs(std::size_t n) const {
-    const unsigned threads_resolved = resolve_threads();
-    if (n == 0 || threads_resolved <= 1) return n == 0 ? 0 : 1;
-    const std::size_t grain = std::max<std::size_t>(1, min_run);
-    const std::size_t by_grain = std::max<std::size_t>(1, n / grain);
-    const std::size_t by_threads =
-        static_cast<std::size_t>(threads_resolved) *
-        (runs_per_thread == 0 ? 1 : runs_per_thread);
-    return std::min(by_grain, by_threads);
-  }
-};
+using IngestOptions = scan::ParallelScanOptions;
 
 }  // namespace pnbbst::ingest

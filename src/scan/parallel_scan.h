@@ -1,18 +1,21 @@
-// Parallel scan engine: options, chunk planning, and the fan-out driver.
+// Parallel scan engine: fan-out options, task planning, and the fan-out
+// driver. Every parallel path in the repo — chunked and per-shard counts,
+// bulk_load, apply_batch, reshard — is described by the one
+// ParallelScanOptions{threads, executor} and split by the one plan_tasks.
 //
 // The engine turns one wait-free snapshot scan into many independent tasks
 // executed on a ScanExecutor:
 //
-//   * chunked scans (PnbBst / PnbMap): plan_chunks() tiles the inclusive
+//   * chunked counts (PnbBst / PnbMap): plan_chunks() tiles the inclusive
 //     probe interval [lo, hi] into disjoint ascending key-range chunks (see
 //     partition.h); every chunk scans the SAME snapshot phase, so the
-//     concatenated result is bit-identical to the sequential scan at that
-//     phase — parallelism does not weaken linearizability (docs/DESIGN.md
-//     §7 has the argument);
-//   * per-shard scans (ShardedPnbMap): run_tasks() executes one task per
-//     shard snapshot, concatenated in shard order. The cross-shard
-//     consistency contract is unchanged because the per-shard snapshots are
-//     still taken sequentially before any task runs.
+//     summed count is exactly the sequential count at that phase —
+//     parallelism does not weaken linearizability (docs/DESIGN.md §7 has
+//     the argument);
+//   * per-shard counts (ShardedPnbMap): run_tasks() executes one task per
+//     shard snapshot. The cross-shard consistency contract is unchanged
+//     because the per-shard snapshots are still taken sequentially before
+//     any task runs.
 //
 // run_tasks() is the single fan-out primitive. The calling thread always
 // participates: it claims task indices from the same atomic counter the
@@ -22,8 +25,10 @@
 //
 // Thread counts: ParallelScanOptions::threads == 0 resolves to the
 // executor's width; an explicit count caps the helpers submitted (threads-1
-// helpers + the caller). Oversplitting (chunks_per_thread > 1) lets early
-// finishers steal remaining chunks, smoothing key-density imbalance.
+// helpers + the caller). plan_tasks() oversplits by kOversplit tasks per
+// thread so early finishers steal remaining work, smoothing key-density
+// imbalance; ingest passes kIngestGrain so a task never gets fewer items
+// than are worth a task of their own.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +36,7 @@
 #include <concepts>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -42,17 +48,26 @@
 
 namespace pnbbst::scan {
 
+// Tasks planned per resolved thread: the oversplit that lets early
+// finishers steal the remaining work.
+inline constexpr std::size_t kOversplit = 4;
+
+// Ingest grain: the fewest items (ops to apply, leaves to build) worth a
+// task of their own. Batch application has per-op cost (a lock-free update
+// each), so tiny runs would drown in fan-out overhead; the floor keeps
+// small batches sequential and large ones evenly tiled.
+inline constexpr std::size_t kIngestGrain = 1024;
+
 struct ParallelScanOptions {
   unsigned threads = 0;              // 0 -> resolve to executor width
-  std::size_t chunks_per_thread = 4; // oversplit factor for load balance
   ScanExecutor* executor = nullptr;  // null -> ScanExecutor::shared()
 
   // Implicit by design: the ParallelScannable concept (core/concepts.h)
-  // calls parallel_* with a bare thread count, which converts through here.
+  // and callers like bulk_load(items, 8) pass a bare thread count, which
+  // converts through here.
   ParallelScanOptions(unsigned t = 0) noexcept : threads(t) {}
-  ParallelScanOptions(unsigned t, ScanExecutor& ex,
-                      std::size_t oversplit = 4) noexcept
-      : threads(t), chunks_per_thread(oversplit), executor(&ex) {}
+  ParallelScanOptions(unsigned t, ScanExecutor& ex) noexcept
+      : threads(t), executor(&ex) {}
 
   ScanExecutor& resolve_executor() const {
     return executor != nullptr ? *executor : ScanExecutor::shared();
@@ -68,19 +83,33 @@ struct ParallelScanOptions {
   }
 };
 
-// Chunk plan for the inclusive probe interval [lo, hi] under `opts`: one
-// chunk when the scan is effectively sequential, threads * chunks_per_thread
-// otherwise. Chunks are disjoint, ascending, and tile [lo, hi] exactly.
+// Number of tasks to split `items` work items into under `opts`: none for
+// no work, one when the fan-out is sequential, otherwise kOversplit per
+// resolved thread — but never so many that a task gets fewer than `grain`
+// items.
+inline std::size_t plan_tasks(const ParallelScanOptions& opts,
+                              std::uint64_t items, std::uint64_t grain = 1) {
+  if (items == 0) return 0;
+  const unsigned threads = opts.resolve_threads();
+  if (threads <= 1) return 1;
+  const std::uint64_t by_grain =
+      std::max<std::uint64_t>(1, items / std::max<std::uint64_t>(1, grain));
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(by_grain, threads * kOversplit));
+}
+
+// Chunk plan for the inclusive probe interval [lo, hi]: plan_tasks over its
+// keys, tiled by partition_range. Chunks are disjoint, ascending, and tile
+// [lo, hi] exactly.
 template <std::integral B>
 std::vector<std::pair<B, B>> plan_chunks(const ParallelScanOptions& opts,
                                          B lo, B hi) {
-  const unsigned threads = opts.resolve_threads();
-  const std::size_t want =
-      threads <= 1 ? 1
-                   : static_cast<std::size_t>(threads) *
-                         (opts.chunks_per_thread == 0 ? 1
-                                                      : opts.chunks_per_thread);
-  return partition_range(lo, hi, want);
+  if (hi < lo) return {};
+  // Key count hi - lo + 1, saturated: the full 64-bit domain has 2^64 keys.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  const std::uint64_t keys = span == UINT64_MAX ? span : span + 1;
+  return partition_range(lo, hi, plan_tasks(opts, keys));
 }
 
 // Executes fn(i) exactly once for every i in [0, n), using at most

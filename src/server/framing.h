@@ -15,8 +15,8 @@
 // frame decoded from one read burst are appended back-to-back and
 // flushed with single write() calls — the per-connection write
 // coalescing the reactor relies on. consumed() advances past partial
-// writes; compaction is amortized so a slow reader does not turn the
-// buffer into an O(n^2) memmove chain.
+// writes; compaction (drop_consumed) is amortized so a slow reader does
+// not turn the buffer into an O(n^2) memmove chain.
 #pragma once
 
 #include <cstddef>
@@ -27,16 +27,32 @@
 
 namespace pnbbst::net {
 
-// Empties a fully drained buffer. Capacity above twice the server's 64 KiB
-// recv burst is released, so a connection that once buffered up to a
-// high mark does not hold that memory while idle; steady traffic stays
-// below it and never reallocates.
-inline void reset_drained(std::vector<std::uint8_t>& buf) {
+// Drops the consumed prefix buf[0, off) of a buffer read from its head —
+// the one drain/compact step of both FrameReader and WriteBuffer.
+//
+// A fully drained buffer is emptied. Capacity above twice the server's
+// 64 KiB recv burst is released, but the buffer keeps that floor reserved:
+// a connection that once buffered up to a high mark does not hold that
+// memory while idle, and the next burst grows from the floor instead of
+// from zero. Steady traffic stays below the floor and never reallocates.
+// A partly consumed buffer drops its prefix once the prefix dominates the
+// buffer: amortized O(1) per byte, so a long-lived connection's buffer
+// stays at frame scale.
+inline void drop_consumed(std::vector<std::uint8_t>& buf, std::size_t& off) {
   constexpr std::size_t kKeepCapacity = 128 * 1024;
-  if (buf.capacity() > kKeepCapacity) {
-    std::vector<std::uint8_t>().swap(buf);
-  } else {
-    buf.clear();
+  if (off == 0) return;
+  if (off == buf.size()) {
+    if (buf.capacity() > kKeepCapacity) {
+      std::vector<std::uint8_t> floor;
+      floor.reserve(kKeepCapacity);
+      buf.swap(floor);
+    } else {
+      buf.clear();
+    }
+    off = 0;
+  } else if (off >= 4096 && off * 2 >= buf.size()) {
+    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
+    off = 0;
   }
 }
 
@@ -68,7 +84,7 @@ class FrameReader {
     if (poisoned_) return Next::kTooLarge;
     const std::size_t avail = buf_.size() - off_;
     if (avail < kLenPrefixBytes) {
-      compact();
+      drop_consumed(buf_, off_);
       return Next::kNeedMore;
     }
     std::uint32_t len = 0;
@@ -82,7 +98,7 @@ class FrameReader {
       return Next::kTooLarge;
     }
     if (avail < kLenPrefixBytes + len) {
-      compact();
+      drop_consumed(buf_, off_);
       return Next::kNeedMore;
     }
     out.assign(buf_.begin() + static_cast<std::ptrdiff_t>(
@@ -90,7 +106,7 @@ class FrameReader {
                buf_.begin() + static_cast<std::ptrdiff_t>(
                                   off_ + kLenPrefixBytes + len));
     off_ += kLenPrefixBytes + len;
-    compact();
+    drop_consumed(buf_, off_);
     return Next::kFrame;
   }
 
@@ -102,22 +118,6 @@ class FrameReader {
   std::size_t capacity() const noexcept { return buf_.capacity(); }
 
  private:
-  // Drop consumed bytes once they dominate the buffer; amortized O(1)
-  // per byte, keeps a long-lived connection's buffer at frame scale.
-  void compact() {
-    if (off_ == 0) return;
-    if (off_ == buf_.size()) {
-      reset_drained(buf_);
-      off_ = 0;
-      return;
-    }
-    if (off_ >= 4096 && off_ * 2 >= buf_.size()) {
-      buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(
-                                                  off_));
-      off_ = 0;
-    }
-  }
-
   std::size_t max_frame_;
   std::vector<std::uint8_t> buf_;
   std::size_t off_ = 0;      // consumed prefix of buf_
@@ -147,14 +147,7 @@ class WriteBuffer {
 
   void consumed(std::size_t n) {
     off_ += n;
-    if (off_ == buf_.size()) {
-      reset_drained(buf_);
-      off_ = 0;
-    } else if (off_ >= 4096 && off_ * 2 >= buf_.size()) {
-      buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(
-                                                  off_));
-      off_ = 0;
-    }
+    drop_consumed(buf_, off_);
   }
 
  private:

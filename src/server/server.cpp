@@ -18,7 +18,6 @@
 #include <utility>
 
 #include "ingest/batch_apply.h"
-#include "ingest/options.h"
 #include "mem/arena.h"
 #include "obs/adapters.h"
 #include "obs/latency.h"
@@ -558,7 +557,8 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
       }
       if (bad || !req.done()) break;
       const ingest::BatchResult r = map_.apply_batch(
-          std::move(ops), ingest::IngestOptions(cfg_.scan_threads, executor_));
+          std::move(ops),
+          scan::ParallelScanOptions(cfg_.scan_threads, executor_));
       if (!r.admitted()) {
         // Overload shed: retired-bytes watermark exceeded, batch bounced
         // untouched.

@@ -108,7 +108,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -354,18 +353,13 @@ class ShardedPnbMap {
     snapshot_span(lo, hi).visit_while(lo, hi, std::forward<Visitor>(vis));
   }
 
-  // --- Parallel merged queries (src/scan/ engine) ---------------------------
+  // --- Parallel merged count (src/scan/ engine) -----------------------------
   //
-  // Same consistency contract as the sequential merged queries: the
+  // Same consistency contract as the sequential merged count: the
   // per-shard snapshots are still taken sequentially in ascending shard
   // order (the contract's linearization structure is fixed at that point);
-  // only the per-shard snapshot SCANS then run concurrently on the
-  // executor, concatenated in shard order like the sequential scan.
-  std::vector<std::pair<K, V>> parallel_range_scan(
-      const K& lo, const K& hi, const scan::ParallelScanOptions& opts = {}) {
-    return snapshot_span(lo, hi).parallel_range_scan(lo, hi, opts);
-  }
-
+  // only the per-shard snapshot COUNTS then run concurrently on the
+  // executor.
   std::size_t parallel_range_count(
       const K& lo, const K& hi, const scan::ParallelScanOptions& opts = {}) {
     return snapshot_span(lo, hi).parallel_range_count(lo, hi, opts);
@@ -386,11 +380,11 @@ class ShardedPnbMap {
   // whole instance: fresh, empty, still-private (hence no migration or
   // admission machinery on this path).
   std::size_t bulk_load(std::vector<bulk_item> items,
-                        const ingest::IngestOptions& opts = {}) {
+                        const scan::ParallelScanOptions& opts = {}) {
     const Table* table = table_.load(std::memory_order_acquire);
     auto routed = by_shard(table->splitter, std::move(items));
     std::array<std::size_t, NumShards> counts{};
-    scan::run_tasks(opts.scan_options(), NumShards, [&](std::size_t i) {
+    scan::run_tasks(opts, NumShards, [&](std::size_t i) {
       counts[i] = table->shards[i]->map.bulk_load(std::move(routed[i]), opts);
     });
     std::size_t total = 0;
@@ -415,7 +409,7 @@ class ShardedPnbMap {
   //     a shard batch that loses its table to a cutover re-routes itself
   //     under the new splitter and retries.
   ingest::BatchResult apply_batch(std::vector<batch_op> ops,
-                                  const ingest::IngestOptions& opts = {}) {
+                                  const scan::ParallelScanOptions& opts = {}) {
     ingest::BatchResult total;
     if (ops.empty()) return total;
     const std::size_t mark = shed_watermark_.load(std::memory_order_relaxed);
@@ -447,7 +441,7 @@ class ShardedPnbMap {
       pending.clear();
       std::array<ingest::BatchResult, NumShards> parts{};
       std::array<std::vector<batch_op>, NumShards> retry;
-      scan::run_tasks(opts.scan_options(), NumShards, [&](std::size_t s) {
+      scan::run_tasks(opts, NumShards, [&](std::size_t s) {
         if (routed[s].empty()) return;
         const WriteAdmit a =
             admit_write(t, s, [&](std::vector<batch_op>& ledger) {
@@ -485,7 +479,7 @@ class ShardedPnbMap {
   // recorded and replayed (contract above). A splitter the constructor
   // would reject throws std::invalid_argument here, changing nothing.
   std::size_t reshard(RangeSplitter<K> new_splitter,
-                      const ingest::IngestOptions& opts = {}) {
+                      const scan::ParallelScanOptions& opts = {}) {
     check(new_splitter);
     std::lock_guard<std::mutex> lock(reshard_mutex_);
     auto guard = reclaimer_->pin();
@@ -516,7 +510,7 @@ class ShardedPnbMap {
     auto* t_new = new Table;
     t_new->splitter = std::move(new_splitter);
     auto routed = by_shard(t_new->splitter, std::move(items));
-    scan::run_tasks(opts.scan_options(), NumShards, [&](std::size_t i) {
+    scan::run_tasks(opts, NumShards, [&](std::size_t i) {
       auto* fresh = new Shard(*reclaimer_, Alloc::for_shard(i));
       fresh->map.bulk_load(std::move(routed[i]), opts);
       t_new->shards[i] = fresh;
@@ -600,43 +594,18 @@ class ShardedPnbMap {
       }
     }
 
-    // Parallel merged scan: one executor task per shard snapshot (the
-    // caller participates), concatenated in shard order exactly like
-    // range_scan. Each task pins the shared reclaimer for the duration of
-    // its scan — the composite snapshot's per-shard guards keep the frozen
-    // versions alive, and the task pin covers retirements a helping worker
-    // may trigger. Results are identical to the sequential merged scan on
-    // this same Snapshot (same frozen phases).
+    // Parallel merged count: one executor task per shard snapshot (the
+    // caller participates), summed — identical to the sequential merged
+    // count on this same Snapshot (same frozen phases). Each task pins the
+    // shared reclaimer for the duration of its count: the composite
+    // snapshot's per-shard guards keep the frozen versions alive, and the
+    // task pin covers retirements a helping worker may trigger.
     //
     // A snapshot whose span is a SINGLE shard (common for point-like or
     // hot-range queries) has nothing to fan out at the shard level, so it
-    // delegates to the per-map chunked scan (core/pnb_map.h): [lo, hi] is
-    // tiled with scan::partition_range and each chunk scans the SAME frozen
-    // shard phase, so the concatenation is bit-identical to this
-    // snapshot's sequential scan — same contract, intra-shard parallelism.
-    std::vector<std::pair<K, V>> parallel_range_scan(
-        const K& lo, const K& hi,
-        const scan::ParallelScanOptions& opts = {}) const {
-      if (snaps_.size() == 1) {
-        auto guard = owner_->reclaimer_->pin();
-        return snaps_[0].parallel_range_scan(lo, hi, opts);
-      }
-      std::vector<std::vector<std::pair<K, V>>> parts(snaps_.size());
-      scan::run_tasks(opts, snaps_.size(), [&](std::size_t i) {
-        auto guard = owner_->reclaimer_->pin();
-        parts[i] = snaps_[i].range_scan(lo, hi);
-      });
-      std::size_t total = 0;
-      for (const auto& p : parts) total += p.size();
-      std::vector<std::pair<K, V>> out;
-      out.reserve(total);
-      for (auto& p : parts) {
-        out.insert(out.end(), std::make_move_iterator(p.begin()),
-                   std::make_move_iterator(p.end()));
-      }
-      return out;
-    }
-
+    // delegates to the per-map chunked count (core/pnb_map.h): [lo, hi] is
+    // tiled with scan::plan_chunks and each chunk counts at the SAME frozen
+    // shard phase — same contract, intra-shard parallelism.
     std::size_t parallel_range_count(
         const K& lo, const K& hi,
         const scan::ParallelScanOptions& opts = {}) const {
@@ -806,7 +775,11 @@ class ShardedPnbMap {
 
   // Retired bytes above which apply_batch sheds (ingest/admission.h).
   // The default never sheds. Safe to change while batches are in flight.
-  void set_shed_watermark(std::size_t bytes) noexcept {
+  // Not offered over LeakyReclaimer: it never frees, so the retired gauge
+  // never falls and every batch after the first reshard would shed.
+  void set_shed_watermark(std::size_t bytes) noexcept
+    requires(!std::is_same_v<R, LeakyReclaimer>)
+  {
     shed_watermark_.store(bytes, std::memory_order_relaxed);
   }
 

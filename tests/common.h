@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "util/random.h"
@@ -59,6 +62,21 @@ inline bool is_sorted_unique(const std::vector<long>& v) {
     if (v[i - 1] >= v[i]) return false;
   }
   return true;
+}
+
+// True once executor `ex` has counted more than `before` tasks run by its
+// pool workers. A worker counts a task after the task returns, which can
+// be after the fan-out that submitted it has returned (the caller may have
+// claimed every index itself), so this polls with a bound instead of
+// reading once. Nothing is ever submitted by a sequential fan-out, so a
+// count that must stay unchanged can be read directly.
+template <class Executor>
+bool pool_ran_tasks(const Executor& ex, std::uint64_t before) {
+  for (int i = 0; i < 5000; ++i) {
+    if (ex.tasks_executed() > before) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
 }
 
 }  // namespace pnbbst::test

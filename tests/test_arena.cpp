@@ -161,7 +161,7 @@ TEST(ArenaTree, BulkLoadUsesArenaRuns) {
       tree(rec, ArenaAlloc(dom));
   std::vector<long> keys;
   for (long k = 0; k < 20000; ++k) keys.push_back(k);
-  EXPECT_EQ(tree.bulk_load(keys, ingest::IngestOptions(4)), 20000u);
+  EXPECT_EQ(tree.bulk_load(keys, scan::ParallelScanOptions(4)), 20000u);
   EXPECT_EQ(tree.range_count(0L, 19999L), 20000u);
   // ~20k leaves + ~20k internals landed in slabs.
   EXPECT_GT(dom.stats().slot_allocs, 40000u);

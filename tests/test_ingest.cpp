@@ -1,7 +1,8 @@
 // Deterministic tests for the batch ingest engine (src/ingest/):
 //
 //  * sort_unique_last / normalize_batch semantics (keep-last dedup);
-//  * IngestOptions run planning (grain floor, thread cap);
+//  * the constant ingest grain: a batch fans out on the pool from two
+//    grains (2 x scan::kIngestGrain ops) and never below one;
 //  * bulk_load: differential vs sequential insert, tree validity, balance
 //    (depth bound), shape identity with the sequential bulk constructor,
 //    thread-count independence of the result;
@@ -33,7 +34,7 @@ namespace {
 
 using ingest::BatchOp;
 using ingest::BatchOpKind;
-using ingest::IngestOptions;
+using scan::ParallelScanOptions;
 
 // Shuffled 0..n-1 (Fisher–Yates with the repo PRNG).
 std::vector<long> shuffled_keys(long n, std::uint64_t seed) {
@@ -117,16 +118,44 @@ TEST(IngestPrimitives, NormalizeBatchLastOpPerKeyWins) {
   EXPECT_EQ(ops[2].kind, BatchOpKind::kInsert);
 }
 
-TEST(IngestPrimitives, ResolveRunsHonorsGrainAndThreadCap) {
+// Insert ops for keys [0, n).
+std::vector<BatchOp<long>> insert_ops(std::size_t n) {
+  std::vector<BatchOp<long>> ops;
+  for (std::size_t k = 0; k < n; ++k) {
+    ops.push_back(BatchOp<long>::insert(static_cast<long>(k)));
+  }
+  return ops;
+}
+
+TEST(IngestPrimitives, BatchFansOutFromTwoGrains) {
+  constexpr std::size_t kGrain = scan::kIngestGrain;
   scan::ScanExecutor ex(4);
-  IngestOptions opts(4, ex);
-  opts.min_run = 100;
-  EXPECT_EQ(opts.resolve_runs(0), 0u);
-  EXPECT_EQ(opts.resolve_runs(50), 1u);    // below grain: sequential
-  EXPECT_EQ(opts.resolve_runs(250), 2u);   // grain-limited
-  EXPECT_EQ(opts.resolve_runs(100000), 16u);  // thread*oversplit cap
-  IngestOptions seq(1, ex);
-  EXPECT_EQ(seq.resolve_runs(100000), 1u);  // one thread: sequential
+  const ParallelScanOptions opts(4, ex);
+  // Below two grains the batch is one run: nothing reaches the pool.
+  PnbBst<long> small;
+  EXPECT_EQ(small.apply_batch(insert_ops(kGrain - 1), opts).inserted,
+            kGrain - 1);
+  PnbBst<long> one_grain;
+  std::vector<long> few(kGrain);
+  for (std::size_t i = 0; i < few.size(); ++i) few[i] = static_cast<long>(i);
+  EXPECT_EQ(one_grain.bulk_load(few, opts), kGrain);
+  PnbBst<long> below;
+  EXPECT_EQ(below.apply_batch(insert_ops(2 * kGrain - 1), opts).inserted,
+            2 * kGrain - 1);
+  EXPECT_EQ(ex.tasks_executed(), 0u);
+  // Two grains: two runs, one of them on a pool worker.
+  PnbBst<long> two;
+  EXPECT_EQ(two.apply_batch(insert_ops(2 * kGrain), opts).inserted,
+            2 * kGrain);
+  EXPECT_TRUE(test::pool_ran_tasks(ex, 0));
+  EXPECT_EQ(two.size(), 2 * kGrain);
+  // bulk_load plans its subtree tasks with the same grain.
+  const std::uint64_t before = ex.tasks_executed();
+  std::vector<long> keys(4 * kGrain);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<long>(i);
+  PnbBst<long> built;
+  EXPECT_EQ(built.bulk_load(keys, opts), keys.size());
+  EXPECT_TRUE(test::pool_ran_tasks(ex, before));
 }
 
 TEST(BulkBuild, DifferentialAgainstSequentialInsert) {
@@ -134,7 +163,7 @@ TEST(BulkBuild, DifferentialAgainstSequentialInsert) {
   for (long n : {0L, 1L, 2L, 7L, 1000L, 4096L, 30000L}) {
     const auto keys = shuffled_keys(n, 42);
     PnbBst<long> bulk;
-    EXPECT_EQ(bulk.bulk_load(keys, IngestOptions(4, ex)),
+    EXPECT_EQ(bulk.bulk_load(keys, ParallelScanOptions(4, ex)),
               static_cast<std::size_t>(n));
     PnbBst<long> seq;
     for (long k : keys) seq.insert(k);
@@ -149,7 +178,7 @@ TEST(BulkBuild, ProducesBalancedTree) {
   scan::ScanExecutor ex(8);
   for (long n : {1000L, 100000L}) {
     PnbBst<long> tree;
-    tree.bulk_load(shuffled_keys(n, 7), IngestOptions(8, ex));
+    tree.bulk_load(shuffled_keys(n, 7), ParallelScanOptions(8, ex));
     // n keys -> n+1 leaves under the root's left child, plus the root and
     // its ∞2 leaf. Perfectly balanced: depth <= ceil(log2(n+1)) + 2.
     std::size_t cap = 2;
@@ -168,7 +197,7 @@ TEST(BulkBuild, ParallelShapeIdenticalToSequentialConstructor) {
   scan::ScanExecutor ex(4);
   for (unsigned threads : {1u, 2u, 4u}) {
     PnbBst<long> bulk;
-    bulk.bulk_load(keys, IngestOptions(threads, ex));
+    bulk.bulk_load(keys, ParallelScanOptions(threads, ex));
     EXPECT_TRUE(same_shape<PnbBst<long>>(ctor_tree.debug_root(),
                                          bulk.debug_root()))
         << "threads=" << threads
@@ -198,7 +227,7 @@ TEST(BulkBuild, ShardedRoutesEveryKeyToItsShard) {
   const auto keys = shuffled_keys(kRange, 3);
   for (long k : keys) items.emplace_back(k, k * 2);
   scan::ScanExecutor ex(4);
-  EXPECT_EQ(map.bulk_load(std::move(items), IngestOptions(4, ex)),
+  EXPECT_EQ(map.bulk_load(std::move(items), ParallelScanOptions(4, ex)),
             static_cast<std::size_t>(kRange));
   EXPECT_EQ(map.size(), static_cast<std::size_t>(kRange));
   // Every shard holds exactly its contiguous quarter.
@@ -234,21 +263,27 @@ TEST(ApplyBatch, DifferentialOnTree) {
   PnbBst<long> tree;
   std::set<long> model;
   Xoshiro256 rng(1234);
+  constexpr long kKeys = 16384;
   for (int round = 0; round < 8; ++round) {
+    // 3000+ ops over 16384 keys keep at least ~2700 distinct keys after
+    // keep-last dedup: more than two ingest grains, so every round fans
+    // out into parallel runs.
     std::vector<BatchOp<long>> ops;
-    const int batch = 1 + static_cast<int>(rng.next_bounded(3000));
+    const int batch = 3000 + static_cast<int>(rng.next_bounded(5000));
     for (int i = 0; i < batch; ++i) {
-      const long k = static_cast<long>(rng.next_bounded(2000));
+      const long k = static_cast<long>(rng.next_bounded(kKeys));
       ops.push_back(rng.next_bounded(2) != 0 ? BatchOp<long>::insert(k)
                                              : BatchOp<long>::erase(k));
     }
-    IngestOptions opts(4, ex);
-    opts.min_run = 64;  // force parallel runs even for small batches
     const auto expected = model_apply(model, ops);
-    const auto got = tree.apply_batch(std::move(ops), opts);
+    const std::uint64_t pool_before = ex.tasks_executed();
+    const auto got =
+        tree.apply_batch(std::move(ops), ParallelScanOptions(4, ex));
+    EXPECT_GE(got.applied, 2 * scan::kIngestGrain) << "round " << round;
+    EXPECT_TRUE(test::pool_ran_tasks(ex, pool_before)) << "round " << round;
     EXPECT_EQ(got.inserted, expected.first) << "round " << round;
     EXPECT_EQ(got.erased, expected.second) << "round " << round;
-    const auto contents = tree.range_scan(0, 2000);
+    const auto contents = tree.range_scan(0, kKeys);
     EXPECT_EQ(contents, std::vector<long>(model.begin(), model.end()))
         << "round " << round;
   }
@@ -294,7 +329,8 @@ TEST(ApplyBatch, ShardedDifferentialAndCounts) {
                         : BatchOp<long, long>::erase(k));
     }
     auto ops_copy = ops;
-    const auto a = sharded.apply_batch(std::move(ops), IngestOptions(4, ex));
+    const auto a =
+        sharded.apply_batch(std::move(ops), ParallelScanOptions(4, ex));
     const auto b = single.apply_batch(std::move(ops_copy));
     EXPECT_EQ(a.applied, b.applied) << "round " << round;
     EXPECT_EQ(a.inserted, b.inserted) << "round " << round;

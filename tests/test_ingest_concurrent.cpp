@@ -4,8 +4,8 @@
 //    scanners run — per-partition differential final state;
 //  * many concurrent apply_batch calls on one tree (disjoint and
 //    overlapping key ranges) — union/idempotence invariants;
-//  * batched writes racing parallel snapshot scans — sorted-unique and
-//    monotone-count audits;
+//  * batched writes racing snapshot scans and parallel counts —
+//    sorted-unique and monotone-count audits;
 //  * reshard under reader churn — readers always observe table-consistent
 //    state (no duplicates, no misses of untouched keys), pre-reshard
 //    snapshots stay answerable;
@@ -18,11 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common.h"
 #include "core/pnb_bst.h"
 #include "core/pnb_map.h"
 #include "ingest/batch_apply.h"
@@ -34,7 +36,7 @@ namespace {
 
 using ingest::BatchOp;
 using ingest::BatchOpKind;
-using ingest::IngestOptions;
+using scan::ParallelScanOptions;
 
 // Deterministic batch of mixed ops in [base, base + range).
 std::vector<BatchOp<long>> make_batch(std::uint64_t seed, long base,
@@ -61,17 +63,8 @@ std::set<long> model_batches(std::uint64_t seed_base, long base, long range,
     const auto ops = make_batch(seed_base + static_cast<std::uint64_t>(r),
                                 base, range, batch_size);
     // last op per key within the batch
-    std::vector<std::pair<long, BatchOpKind>> last;
-    for (const auto& op : ops) {
-      bool found = false;
-      for (auto& [k, kind] : last) {
-        if (k == op.key) {
-          kind = op.kind;
-          found = true;
-        }
-      }
-      if (!found) last.emplace_back(op.key, op.kind);
-    }
+    std::map<long, BatchOpKind> last;
+    for (const auto& op : ops) last[op.key] = op.kind;
     for (const auto& [k, kind] : last) {
       if (kind == BatchOpKind::kInsert) {
         model.insert(k);
@@ -86,21 +79,22 @@ std::set<long> model_batches(std::uint64_t seed_base, long base, long range,
 TEST(IngestConcurrent, BatchesVsSingleOpsVsScansPartitionedDifferential) {
   // Region A [0, 4k): batch thread. Region B [4k, 8k): single-op writer.
   // Region C [8k, 12k): second batch thread. A scanner audits throughout.
+  // 4000 ops over 4000 keys leave ~2500 distinct keys per batch after
+  // keep-last dedup: more than two ingest grains, so every batch fans out.
   constexpr long kRegion = 4000;
   constexpr int kRounds = 12;
-  constexpr int kBatch = 3000;
+  constexpr int kBatch = 4000;
   PnbBst<long> tree;
   scan::ScanExecutor ex(4);
   std::atomic<bool> stop{false};
 
   auto batch_driver = [&tree, &ex](std::uint64_t seed_base, long base) {
     for (int r = 0; r < kRounds; ++r) {
-      IngestOptions opts(4, ex);
-      opts.min_run = 128;
-      tree.apply_batch(
+      const auto res = tree.apply_batch(
           make_batch(seed_base + static_cast<std::uint64_t>(r), base,
                      kRegion, kBatch),
-          opts);
+          ParallelScanOptions(4, ex));
+      EXPECT_GE(res.applied, 2 * scan::kIngestGrain);
     }
   };
 
@@ -136,6 +130,7 @@ TEST(IngestConcurrent, BatchesVsSingleOpsVsScansPartitionedDifferential) {
   tc.join();
   stop.store(true, std::memory_order_release);
   scanner.join();
+  EXPECT_TRUE(test::pool_ran_tasks(ex, 0)) << "batches never fanned out";
 
   const auto model_a = model_batches(1000, 0, kRegion, kRounds, kBatch);
   const auto model_c =
@@ -152,13 +147,14 @@ TEST(IngestConcurrent, OverlappingInsertBatchesAreIdempotentUnion) {
   // Several threads batch-insert overlapping key sets; inserts are
   // insert-if-absent, so the union must come out exact and the per-key
   // success counts must sum to exactly one per key.
-  constexpr long kKeys = 20000;
+  constexpr long kKeys = 20000;  // ~19 ingest grains: every batch fans out
   constexpr unsigned kThreads = 4;
   PnbBst<long> tree;
+  scan::ScanExecutor ex(2);
   std::atomic<std::size_t> total_inserted{0};
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < kThreads; ++t) {
-    pool.emplace_back([&tree, &total_inserted, t] {
+    pool.emplace_back([&tree, &ex, &total_inserted, t] {
       std::vector<BatchOp<long>> ops;
       ops.reserve(kKeys);
       // Every thread covers all keys, in a thread-dependent order.
@@ -166,13 +162,13 @@ TEST(IngestConcurrent, OverlappingInsertBatchesAreIdempotentUnion) {
         const long k = (i * (2 * t + 1)) % kKeys;
         ops.push_back(BatchOp<long>::insert(k));
       }
-      IngestOptions opts(2);
-      opts.min_run = 512;
-      const auto r = tree.apply_batch(std::move(ops), opts);
+      const auto r =
+          tree.apply_batch(std::move(ops), ParallelScanOptions(2, ex));
       total_inserted.fetch_add(r.inserted, std::memory_order_relaxed);
     });
   }
   for (auto& th : pool) th.join();
+  EXPECT_TRUE(test::pool_ran_tasks(ex, 0)) << "batches never fanned out";
   EXPECT_EQ(tree.size(), static_cast<std::size_t>(kKeys));
   EXPECT_EQ(total_inserted.load(), static_cast<std::size_t>(kKeys))
       << "insert-if-absent must succeed exactly once per key across batches";
@@ -187,22 +183,23 @@ TEST(IngestConcurrent, MonotoneBatchInsertsBoundParallelScanCounts) {
   // Insert-only batches: membership grows monotonically, so a parallel
   // snapshot count must lie between completed-before-invocation and
   // started-before-response, and never decrease.
-  constexpr long kKeys = 16000;
-  constexpr int kChunks = 16;
+  constexpr long kKeys = 16384;
+  constexpr int kChunks = 8;  // 2048-op batches: two ingest grains each
+  static_assert(kKeys / kChunks >= 2 * scan::kIngestGrain);
   PnbMap<long, long> map;
+  scan::ScanExecutor ex(2);
   std::atomic<std::uint64_t> completed{0};
   std::atomic<bool> stop{false};
 
-  std::thread writer([&map, &completed] {
+  std::thread writer([&map, &ex, &completed] {
     for (int c = 0; c < kChunks; ++c) {
       std::vector<BatchOp<long, long>> ops;
       const long base = c * (kKeys / kChunks);
       for (long k = base; k < base + kKeys / kChunks; ++k) {
         ops.push_back(BatchOp<long, long>::insert(k, k));
       }
-      IngestOptions opts(2);
-      opts.min_run = 256;
-      const auto r = map.apply_batch(std::move(ops), opts);
+      const auto r =
+          map.apply_batch(std::move(ops), ParallelScanOptions(2, ex));
       completed.fetch_add(r.inserted, std::memory_order_seq_cst);
     }
   });
@@ -221,6 +218,7 @@ TEST(IngestConcurrent, MonotoneBatchInsertsBoundParallelScanCounts) {
   stop.store(true, std::memory_order_release);
   scanner.join();
   EXPECT_EQ(map.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_TRUE(test::pool_ran_tasks(ex, 0)) << "batches never fanned out";
 }
 
 TEST(IngestConcurrent, ReshardUnderReadChurnKeepsEveryKeyObservable) {
@@ -354,9 +352,10 @@ TEST(IngestConcurrent, SameSplitterReshardKeepsOtherShardWritesLossFree) {
 }
 
 TEST(IngestConcurrent, ShardedBatchesRaceMergedParallelScans) {
-  // Batched updates on a sharded map while merged parallel scans audit
+  // Batched updates on a sharded map while merged snapshot scans audit
   // well-formedness (ascending, per-key value invariant v == k * 2 for
-  // every key any batch ever inserts).
+  // every key any batch ever inserts) and the per-shard parallel count of
+  // the same snapshot agrees with its contents.
   constexpr long kKeys = 6000;
   ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, kKeys});
   std::atomic<bool> stop{false};
@@ -371,15 +370,17 @@ TEST(IngestConcurrent, ShardedBatchesRaceMergedParallelScans) {
                           ? BatchOp<long, long>::insert(k, k * 2)
                           : BatchOp<long, long>::erase(k));
       }
-      map.apply_batch(std::move(ops), IngestOptions(2));
+      map.apply_batch(std::move(ops), ParallelScanOptions(2));
     }
   });
   std::thread auditor([&map, &stop] {
     while (!stop.load(std::memory_order_acquire)) {
-      const auto scan = map.parallel_range_scan(0, kKeys - 1, 2);
+      auto snap = map.snapshot();
+      const auto scan = snap.range_scan(0, kKeys - 1);
+      ASSERT_EQ(snap.parallel_range_count(0, kKeys - 1, 2), scan.size());
       long prev = -1;
       for (const auto& [k, v] : scan) {
-        ASSERT_GT(k, prev) << "merged parallel scan not sorted-unique";
+        ASSERT_GT(k, prev) << "merged scan not sorted-unique";
         ASSERT_EQ(v, k * 2);
         prev = k;
       }

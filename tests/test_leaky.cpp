@@ -3,11 +3,22 @@
 #include <gtest/gtest.h>
 
 #include "reclaim/reclaimer.h"
+#include "shard/sharded_map.h"
 
 namespace pnbbst {
 namespace {
 
 static_assert(Reclaimer<LeakyReclaimer>);
+
+// A leaky sharded map never frees a retired generation, so its retired
+// gauge never falls: a shed watermark would defer every batch after the
+// first reshard. The combination is rejected at compile time.
+template <class M>
+constexpr bool kTakesShedWatermark =
+    requires(M& m) { m.set_shed_watermark(std::size_t{1}); };
+static_assert(!kTakesShedWatermark<ShardedPnbMap<long, long, 4,
+                                                 LeakyReclaimer>>);
+static_assert(kTakesShedWatermark<ShardedPnbMap<long, long, 4>>);
 
 TEST(Leaky, RetireOnlyCounts) {
   LeakyReclaimer r;

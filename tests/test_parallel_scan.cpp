@@ -5,11 +5,14 @@
 //  * partition_range: exact tiling of inclusive integral intervals,
 //    including negative bounds, degenerate widths, and the full int64
 //    domain;
+//  * plan_tasks / plan_chunks: the one task planner (oversplit cap, grain
+//    floor, sequential fast path) and chunk plans whose per-chunk scans
+//    concatenate into the sequential scan;
 //  * ScanExecutor / run_tasks: exactly-once execution, caller
 //    participation, width-0 and saturated-pool degradation, nesting;
 //  * HelperPool: steady-state scans stop allocating traversal stacks;
-//  * differential equality: parallel chunked scans == sequential scans on
-//    the same snapshot, across tree / map / sharded front-end / adapter;
+//  * differential equality: parallel chunked counts == sequential counts
+//    on the same snapshot, across tree / map / sharded front-end / adapter;
 //  * concept surface: ParallelScannable modeled exactly where documented.
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "baseline/set_adapter.h"
+#include "common.h"
 #include "core/pnb_map.h"
 #include "scan/executor.h"
 #include "scan/helper_pool.h"
@@ -108,6 +112,49 @@ TEST(Partition, FullInt64DomainDoesNotOverflow) {
   EXPECT_EQ(one[0], (std::pair<std::int64_t, std::int64_t>{kMin, kMax}));
 }
 
+// --- plan_tasks / plan_chunks -----------------------------------------------
+
+TEST(PlanTasks, OversplitsPerThreadAndHonoursTheGrain) {
+  ScanExecutor ex(4);
+  const ParallelScanOptions four(4u, ex);
+  EXPECT_EQ(scan::plan_tasks(four, 0), 0u);
+  EXPECT_EQ(scan::plan_tasks(four, 3), 3u);  // fewer items than the cap
+  EXPECT_EQ(scan::plan_tasks(four, 1u << 20), 4 * scan::kOversplit);
+  // Ingest grain: below two grains one task, then one task per grain up
+  // to the oversplit cap.
+  EXPECT_EQ(scan::plan_tasks(four, scan::kIngestGrain - 1, scan::kIngestGrain),
+            1u);
+  EXPECT_EQ(scan::plan_tasks(four, 5 * scan::kIngestGrain, scan::kIngestGrain),
+            5u);
+  EXPECT_EQ(scan::plan_tasks(four, 1000 * scan::kIngestGrain,
+                             scan::kIngestGrain),
+            4 * scan::kOversplit);
+  // One thread: always sequential.
+  EXPECT_EQ(scan::plan_tasks(ParallelScanOptions(1u, ex), 1u << 20), 1u);
+  // threads == 0 resolves to the executor width.
+  EXPECT_EQ(scan::plan_tasks(ParallelScanOptions(0u, ex), 1u << 20),
+            ex.width() * scan::kOversplit);
+}
+
+TEST(PlanChunks, TilesTheIntervalIncludingTheFullDomain) {
+  ScanExecutor ex(4);
+  const auto chunks = scan::plan_chunks(ParallelScanOptions(4u, ex), 0L, 999L);
+  ASSERT_EQ(chunks.size(), 4 * scan::kOversplit);
+  EXPECT_EQ(chunks.front().first, 0L);
+  EXPECT_EQ(chunks.back().second, 999L);
+  EXPECT_TRUE(scan::plan_chunks(ParallelScanOptions(4u, ex), 5L, 4L).empty());
+  EXPECT_EQ(scan::plan_chunks(ParallelScanOptions(4u, ex), 7L, 9L).size(), 3u);
+  constexpr long kMin = std::numeric_limits<long>::min();
+  constexpr long kMax = std::numeric_limits<long>::max();
+  for (unsigned threads : {1u, 4u}) {
+    const auto full =
+        scan::plan_chunks(ParallelScanOptions(threads, ex), kMin, kMax);
+    ASSERT_FALSE(full.empty());
+    EXPECT_EQ(full.front().first, kMin);
+    EXPECT_EQ(full.back().second, kMax);
+  }
+}
+
 // --- ScanExecutor / run_tasks ------------------------------------------------
 
 TEST(ScanExecutorTest, RunTasksExecutesEachIndexExactlyOnce) {
@@ -194,7 +241,21 @@ class ParallelScanDifferential : public ::testing::Test {
   PnbBst<long> tree_;
 };
 
-TEST_F(ParallelScanDifferential, SnapshotChunkedScanMatchesSequential) {
+// Scans every chunk of plan_chunks' plan at one snapshot and concatenates:
+// the tiling parallel_range_count relies on must reproduce the sequential
+// scan exactly (no gap, no overlap, ascending).
+template <class Snap>
+auto chunked_scan(const Snap& snap, long lo, long hi,
+                  const ParallelScanOptions& opts) {
+  decltype(snap.range_scan(lo, hi)) out;
+  for (const auto& [clo, chi] : scan::plan_chunks(opts, lo, hi)) {
+    const auto part = snap.range_scan(clo, chi);
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+TEST_F(ParallelScanDifferential, SnapshotChunkedCountMatchesSequential) {
   ScanExecutor ex(4);
   auto snap = tree_.snapshot();
   const std::pair<long, long> ranges[] = {
@@ -203,14 +264,11 @@ TEST_F(ParallelScanDifferential, SnapshotChunkedScanMatchesSequential) {
     const auto seq = snap.range_scan(lo, hi);
     for (unsigned threads : {1u, 2u, 3u, 8u}) {
       ParallelScanOptions opts(threads, ex);
-      EXPECT_EQ(snap.parallel_range_scan(lo, hi, opts), seq)
+      EXPECT_EQ(chunked_scan(snap, lo, hi, opts), seq)
           << "[" << lo << "," << hi << "] x" << threads;
-      EXPECT_EQ(snap.parallel_range_count(lo, hi, opts), seq.size());
+      EXPECT_EQ(snap.parallel_range_count(lo, hi, opts), seq.size())
+          << "[" << lo << "," << hi << "] x" << threads;
     }
-    // Extreme oversplit: more chunks than keys in most subranges.
-    EXPECT_EQ(snap.parallel_range_scan(lo, hi,
-                                       ParallelScanOptions(4u, ex, 64)),
-              seq);
   }
 }
 
@@ -226,33 +284,27 @@ TEST_F(ParallelScanDifferential, FullInt64DomainSingleThreadMatchesSequential) {
   ASSERT_EQ(seq.size(), snap.range_count(kMin, kMax));
   for (unsigned threads : {1u, 8u}) {
     ParallelScanOptions opts(threads, ex);
-    EXPECT_EQ(snap.parallel_range_scan(kMin, kMax, opts), seq) << threads;
+    EXPECT_EQ(chunked_scan(snap, kMin, kMax, opts), seq) << threads;
     EXPECT_EQ(snap.parallel_range_count(kMin, kMax, opts), seq.size())
         << threads;
   }
 }
 
-TEST_F(ParallelScanDifferential, LiveTreeParallelScanMatchesSequential) {
+TEST_F(ParallelScanDifferential, LiveTreeParallelCountMatchesSequential) {
   ScanExecutor ex(4);
-  const auto seq = tree_.range_scan(0L, (1L << 15) - 1);
-  EXPECT_EQ(tree_.parallel_range_scan(0L, (1L << 15) - 1,
-                                      ParallelScanOptions(4u, ex)),
-            seq);
   EXPECT_EQ(tree_.parallel_range_count(0L, (1L << 15) - 1,
                                        ParallelScanOptions(4u, ex)),
-            seq.size());
+            tree_.range_count(0L, (1L << 15) - 1));
 }
 
-TEST_F(ParallelScanDifferential, AdapterExposesParallelScans) {
+TEST_F(ParallelScanDifferential, AdapterExposesParallelCount) {
   ScanExecutor ex(3);
   auto set = adapt(tree_);
-  EXPECT_EQ(set.parallel_range_scan(100L, 9000L, ParallelScanOptions(3u, ex)),
-            set.range_scan(100L, 9000L));
   EXPECT_EQ(set.parallel_range_count(100L, 9000L, ParallelScanOptions(3u, ex)),
             set.range_count(100L, 9000L));
 }
 
-TEST(ParallelScanMap, PairsMatchSequential) {
+TEST(ParallelScanMap, CountsMatchSequential) {
   PnbMap<long, long> map;
   Xoshiro256 rng(7);
   for (int i = 0; i < 5000; ++i) {
@@ -261,18 +313,18 @@ TEST(ParallelScanMap, PairsMatchSequential) {
   }
   ScanExecutor ex(4);
   auto snap = map.snapshot();
+  const auto seq = snap.range_scan(0L, (1L << 13) - 1);
   for (unsigned threads : {1u, 2u, 8u}) {
-    EXPECT_EQ(snap.parallel_range_scan(0L, (1L << 13) - 1,
-                                       ParallelScanOptions(threads, ex)),
-              snap.range_scan(0L, (1L << 13) - 1));
+    const ParallelScanOptions opts(threads, ex);
+    EXPECT_EQ(chunked_scan(snap, 0L, (1L << 13) - 1, opts), seq);
+    EXPECT_EQ(snap.parallel_range_count(0L, (1L << 13) - 1, opts),
+              seq.size());
   }
-  EXPECT_EQ(map.parallel_range_scan(10L, 4000L, ParallelScanOptions(4u, ex)),
-            map.range_scan(10L, 4000L));
   EXPECT_EQ(map.parallel_range_count(10L, 4000L, ParallelScanOptions(4u, ex)),
             map.range_count(10L, 4000L));
 }
 
-TEST(ParallelScanSharded, MergedParallelQueryMatchesSequential) {
+TEST(ParallelScanSharded, MergedParallelCountMatchesSequential) {
   ShardedPnbMap<long, long, 8> map(RangeSplitter<long>{0, 1 << 13});
   Xoshiro256 rng(11);
   for (int i = 0; i < 6000; ++i) {
@@ -282,13 +334,11 @@ TEST(ParallelScanSharded, MergedParallelQueryMatchesSequential) {
   ScanExecutor ex(4);
   for (unsigned threads : {1u, 2u, 8u}) {
     ParallelScanOptions opts(threads, ex);
-    EXPECT_EQ(map.parallel_range_scan(0L, (1L << 13) - 1, opts),
-              map.range_scan(0L, (1L << 13) - 1));
     EXPECT_EQ(map.parallel_range_count(0L, (1L << 13) - 1, opts),
               map.range_count(0L, (1L << 13) - 1));
     // Narrow span: single-shard query through the same parallel surface.
-    EXPECT_EQ(map.parallel_range_scan(100L, 120L, opts),
-              map.range_scan(100L, 120L));
+    EXPECT_EQ(map.parallel_range_count(100L, 120L, opts),
+              map.range_count(100L, 120L));
   }
   // Uneven cuts, keys past hi: every query below crosses all three shard
   // boundaries, and the widest runs into the clamped top shard.
@@ -298,8 +348,6 @@ TEST(ParallelScanSharded, MergedParallelQueryMatchesSequential) {
   for (const auto& [lo, hi] : {std::pair<long, long>{0, 2999}, {5, 1600}}) {
     ASSERT_EQ(uneven.splitter().shard_span(lo, hi, 4),
               (std::pair<std::size_t, std::size_t>{0, 4}));
-    EXPECT_EQ(uneven.parallel_range_scan(lo, hi, ParallelScanOptions(4u, ex)),
-              uneven.range_scan(lo, hi));
     EXPECT_EQ(
         uneven.parallel_range_count(lo, hi, ParallelScanOptions(4u, ex)),
         uneven.range_count(lo, hi));
@@ -307,12 +355,11 @@ TEST(ParallelScanSharded, MergedParallelQueryMatchesSequential) {
 }
 
 TEST(ParallelScanSharded, WideSingleShardSpanChunksAndMatchesSequential) {
-  // A span that never crosses a shard boundary used to degenerate to one
-  // executor task (run_tasks over a single per-shard snapshot); it now
-  // delegates to that shard snapshot's chunked scan, so a wide hot-range
-  // query fans out anyway. Differential: the chunked result must stay
-  // bit-identical to the sequential scan at every width, including an
-  // extreme oversplit.
+  // A span that never crosses a shard boundary would degenerate to one
+  // executor task (run_tasks over a single per-shard snapshot); it
+  // delegates to that shard snapshot's chunked count instead, so a wide
+  // hot-range query fans out anyway. The count must match the sequential
+  // one at every width, and the pool must have run chunks.
   ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, 1 << 16});
   Xoshiro256 rng(29);
   for (int i = 0; i < 8000; ++i) {
@@ -323,19 +370,14 @@ TEST(ParallelScanSharded, WideSingleShardSpanChunksAndMatchesSequential) {
   const std::pair<long, long> spans[] = {
       {0, (1 << 14) - 1}, {1, (1 << 14) - 2}, {5000, 9000}, {7, 7}};
   for (const auto& [lo, hi] : spans) {
-    const auto seq = map.range_scan(lo, hi);
+    const std::size_t seq = map.range_count(lo, hi);
     for (unsigned threads : {1u, 2u, 8u}) {
       ParallelScanOptions opts(threads, ex);
-      EXPECT_EQ(map.parallel_range_scan(lo, hi, opts), seq)
-          << "[" << lo << "," << hi << "] x" << threads;
-      EXPECT_EQ(map.parallel_range_count(lo, hi, opts), seq.size())
+      EXPECT_EQ(map.parallel_range_count(lo, hi, opts), seq)
           << "[" << lo << "," << hi << "] x" << threads;
     }
-    EXPECT_EQ(
-        map.parallel_range_scan(lo, hi, ParallelScanOptions(4u, ex, 64)),
-        seq)
-        << "oversplit [" << lo << "," << hi << "]";
   }
+  EXPECT_TRUE(test::pool_ran_tasks(ex, 0));
 
   // NumShards == 1 front-end: the composite Snapshot itself delegates, so
   // the differential runs against one held handle (bit-identical by the
@@ -346,8 +388,7 @@ TEST(ParallelScanSharded, WideSingleShardSpanChunksAndMatchesSequential) {
   const auto seq = snap.range_scan(0L, (1L << 14) - 1);
   for (unsigned threads : {1u, 3u, 8u}) {
     ParallelScanOptions opts(threads, ex);
-    EXPECT_EQ(snap.parallel_range_scan(0L, (1L << 14) - 1, opts), seq)
-        << threads;
+    EXPECT_EQ(chunked_scan(snap, 0L, (1L << 14) - 1, opts), seq) << threads;
     EXPECT_EQ(snap.parallel_range_count(0L, (1L << 14) - 1, opts),
               seq.size())
         << threads;

@@ -1,17 +1,19 @@
 // Parallel scan engine under real concurrency (stress label; the CI
 // sanitizer jobs run this suite explicitly alongside the unit label):
 //
-//  * 8 threads (4 writers + scanners) on one PnbBst: chunked parallel scans
-//    must stay sorted/unique, always contain an immutable reserved stripe,
-//    and never leak out-of-range keys;
+//  * 8 threads (4 writers + scanners) on one PnbBst: every scanner takes a
+//    snapshot, reads its contents with range_scan (sorted/unique, always
+//    the immutable reserved stripe, no out-of-range keys) and counts the
+//    same snapshot with the chunked parallel_range_count, which must agree;
 //  * snapshot repeatability: a snapshot taken mid-churn answers every
-//    parallel and sequential scan identically, forever;
+//    parallel and sequential query identically, forever;
 //  * monotone count bound: under an insert-only writer, parallel
 //    range_count is sandwiched between completed-before-invocation and
 //    started-before-response — the linearizability bound a single-phase
 //    scan must satisfy;
-//  * sharded front-end: merged parallel queries under multi-writer churn
-//    keep the documented per-key-atomic contract on the reserved stripe.
+//  * sharded front-end: merged snapshots under multi-writer churn keep the
+//    documented per-key-atomic contract on the reserved stripe, and their
+//    per-shard parallel count agrees with their contents.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -56,7 +58,7 @@ void churn_writer(PnbBst<long>& tree, unsigned ti) {
   }
 }
 
-TEST(ParallelScanConcurrent, ChunkedScansStayConsistentUnderChurn) {
+TEST(ParallelScanConcurrent, ChunkedCountsStayConsistentUnderChurn) {
   PnbBst<long> tree;
   prefill_stripe(tree);
   ScanExecutor ex(4);
@@ -81,8 +83,12 @@ TEST(ParallelScanConcurrent, ChunkedScansStayConsistentUnderChurn) {
             static_cast<long>(rng.next_bounded(kKeyRange / 2));
         const long hi = lo + static_cast<long>(
                                  rng.next_bounded(kKeyRange - lo));
-        const auto keys = tree.parallel_range_scan(
-            lo, hi, ParallelScanOptions(4u, ex));
+        auto snap = tree.snapshot();
+        const auto keys = snap.range_scan(lo, hi);
+        ASSERT_EQ(snap.parallel_range_count(lo, hi,
+                                            ParallelScanOptions(4u, ex)),
+                  keys.size())
+            << "chunked count disagrees in [" << lo << "," << hi << "]";
         long expected_stripe = 0;
         long prev = lo - 1;
         for (long k : keys) {
@@ -122,14 +128,13 @@ TEST(ParallelScanConcurrent, SnapshotAnswersAreImmutableUnderChurn) {
     auto snap = tree.snapshot();
     const auto reference = snap.range_scan(0L, kKeyRange - 1);
     for (unsigned threads : {2u, 8u}) {
-      ASSERT_EQ(snap.parallel_range_scan(0L, kKeyRange - 1,
-                                         ParallelScanOptions(threads, ex)),
-                reference)
+      ASSERT_EQ(snap.parallel_range_count(0L, kKeyRange - 1,
+                                          ParallelScanOptions(threads, ex)),
+                reference.size())
           << "round " << round << " threads " << threads;
     }
-    ASSERT_EQ(snap.parallel_range_count(0L, kKeyRange - 1,
-                                        ParallelScanOptions(8u, ex)),
-              reference.size());
+    ASSERT_EQ(snap.range_scan(0L, kKeyRange - 1), reference)
+        << "round " << round;
   }
   stop.store(true, std::memory_order_release);
   writer.join();
@@ -166,7 +171,7 @@ TEST(ParallelScanConcurrent, MonotoneInsertCountBound) {
             static_cast<std::size_t>(kInserts));
 }
 
-TEST(ParallelScanConcurrent, ShardedMergedParallelQueriesUnderChurn) {
+TEST(ParallelScanConcurrent, ShardedMergedParallelCountsUnderChurn) {
   // Eight range shards; every scan below crosses all seven boundaries.
   ShardedPnbMap<long, long, 8> map(RangeSplitter<long>{0, kKeyRange});
   for (long k = 0; k < kKeyRange; k += 4) ASSERT_TRUE(map.insert(k, k));
@@ -196,8 +201,12 @@ TEST(ParallelScanConcurrent, ShardedMergedParallelQueriesUnderChurn) {
       while (writers_done.load(std::memory_order_acquire) < kWriters ||
              iters < 5) {
         ++iters;
-        const auto pairs = map.parallel_range_scan(
-            0L, kKeyRange - 1, ParallelScanOptions(8u, ex));
+        auto snap = map.snapshot();
+        const auto pairs = snap.range_scan(0L, kKeyRange - 1);
+        ASSERT_EQ(snap.parallel_range_count(0L, kKeyRange - 1,
+                                            ParallelScanOptions(8u, ex)),
+                  pairs.size())
+            << "per-shard count disagrees with the snapshot's contents";
         long prev = -1;
         long stripe_seen = 0;
         for (const auto& [k, v] : pairs) {
@@ -216,9 +225,6 @@ TEST(ParallelScanConcurrent, ShardedMergedParallelQueriesUnderChurn) {
 
   // Quiescent: a frozen composite snapshot answers parallel == sequential.
   auto snap = map.snapshot();
-  EXPECT_EQ(snap.parallel_range_scan(0L, kKeyRange - 1,
-                                     ParallelScanOptions(8u, ex)),
-            snap.range_scan(0L, kKeyRange - 1));
   EXPECT_EQ(snap.parallel_range_count(0L, kKeyRange - 1,
                                       ParallelScanOptions(8u, ex)),
             snap.range_count(0L, kKeyRange - 1));

@@ -63,7 +63,6 @@ TEST(PhaseSemantics, EveryScanKindAdvancesExactlyOnce) {
           [](CountedTree& c) { c.predecessor(5); },
           [](CountedTree& c) { c.min(); },
           [](CountedTree& c) { c.max(); },
-          [&](CountedTree& c) { c.parallel_range_scan(0L, 10L, two_chunks); },
           [&](CountedTree& c) { c.parallel_range_count(0L, 10L, two_chunks); },
           [](CountedTree& c) { auto s = c.snapshot(); },
       });
@@ -92,7 +91,6 @@ TEST(PhaseSemantics, EveryMapScanKindAdvancesExactlyOnce) {
           [](CountedMap& c) { c.predecessor(5); },
           [](CountedMap& c) { c.min(); },
           [](CountedMap& c) { c.max(); },
-          [&](CountedMap& c) { c.parallel_range_scan(0, 10, two_chunks); },
           [&](CountedMap& c) { c.parallel_range_count(0, 10, two_chunks); },
           [](CountedMap& c) { auto s = c.snapshot(); },
       });

@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "common.h"
 #include "ingest/batch_apply.h"
 #include "shard/sharded_map.h"
 #include "util/random.h"
@@ -43,7 +44,7 @@ namespace pnbbst {
 namespace {
 
 using ingest::BatchOp;
-using ingest::IngestOptions;
+using scan::ParallelScanOptions;
 
 TEST(ReshardConcurrent, AckedWritesSurviveReshardAndRebuildChurn) {
   constexpr unsigned kWriters = 3;
@@ -146,12 +147,15 @@ TEST(ReshardConcurrent, BatchedWritesSurviveReshardChurn) {
   // A batcher inserts bursts of brand-new unique keys (so each burst must
   // report full insertion) while migrations churn. Any batched op dropped
   // at a cutover shows up as an ack shortfall or a missing key at the end.
+  // A burst is two ingest grains, so one that lands in a single shard
+  // also fans out into parallel runs inside that shard.
   ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, 100000});
-  constexpr int kBursts = 120;
-  constexpr long kBurst = 500;
+  constexpr int kBursts = 30;
+  constexpr long kBurst = 2 * scan::kIngestGrain;
+  scan::ScanExecutor ex(2);
 
   std::atomic<bool> done{false};
-  std::thread batcher([&map, &done] {
+  std::thread batcher([&map, &ex, &done] {
     for (int b = 0; b < kBursts; ++b) {
       std::vector<BatchOp<long, long>> ops;
       ops.reserve(kBurst);
@@ -159,9 +163,8 @@ TEST(ReshardConcurrent, BatchedWritesSurviveReshardChurn) {
       for (long i = 0; i < kBurst; ++i) {
         ops.push_back(BatchOp<long, long>::insert(base + i, base + i));
       }
-      IngestOptions opts(2);
-      opts.min_run = 128;
-      const auto r = map.apply_batch(std::move(ops), opts);
+      const auto r =
+          map.apply_batch(std::move(ops), ParallelScanOptions(2, ex));
       ASSERT_TRUE(r.admitted());
       ASSERT_EQ(r.inserted, static_cast<std::size_t>(kBurst))
           << "burst " << b << " lost inserts to a cutover";
@@ -179,6 +182,7 @@ TEST(ReshardConcurrent, BatchedWritesSurviveReshardChurn) {
     ++migrations;
   }
   batcher.join();
+  EXPECT_TRUE(test::pool_ran_tasks(ex, 0)) << "bursts never fanned out";
 
   constexpr std::size_t kTotal = static_cast<std::size_t>(kBursts) * kBurst;
   EXPECT_EQ(map.range_count(0, kBursts * kBurst), kTotal);
