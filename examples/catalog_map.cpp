@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   std::printf("catalog size: %zu listings\n", snap.size());
   std::printf("10 cheapest listings (price: stock):\n");
   int shown = 0;
-  snap.visit_range(0, 1000000, [&shown](long price, const Listing& l) {
+  snap.range_visit(0, 1000000, [&shown](long price, const Listing& l) {
     if (shown < 10) {
       std::printf("  %ld: stock %ld\n", price, l.stock);
       ++shown;

@@ -8,9 +8,9 @@
 //
 //   OrderedSet       bool insert(k) / erase(k) / contains(k)
 //   Scannable        size_t range_count(lo, hi), vector<K> range_scan(lo, hi)
-//   PrefixScannable  range_visit_while(lo, hi, vis) — vis returns false to
-//                    stop; emulated with a dead-visit flag on structures
-//                    without native early termination
+//   PrefixScannable  range_visit(lo, hi, vis) — vis returns void (visit
+//                    all) or bool (false stops); emulated with a dead-visit
+//                    flag on structures without native early termination
 //   Snapshottable    snapshot() (only where kHasSnapshot — PNB-BST)
 //
 // Scans are linearizable where the structure supports it (see
@@ -34,12 +34,13 @@ namespace pnbbst {
 namespace detail {
 
 // Early-termination emulation for structures without a native stopping
-// scan: traversal continues, emission stops once the visitor returns false.
+// scan: traversal continues, emission stops once a bool visitor returns
+// false (a void visitor sees everything; see visit_continues).
 template <class Traverse, class Vis>
-void visit_while_emulated(Traverse&& traverse, Vis&& vis) {
+void range_visit_emulated(Traverse&& traverse, Vis&& vis) {
   bool go = true;
   traverse([&go, &vis](const auto& k) {
-    if (go) go = vis(k);
+    if (go) go = visit_continues(vis, k);
   });
 }
 
@@ -49,7 +50,8 @@ template <class Tree>
 struct SetAdapter;
 
 template <class K, class C, class R, class S, class A>
-struct SetAdapter<PnbBst<K, C, R, S, A>> {
+struct SetAdapter<PnbBst<K, C, R, S, A>>
+    : OneShotQueries<SetAdapter<PnbBst<K, C, R, S, A>>> {
   using Tree = PnbBst<K, C, R, S, A>;
   using key_type = K;
   using Snapshot = typename Tree::Snapshot;
@@ -62,29 +64,17 @@ struct SetAdapter<PnbBst<K, C, R, S, A>> {
   static constexpr bool kLinearizableScan = true;
   static constexpr bool kHasSnapshot = true;
 
+  // The base makes this adapter a non-aggregate; adapt(t) needs a ctor.
+  explicit SetAdapter(Tree& tree) : t(tree) {}
+
   Tree& t;
   bool insert(const K& k) { return t.insert(k); }
   bool erase(const K& k) { return t.erase(k); }
   bool contains(const K& k) { return t.contains(k); }
-  std::size_t range_count(const K& lo, const K& hi) {
-    return t.range_count(lo, hi);
-  }
-  std::vector<K> range_scan(const K& lo, const K& hi) {
-    return t.range_scan(lo, hi);
-  }
-  template <class Vis>
-  void range_visit_while(const K& lo, const K& hi, Vis&& vis) {
-    t.range_visit_while(lo, hi, std::forward<Vis>(vis));
-  }
+  // The queries come from OneShotQueries, as on the tree; among them the
+  // parallel_range_count the baselines lack (no multi-version substrate).
   Snapshot snapshot() { return t.snapshot(); }
-  // Parallel chunked snapshot count (src/scan/); PNB-BST only — the
-  // baselines have no multi-version substrate to count from concurrently.
-  std::size_t parallel_range_count(const K& lo, const K& hi,
-                                   const scan::ParallelScanOptions& o = {})
-    requires std::integral<K>
-  {
-    return t.parallel_range_count(lo, hi, o);
-  }
+  Snapshot snapshot(const K& lo, const K& hi) { return t.snapshot(lo, hi); }
   // Batch ingest (src/ingest/); PNB-BST only — the baselines have no bulk
   // constructor and no executor-driven batch path.
   std::size_t bulk_load(std::vector<K> keys,
@@ -119,8 +109,8 @@ struct SetAdapter<NbBst<K, C, R, S, A>> {
     return t.range_scan_unsafe(lo, hi);
   }
   template <class Vis>
-  void range_visit_while(const K& lo, const K& hi, Vis&& vis) {
-    detail::visit_while_emulated(
+  void range_visit(const K& lo, const K& hi, Vis&& vis) {
+    detail::range_visit_emulated(
         [&](auto&& emit) { t.range_visit_unsafe(lo, hi, emit); },
         std::forward<Vis>(vis));
   }
@@ -145,8 +135,8 @@ struct SetAdapter<LockedBst<K, C, S>> {
     return t.range_scan(lo, hi);
   }
   template <class Vis>
-  void range_visit_while(const K& lo, const K& hi, Vis&& vis) {
-    detail::visit_while_emulated(
+  void range_visit(const K& lo, const K& hi, Vis&& vis) {
+    detail::range_visit_emulated(
         [&](auto&& emit) { t.range_visit(lo, hi, emit); },
         std::forward<Vis>(vis));
   }
@@ -171,8 +161,8 @@ struct SetAdapter<CowBst<K, C, R, S>> {
     return t.range_scan(lo, hi);
   }
   template <class Vis>
-  void range_visit_while(const K& lo, const K& hi, Vis&& vis) {
-    detail::visit_while_emulated(
+  void range_visit(const K& lo, const K& hi, Vis&& vis) {
+    detail::range_visit_emulated(
         [&](auto&& emit) { t.range_visit(lo, hi, emit); },
         std::forward<Vis>(vis));
   }
@@ -199,8 +189,8 @@ struct SetAdapter<LfSkipList<K, C, R, S>> {
     return t.range_scan_unsafe(lo, hi);
   }
   template <class Vis>
-  void range_visit_while(const K& lo, const K& hi, Vis&& vis) {
-    detail::visit_while_emulated(
+  void range_visit(const K& lo, const K& hi, Vis&& vis) {
+    detail::range_visit_emulated(
         [&](auto&& emit) { t.range_visit_unsafe(lo, hi, emit); },
         std::forward<Vis>(vis));
   }

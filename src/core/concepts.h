@@ -8,13 +8,14 @@
 //
 //   OrderedSet<S, K>        point ops: insert / erase / contains
 //   Scannable<S, K>         linear range queries: range_count / range_scan
-//   PrefixScannable<S, K>   early-terminating scans: range_visit_while
+//   PrefixScannable<S, K>   visits: range_visit, early-terminating with a
+//                           bool visitor
 //   ParallelScannable<S, K> multi-threaded snapshot counts (src/scan/)
 //   BatchIngestible<S>      batch ingest (src/ingest/): bulk_load on a
 //                           fresh/private structure, apply_batch on a live
 //                           one
 //   OrderedMap<M, K, V>     key/value point ops incl. get / get_or / assign
-//   MapScannable<M, K, V>   key/value range queries: visit_range & friends
+//   MapScannable<M, K, V>   key/value range queries: range_visit & friends
 //   Snapshottable<S>        snapshot() handle with size() (+ phase() where
 //                           the structure is phase-versioned, see
 //                           PhasedSnapshottable)
@@ -52,13 +53,16 @@ concept Scannable = requires(S s, const K& lo, const K& hi) {
   { s.range_scan(lo, hi) } -> std::same_as<std::vector<K>>;
 };
 
-// Early-terminating scans: the visitor returns false to stop; the visited
-// keys are an ascending prefix of the range.
+// Visits in ascending order: a void visitor sees the whole range, a bool
+// visitor returns false to stop, and the visited keys are then an
+// ascending prefix of the range.
 template <class S, class K>
 concept PrefixScannable =
     Scannable<S, K> &&
-    requires(S s, const K& lo, const K& hi, bool (*vis)(const K&)) {
-      s.range_visit_while(lo, hi, vis);
+    requires(S s, const K& lo, const K& hi, void (*vis)(const K&),
+             bool (*pred)(const K&)) {
+      s.range_visit(lo, hi, vis);
+      s.range_visit(lo, hi, pred);
     };
 
 // Multi-threaded snapshot counts (the src/scan/ engine): the same count as
@@ -109,16 +113,17 @@ concept OrderedMap = requires(M m, const K& k, const V& v) {
   { m.empty() } -> std::same_as<bool>;
 };
 
-// Range-query surface of an ordered map: visitation yields (key, value),
-// materialized scans yield pairs in ascending key order.
+// Range-query surface of an ordered map: visitation yields (key, value)
+// (a bool visitor stops with false, as for PrefixScannable), materialized
+// scans yield pairs in ascending key order.
 template <class M, class K, class V>
 concept MapScannable =
     requires(M m, const K& lo, const K& hi, void (*vis)(const K&, const V&),
              bool (*pred)(const K&, const V&)) {
       { m.range_count(lo, hi) } -> std::same_as<std::size_t>;
       { m.range_scan(lo, hi) } -> std::same_as<std::vector<std::pair<K, V>>>;
-      m.visit_range(lo, hi, vis);
-      m.range_visit_while(lo, hi, pred);
+      m.range_visit(lo, hi, vis);
+      m.range_visit(lo, hi, pred);
     };
 
 // A structure whose state at one instant can be captured as a first-class

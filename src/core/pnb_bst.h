@@ -47,6 +47,7 @@
 #include "core/info.h"
 #include "core/keyspace.h"
 #include "core/node.h"
+#include "core/one_shot_queries.h"
 #include "core/op_stats.h"
 #include "core/tagged_update.h"
 #include "ingest/batch_apply.h"
@@ -64,7 +65,8 @@ namespace pnbbst {
 template <class Key, class Compare = std::less<Key>,
           class R = EpochReclaimer, class Stats = NullOpStats,
           class Alloc = mem::HeapAlloc>
-class PnbBst {
+class PnbBst
+    : public OneShotQueries<PnbBst<Key, Compare, R, Stats, Alloc>> {
  public:
   using key_type = Key;
   using Node = PnbNode<Key>;
@@ -290,52 +292,6 @@ class PnbBst {
     }
   }
 
-  // --- Range queries (wait-free) ------------------------------------------
-  //
-  // Every one-shot query is a fresh snapshot() queried once: it opens one
-  // phase, linearized at the end of that phase (Theorem 47). Bounds may be
-  // any probe type Compare can order against Key.
-
-  // Visits every key in [lo, hi] in ascending order.
-  template <class BLo = Key, class BHi = Key, class Visitor>
-    requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
-  void range_visit(const BLo& lo, const BHi& hi, Visitor&& vis) {
-    snapshot().range_visit(lo, hi, vis);
-  }
-
-  template <class BLo = Key, class BHi = Key>
-    requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
-  std::vector<Key> range_scan(const BLo& lo, const BHi& hi) {
-    return snapshot().range_scan(lo, hi);
-  }
-
-  template <class BLo = Key, class BHi = Key>
-    requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
-  std::size_t range_count(const BLo& lo, const BHi& hi) {
-    return snapshot().range_count(lo, hi);
-  }
-
-  // Early-terminating scan: the visitor returns false to stop. The visited
-  // keys are an ascending prefix of the range at the scan's phase —
-  // pagination ("first n keys >= lo") stays linearizable.
-  template <class BLo = Key, class BHi = Key, class Visitor>
-    requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
-  void range_visit_while(const BLo& lo, const BHi& hi, Visitor&& vis) {
-    snapshot().range_visit(lo, hi, vis);
-  }
-
-  // First (at most) n keys of [lo, hi] in ascending order.
-  template <class BLo = Key, class BHi = Key>
-    requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
-  std::vector<Key> range_first(const BLo& lo, const BHi& hi, std::size_t n) {
-    return snapshot().range_first(lo, hi, n);
-  }
-
-  // Full linearizable key census (a whole-tree RangeScan).
-  std::size_t size() { return snapshot().size(); }
-
-  bool empty() { return size() == 0; }
-
   // --- Snapshots ------------------------------------------------------------
 
   // A Snapshot freezes one phase and supports any number of point and range
@@ -378,6 +334,7 @@ class PnbBst {
       return l->key.key;
     }
 
+    // vis returns void (visit all) or bool (false stops; see scan_tree).
     template <class BLo = Key, class BHi = Key, class Visitor>
       requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
     void range_visit(const BLo& lo, const BHi& hi, Visitor&& vis) const {
@@ -420,14 +377,6 @@ class PnbBst {
       auto count = [&n](const Key&) { ++n; };
       tree_->template scan_tree<Key, Key>(seq_, nullptr, nullptr, count);
       return n;
-    }
-
-    // Visits every key of this version in ascending order (an unbounded
-    // ScanHelper traversal) — the full-extraction primitive behind shard
-    // rebuilds (src/shard/sharded_map.h reshard).
-    template <class Visitor>
-    void visit_all(Visitor&& vis) const {
-      tree_->template scan_tree<Key, Key>(seq_, nullptr, nullptr, vis);
     }
 
     // --- Parallel count (src/scan/ engine) ---------------------------------
@@ -498,32 +447,18 @@ class PnbBst {
     return Snapshot(this, seq, std::move(guard));
   }
 
-  // --- Parallel range count (wait-free per chunk; src/scan/ engine) --------
-
-  // One new phase, counted by multiple threads in key-range chunks. Result
-  // and linearization are identical to range_count at the same phase; see
-  // Snapshot::parallel_range_count for the mechanism.
-  template <class B = Key>
-    requires ProbeFor<B, Key, Compare> && std::integral<B>
-  std::size_t parallel_range_count(
-      const B& lo, const B& hi, const scan::ParallelScanOptions& opts = {}) {
-    return snapshot().parallel_range_count(lo, hi, opts);
+  // --- Range queries (wait-free) ------------------------------------------
+  //
+  // The one-shot queries (range_visit, range_scan, range_count, range_first,
+  // parallel_range_count, size, successor, min, ...) come from
+  // OneShotQueries, each a fresh snapshot asked once: one phase, linearized
+  // at its end (Theorem 47). Bounds may be any probe type Compare orders
+  // against Key. A query over [lo, hi] runs on snapshot(): one phase covers
+  // every key of the tree.
+  template <class BLo, class BHi>
+  Snapshot snapshot(const BLo&, const BHi&) {
+    return snapshot();
   }
-
-  // One-shot ordered queries on the live set. Each opens a new phase (like
-  // a width-0 range scan) and is wait-free and linearizable.
-  template <class LK = Key>
-    requires ProbeFor<LK, Key, Compare>
-  std::optional<Key> successor(const LK& k) {
-    return snapshot().successor(k);
-  }
-  template <class LK = Key>
-    requires ProbeFor<LK, Key, Compare>
-  std::optional<Key> predecessor(const LK& k) {
-    return snapshot().predecessor(k);
-  }
-  std::optional<Key> min() { return snapshot().min(); }
-  std::optional<Key> max() { return snapshot().max(); }
 
   // --- Batch ingest (src/ingest/ engine) ------------------------------------
 
@@ -804,11 +739,7 @@ class PnbBst {
         if (node->key.is_finite() &&
             (lo == nullptr || !less_.cmp(node->key.key, *lo)) &&
             (hi == nullptr || !less_.cmp(*hi, node->key.key))) {
-          if constexpr (std::is_void_v<decltype(vis(node->key.key))>) {
-            vis(node->key.key);
-          } else {
-            if (!vis(node->key.key)) return;
-          }
+          if (!visit_continues(vis, node->key.key)) return;
         }
         continue;
       }

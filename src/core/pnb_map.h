@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/concepts.h"
+#include "core/one_shot_queries.h"
 #include "core/pnb_bst.h"
 #include "ingest/batch_apply.h"
 #include "scan/parallel_scan.h"
@@ -95,7 +96,8 @@ struct MapEntryLess {
 template <class K, class V, class Compare = std::less<K>,
           class R = EpochReclaimer, class Stats = NullOpStats,
           class Alloc = mem::HeapAlloc>
-class PnbMap {
+class PnbMap
+    : public OneShotQueries<PnbMap<K, V, Compare, R, Stats, Alloc>> {
  public:
   using key_type = K;
   using mapped_type = V;
@@ -158,60 +160,6 @@ class PnbMap {
     return existed;
   }
 
-  // --- Range queries (wait-free, linearizable) -----------------------------
-  //
-  // Each one-shot query is a fresh snapshot() queried once (one phase).
-
-  // Visits (key, value) pairs with keys in [lo, hi] in ascending key order.
-  template <class QLo = K, class QHi = K, class Visitor>
-    requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-  void visit_range(const QLo& lo, const QHi& hi, Visitor&& vis) {
-    snapshot().visit_range(lo, hi, vis);
-  }
-
-  // Early-terminating variant: the visitor returns false to stop; the
-  // visited pairs are an ascending prefix of the range at the scan's phase.
-  template <class QLo = K, class QHi = K, class Visitor>
-    requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-  void range_visit_while(const QLo& lo, const QHi& hi, Visitor&& vis) {
-    snapshot().visit_while(lo, hi, vis);
-  }
-
-  template <class QLo = K, class QHi = K>
-    requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-  std::vector<std::pair<K, V>> range_scan(const QLo& lo, const QHi& hi) {
-    return snapshot().range_scan(lo, hi);
-  }
-
-  // First (at most) n pairs of [lo, hi] in ascending key order.
-  template <class QLo = K, class QHi = K>
-    requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-  std::vector<std::pair<K, V>> range_first(const QLo& lo, const QHi& hi,
-                                           std::size_t n) {
-    return snapshot().range_first(lo, hi, n);
-  }
-
-  template <class QLo = K, class QHi = K>
-    requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-  std::size_t range_count(const QLo& lo, const QHi& hi) {
-    return snapshot().range_count(lo, hi);
-  }
-
-  // --- Parallel range count (src/scan/ engine; integral keys) ---------------
-
-  // One new phase, counted in key-range chunks by multiple threads. Same
-  // count, same linearization point as range_count at that phase.
-  std::size_t parallel_range_count(const K& lo, const K& hi,
-                                   const scan::ParallelScanOptions& opts = {})
-    requires std::integral<K>
-  {
-    return snapshot().parallel_range_count(lo, hi, opts);
-  }
-
-  // Exact entry count at one phase: a snapshot walk, O(n).
-  std::size_t size() { return snapshot().size(); }
-  bool empty() { return size() == 0; }
-
   // Maintained entry count, O(1) and phase-free: successful inserts
   // (bulk_load included) minus successful erases. Exact when quiescent;
   // approximate under concurrent writes (each bump trails its update).
@@ -250,21 +198,6 @@ class PnbMap {
     return ingest::apply_runs(*this, ops, opts);
   }
 
-  // --- Ordered queries -----------------------------------------------------
-
-  template <class Q = K>
-    requires ProbeFor<Q, K, Compare>
-  std::optional<std::pair<K, V>> successor(const Q& k) {
-    return snapshot().successor(k);
-  }
-  template <class Q = K>
-    requires ProbeFor<Q, K, Compare>
-  std::optional<std::pair<K, V>> predecessor(const Q& k) {
-    return snapshot().predecessor(k);
-  }
-  std::optional<std::pair<K, V>> min() { return snapshot().min(); }
-  std::optional<std::pair<K, V>> max() { return snapshot().max(); }
-
   // --- Snapshots -----------------------------------------------------------
 
   // Snapshot of the map at one phase; mirrors PnbBst::Snapshot. Holds only
@@ -289,18 +222,13 @@ class PnbMap {
 
     std::size_t size() const { return snap_.size(); }
 
-    // Visits every (key, value) pair of this version in ascending key
-    // order — full extraction, used by shard rebuilds (sharded_map.h).
-    template <class Visitor>
-    void visit_all(Visitor&& vis) const {
-      snap_.visit_all([&vis](const Entry& e) { vis(e.key, e.value()); });
-    }
-
+    // vis(key, value) returns void (visit all) or bool (false stops).
     template <class QLo = K, class QHi = K, class Visitor>
       requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-    void visit_range(const QLo& lo, const QHi& hi, Visitor&& vis) const {
-      snap_.range_visit(lo, hi,
-                        [&vis](const Entry& e) { vis(e.key, e.value()); });
+    void range_visit(const QLo& lo, const QHi& hi, Visitor&& vis) const {
+      snap_.range_visit(lo, hi, [&vis](const Entry& e) -> decltype(auto) {
+        return vis(e.key, e.value());
+      });
     }
 
     template <class QLo = K, class QHi = K>
@@ -308,7 +236,7 @@ class PnbMap {
     std::vector<std::pair<K, V>> range_scan(const QLo& lo,
                                             const QHi& hi) const {
       std::vector<std::pair<K, V>> out;
-      visit_range(lo, hi,
+      range_visit(lo, hi,
                   [&out](const K& k, const V& v) { out.emplace_back(k, v); });
       return out;
     }
@@ -319,15 +247,6 @@ class PnbMap {
       return snap_.range_count(lo, hi);
     }
 
-    // Early-terminating visit_range: vis returns false to stop the scan.
-    template <class QLo = K, class QHi = K, class Visitor>
-      requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-    void visit_while(const QLo& lo, const QHi& hi, Visitor&& vis) const {
-      snap_.range_visit(lo, hi, [&vis](const Entry& e) -> bool {
-        return vis(e.key, e.value());
-      });
-    }
-
     // First (at most) n pairs of [lo, hi] at this phase.
     template <class QLo = K, class QHi = K>
       requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
@@ -335,7 +254,7 @@ class PnbMap {
                                              std::size_t n) const {
       std::vector<std::pair<K, V>> out;
       if (n == 0) return out;
-      visit_while(lo, hi, [&out, n](const K& k, const V& v) {
+      range_visit(lo, hi, [&out, n](const K& k, const V& v) {
         out.emplace_back(k, v);
         return out.size() < n;
       });
@@ -374,6 +293,14 @@ class PnbMap {
   };
 
   Snapshot snapshot() { return Snapshot(tree_.snapshot()); }
+
+  // The one-shot queries come from OneShotQueries, as on PnbBst (visitors
+  // take (key, value)); a query over [lo, hi] runs on the whole-map
+  // snapshot, since one phase covers every key.
+  template <class QLo, class QHi>
+  Snapshot snapshot(const QLo&, const QHi&) {
+    return snapshot();
+  }
 
   Stats& stats() noexcept { return tree_.stats(); }
   Tree& underlying() noexcept { return tree_; }

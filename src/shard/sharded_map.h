@@ -118,6 +118,7 @@
 #include <vector>
 
 #include "core/concepts.h"
+#include "core/one_shot_queries.h"
 #include "core/pnb_map.h"
 #include "ingest/admission.h"
 #include "ingest/batch_apply.h"
@@ -197,7 +198,8 @@ struct RangeSplitter {
 template <class K, class V, std::size_t NumShards = 8,
           class R = EpochReclaimer, class Stats = NullOpStats,
           class Alloc = mem::HeapAlloc>
-class ShardedPnbMap {
+class ShardedPnbMap : public OneShotQueries<ShardedPnbMap<K, V, NumShards, R,
+                                                          Stats, Alloc>> {
   static_assert(NumShards >= 1, "at least one shard");
 
   struct Table;           // routing generation; defined with private members
@@ -319,54 +321,6 @@ class ShardedPnbMap {
     insert(k, v);
     return existed;
   }
-
-  // --- Merged range queries (see consistency contract above) ---------------
-
-  // (key, value) pairs with keys in [lo, hi], ascending: the concatenation
-  // of one wait-free snapshot per shard in the splitter's span.
-  std::vector<std::pair<K, V>> range_scan(const K& lo, const K& hi) {
-    return snapshot_span(lo, hi).range_scan(lo, hi);
-  }
-
-  std::size_t range_count(const K& lo, const K& hi) {
-    return snapshot_span(lo, hi).range_count(lo, hi);
-  }
-
-  // First (at most) n merged pairs of [lo, hi] in ascending key order.
-  std::vector<std::pair<K, V>> range_first(const K& lo, const K& hi,
-                                           std::size_t n) {
-    return snapshot_span(lo, hi).range_first(lo, hi, n);
-  }
-
-  // Streaming merged visit (see Snapshot::visit_while): pairs are handed
-  // out as each shard's scan reaches them, never materialized.
-  template <class Visitor>
-  void visit_range(const K& lo, const K& hi, Visitor&& vis) {
-    snapshot_span(lo, hi).visit_range(lo, hi, std::forward<Visitor>(vis));
-  }
-
-  // Early-terminating merged visit: vis returns false to stop. The visited
-  // pairs are an ascending prefix of the merged range; stopping ends the
-  // walk, so later shards are never scanned.
-  template <class Visitor>
-  void range_visit_while(const K& lo, const K& hi, Visitor&& vis) {
-    snapshot_span(lo, hi).visit_while(lo, hi, std::forward<Visitor>(vis));
-  }
-
-  // --- Parallel merged count (src/scan/ engine) -----------------------------
-  //
-  // Same consistency contract as the sequential merged count: the
-  // per-shard snapshots are still taken sequentially in ascending shard
-  // order (the contract's linearization structure is fixed at that point);
-  // only the per-shard snapshot COUNTS then run concurrently on the
-  // executor.
-  std::size_t parallel_range_count(
-      const K& lo, const K& hi, const scan::ParallelScanOptions& opts = {}) {
-    return snapshot_span(lo, hi).parallel_range_count(lo, hi, opts);
-  }
-
-  std::size_t size() { return snapshot().size(); }
-  bool empty() { return size() == 0; }
 
   // --- Batch ingest (src/ingest/ engine) ------------------------------------
 
@@ -500,10 +454,13 @@ class ShardedPnbMap {
     for (const std::size_t n : old_entries) union_size += n;
     std::vector<bulk_item> items;
     items.reserve(union_size);
+    // Every key is in [min, max] of the integral key type: a full visit.
     for (auto& snap : snaps) {
-      snap.visit_all([&items](const K& k, const V& v) {
-        items.emplace_back(k, v);
-      });
+      snap.range_visit(std::numeric_limits<K>::min(),
+                       std::numeric_limits<K>::max(),
+                       [&items](const K& k, const V& v) {
+                         items.emplace_back(k, v);
+                       });
     }
     snaps.clear();  // release the per-shard pins before the parallel build
     const std::size_t total = items.size();
@@ -556,7 +513,7 @@ class ShardedPnbMap {
 
     std::vector<std::pair<K, V>> range_scan(const K& lo, const K& hi) const {
       std::vector<std::pair<K, V>> out;
-      visit_range(lo, hi,
+      range_visit(lo, hi,
                   [&out](const K& k, const V& v) { out.emplace_back(k, v); });
       return out;
     }
@@ -567,27 +524,24 @@ class ShardedPnbMap {
                                              std::size_t n) const {
       std::vector<std::pair<K, V>> out;
       if (n == 0) return out;
-      visit_while(lo, hi, [&out, n](const K& k, const V& v) {
+      range_visit(lo, hi, [&out, n](const K& k, const V& v) {
         out.emplace_back(k, v);
         return out.size() < n;
       });
       return out;
     }
 
+    // Merged visit, streamed as each shard's scan reaches the pairs, never
+    // materialized. vis(key, value) returns void (visit all) or bool
+    // (false stops): the visited pairs are then an ascending prefix of the
+    // merged range, the walk ends, and later shards are never scanned, so
+    // stopping after p pairs costs O(p + depth) per shard touched.
     template <class Visitor>
-    void visit_range(const K& lo, const K& hi, Visitor&& vis) const {
-      for (const auto& s : snaps_) s.visit_range(lo, hi, vis);
-    }
-
-    // Early-terminating merged visit (vis returns false to stop): each
-    // shard snapshot's early-terminating scan in shard order, so stopping
-    // after p pairs costs O(p + depth) per shard touched.
-    template <class Visitor>
-    void visit_while(const K& lo, const K& hi, Visitor&& vis) const {
+    void range_visit(const K& lo, const K& hi, Visitor&& vis) const {
       bool more = true;
       for (const auto& s : snaps_) {
-        s.visit_while(lo, hi, [&](const K& k, const V& v) {
-          more = vis(k, v);
+        s.range_visit(lo, hi, [&](const K& k, const V& v) {
+          more = visit_continues(vis, k, v);
           return more;
         });
         if (!more) return;
@@ -674,13 +628,14 @@ class ShardedPnbMap {
   };
 
   // Snapshot covering all shards.
-  Snapshot snapshot() {
-    // Pin BEFORE the table load: whichever table we load, its retire comes
-    // after our pin, so the grace period waits for this handle.
-    auto pin = reclaimer_->pin();
-    const Table* table = table_.load(std::memory_order_acquire);
-    return snapshot_shards(table, 0, NumShards, std::move(pin));
-  }
+  Snapshot snapshot() { return snapshot_of(nullptr, nullptr); }
+
+  // Snapshot restricted to the shards that can hold keys of [lo, hi] (none
+  // when hi < lo). The merged one-shot queries (range_visit, range_scan,
+  // range_count, range_first, parallel_range_count; see the consistency
+  // contract above) come from OneShotQueries and run on it, so a narrow
+  // scan opens one shard's phase, not NumShards; size() snapshots all.
+  Snapshot snapshot(const K& lo, const K& hi) { return snapshot_of(&lo, &hi); }
 
   // --- Introspection --------------------------------------------------------
 
@@ -717,7 +672,7 @@ class ShardedPnbMap {
   // maintained entry_count(), so O(NumShards). Takes no snapshot, opens no
   // phase, and pins the epoch only across the NumShards counter reads.
   // Exact when the map is quiescent; approximate under concurrent writes
-  // (see PnbMap::entry_count). snapshot().size() is the exact census.
+  // (see PnbMap::entry_count). A snapshot's size() is the exact census.
   std::array<std::size_t, NumShards> shard_sizes() const {
     auto guard = reclaimer_->pin();
     const Table* table = table_.load(std::memory_order_acquire);
@@ -1070,18 +1025,15 @@ class ShardedPnbMap {
     return table->shards[table->splitter.shard_of(k, NumShards)]->map;
   }
 
-  // Snapshot restricted to the shards that can hold keys of [lo, hi].
-  Snapshot snapshot_span(const K& lo, const K& hi) {
-    auto pin = reclaimer_->pin();  // before the load; see snapshot()
+  // snapshot(lo, hi), or snapshot() when the bounds are null.
+  Snapshot snapshot_of(const K* lo, const K* hi) {
+    // Pin BEFORE the table load: whichever table we load, its retire comes
+    // after our pin, so the grace period waits for this handle.
+    auto pin = reclaimer_->pin();
     const Table* table = table_.load(std::memory_order_acquire);
     const auto [first, last] =
-        table->splitter.shard_span(lo, hi, NumShards);
-    return snapshot_shards(table, first, last, std::move(pin));
-  }
-
-  Snapshot snapshot_shards(const Table* table, std::size_t first,
-                           std::size_t last,
-                           typename R::Guard&& pin) {
+        lo == nullptr ? std::pair<std::size_t, std::size_t>{0, NumShards}
+                      : table->splitter.shard_span(*lo, *hi, NumShards);
     std::vector<typename Map::Snapshot> snaps;
     snaps.reserve(last - first);
     for (std::size_t i = first; i < last; ++i) {

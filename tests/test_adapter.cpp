@@ -11,8 +11,9 @@ namespace {
 template <class Tree>
 class AdapterTyped : public ::testing::Test {};
 
-using Implementations =
-    ::testing::Types<PnbBst<long>, NbBst<long>, LockedBst<long>, CowBst<long>>;
+using Implementations = ::testing::Types<PnbBst<long>, NbBst<long>,
+                                         LockedBst<long>, CowBst<long>,
+                                         LfSkipList<long>>;
 
 TYPED_TEST_SUITE(AdapterTyped, Implementations);
 
@@ -45,16 +46,20 @@ TYPED_TEST(AdapterTyped, RangeScanReturnsSortedKeys) {
   EXPECT_EQ(set.range_scan(60, 99), std::vector<long>{});
 }
 
-TYPED_TEST(AdapterTyped, RangeVisitWhileStopsEmitting) {
+TYPED_TEST(AdapterTyped, RangeVisitBoolStopsVoidSeesAll) {
   TypeParam tree;
   auto set = adapt(tree);
   for (long k = 0; k < 20; ++k) set.insert(k);
   std::vector<long> seen;
-  set.range_visit_while(0, 19, [&seen](long k) {
+  set.range_visit(0, 19, [&seen](long k) {
     seen.push_back(k);
     return seen.size() < 4;
   });
   EXPECT_EQ(seen, (std::vector<long>{0, 1, 2, 3}));
+  std::vector<long> all;
+  set.range_visit(0, 19, [&all](long k) { all.push_back(k); });
+  ASSERT_EQ(all.size(), 20u);
+  for (long k = 0; k < 20; ++k) EXPECT_EQ(all[k], k);
 }
 
 TEST(Adapter, PnbSnapshotThroughAdapter) {
@@ -73,6 +78,7 @@ TEST(Adapter, LinearizableScanFlags) {
   EXPECT_FALSE(SetAdapter<NbBst<long>>::kLinearizableScan);
   EXPECT_TRUE(SetAdapter<LockedBst<long>>::kLinearizableScan);
   EXPECT_TRUE(SetAdapter<CowBst<long>>::kLinearizableScan);
+  EXPECT_FALSE(SetAdapter<LfSkipList<long>>::kLinearizableScan);
 }
 
 TEST(Adapter, Names) {
@@ -80,6 +86,7 @@ TEST(Adapter, Names) {
   EXPECT_STREQ(SetAdapter<NbBst<long>>::kName, "nb-bst");
   EXPECT_STREQ(SetAdapter<LockedBst<long>>::kName, "locked-bst");
   EXPECT_STREQ(SetAdapter<CowBst<long>>::kName, "cow-bst");
+  EXPECT_STREQ(SetAdapter<LfSkipList<long>>::kName, "lf-skiplist");
 }
 
 }  // namespace

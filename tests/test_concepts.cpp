@@ -65,6 +65,23 @@ static_assert(!OrderedSet<PnbMap<long, long>, long>);
 // Sharded snapshots have per-shard phases, not one global phase.
 static_assert(!PhasedSnapshottable<ShardedPnbMap<long, long, 4>>);
 
+// The one-shot queries (core/one_shot_queries.h) exist only where the
+// container's Snapshot answers them: the sharded snapshot has no ordered
+// queries, and chunked counts need integral keys.
+template <class M>
+concept HasOrderedQueries = requires(M m, const long& k) {
+  m.successor(k);
+  m.predecessor(k);
+  m.min();
+  m.max();
+};
+static_assert(HasOrderedQueries<PnbBst<long>>);
+static_assert(HasOrderedQueries<PnbMap<long, long>>);
+static_assert(HasOrderedQueries<SetAdapter<PnbBst<long>>>);
+static_assert(!HasOrderedQueries<ShardedPnbMap<long, long, 4>>);
+static_assert(ParallelScannable<PnbBst<long>, long>);
+static_assert(!ParallelScannable<PnbBst<std::string>, std::string>);
+
 // Key-type mismatches are rejected, not silently converted: a string-keyed
 // map does not model the long-keyed concept.
 static_assert(!OrderedMap<PnbMap<std::string, long>, long, long>);

@@ -152,9 +152,19 @@ TEST(ParallelScanConcurrent, MonotoneInsertCountBound) {
     }
   });
 
+  // One count per insert the scanner observes: it yields while `published`
+  // has not moved instead of re-counting an unchanged prefix.
   std::size_t prev_count = 0;
-  while (published.load(std::memory_order_acquire) < kInserts) {
+  std::size_t counts = 0;
+  long counted_at = -1;
+  for (;;) {
     const long before = published.load(std::memory_order_acquire);
+    if (before >= kInserts) break;
+    if (before == counted_at) {
+      std::this_thread::yield();
+      continue;
+    }
+    counted_at = before;
     const std::size_t c = tree.parallel_range_count(
         0L, kInserts - 1, ParallelScanOptions(4u, ex));
     const long after = published.load(std::memory_order_acquire);
@@ -164,8 +174,10 @@ TEST(ParallelScanConcurrent, MonotoneInsertCountBound) {
     ASSERT_LE(c, static_cast<std::size_t>(after) + 1);
     ASSERT_GE(c, prev_count) << "scan count went backwards";
     prev_count = c;
+    ++counts;
   }
   writer.join();
+  EXPECT_GT(counts, 0u);
   EXPECT_EQ(tree.parallel_range_count(0L, kInserts - 1,
                                       ParallelScanOptions(8u, ex)),
             static_cast<std::size_t>(kInserts));

@@ -1,5 +1,5 @@
 // PnbMap redesigned API: heterogeneous lookups that construct no value
-// probes, non-default-constructible values, get_or, visit_range with
+// probes, non-default-constructible values, get_or, range_visit with
 // key+value, early-terminating scans, and the full Snapshot mirror of
 // PnbBst::Snapshot.
 #include "core/pnb_map.h"
@@ -39,7 +39,7 @@ TEST(PnbMapRedesign, NonDefaultConstructibleValue) {
   EXPECT_EQ(m.size(), 1u);
 
   std::vector<std::pair<long, int>> seen;
-  m.visit_range(0, 100, [&seen](long k, const Payload& p) {
+  m.range_visit(0, 100, [&seen](long k, const Payload& p) {
     seen.emplace_back(k, p.x);
   });
   ASSERT_EQ(seen.size(), 1u);
@@ -79,11 +79,11 @@ TEST(PnbMapRedesign, GetOrAndAssign) {
   EXPECT_EQ(m.get(6), "six");
 }
 
-TEST(PnbMapRedesign, VisitRangeYieldsKeyAndValueInOrder) {
+TEST(PnbMapRedesign, RangeVisitYieldsKeyAndValueInOrder) {
   PnbMap<long, long> m;
   for (long k = 0; k < 50; ++k) m.insert(k, k * k);
   long expect = 10;
-  m.visit_range(10, 20, [&expect](long k, long v) {
+  m.range_visit(10, 20, [&expect](long k, long v) {
     EXPECT_EQ(k, expect);
     EXPECT_EQ(v, k * k);
     ++expect;
@@ -91,11 +91,11 @@ TEST(PnbMapRedesign, VisitRangeYieldsKeyAndValueInOrder) {
   EXPECT_EQ(expect, 21);
 }
 
-TEST(PnbMapRedesign, RangeVisitWhileStopsEarly) {
+TEST(PnbMapRedesign, RangeVisitStopsEarly) {
   PnbMap<long, long> m;
   for (long k = 0; k < 100; ++k) m.insert(k, k);
   std::vector<long> seen;
-  m.range_visit_while(0, 99, [&seen](long k, long) {
+  m.range_visit(0, 99, [&seen](long k, long) {
     seen.push_back(k);
     return seen.size() < 5;
   });

@@ -200,7 +200,7 @@ TEST(PnbMapTest, SnapshotIsolatesValues) {
   m.insert(1, 200);
   EXPECT_TRUE(snap.contains(1));
   long seen = -1;
-  snap.visit_range(0, 10, [&](long, long v) { seen = v; });
+  snap.range_visit(0, 10, [&](long, long v) { seen = v; });
   EXPECT_EQ(seen, 100);  // old value at the snapshot's phase
   EXPECT_EQ(m.get(1), 200);
 }

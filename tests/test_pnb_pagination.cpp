@@ -1,5 +1,5 @@
-// Early-terminating scans (range_visit_while / range_first): pagination
-// semantics sequentially and under concurrent updates.
+// Early-terminating scans (range_visit with a bool visitor, range_first):
+// pagination semantics sequentially and under concurrent updates.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,11 +34,11 @@ TEST(Pagination, ZeroNReturnsEmptyWithoutScanning) {
   EXPECT_TRUE(t.range_first(0, 10, 0).empty());
 }
 
-TEST(Pagination, VisitWhileStopsExactly) {
+TEST(Pagination, RangeVisitStopsExactly) {
   Tree t;
   for (long k = 0; k < 100; ++k) t.insert(k);
   int visited = 0;
-  t.range_visit_while(0, 99, [&visited](long) { return ++visited < 7; });
+  t.range_visit(0, 99, [&visited](long) { return ++visited < 7; });
   EXPECT_EQ(visited, 7);
 }
 

@@ -2,6 +2,7 @@
 // paper's phase machinery that are observable without white-box access.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "core/pnb_bst.h"
 #include "core/pnb_map.h"
 #include "scan/parallel_scan.h"
+#include "shard/sharded_map.h"
 
 namespace pnbbst {
 namespace {
@@ -55,7 +57,7 @@ TEST(PhaseSemantics, EveryScanKindAdvancesExactlyOnce) {
           [](CountedTree& c) { c.range_count(0, 10); },
           [](CountedTree& c) { c.range_visit(0, 10, [](long) {}); },
           [](CountedTree& c) {
-            c.range_visit_while(0, 10, [](long) { return false; });
+            c.range_visit(0, 10, [](long) { return false; });
           },
           [](CountedTree& c) { c.range_first(0, 10, 1); },
           [](CountedTree& c) { c.size(); },
@@ -80,9 +82,9 @@ TEST(PhaseSemantics, EveryMapScanKindAdvancesExactlyOnce) {
       {
           [](CountedMap& c) { c.range_scan(0, 10); },
           [](CountedMap& c) { c.range_count(0, 10); },
-          [](CountedMap& c) { c.visit_range(0, 10, [](long, long) {}); },
+          [](CountedMap& c) { c.range_visit(0, 10, [](long, long) {}); },
           [](CountedMap& c) {
-            c.range_visit_while(0, 10, [](long, long) { return false; });
+            c.range_visit(0, 10, [](long, long) { return false; });
           },
           [](CountedMap& c) { c.range_first(0, 10, 1); },
           [](CountedMap& c) { c.size(); },
@@ -94,6 +96,57 @@ TEST(PhaseSemantics, EveryMapScanKindAdvancesExactlyOnce) {
           [&](CountedMap& c) { c.parallel_range_count(0, 10, two_chunks); },
           [](CountedMap& c) { auto s = c.snapshot(); },
       });
+}
+
+TEST(PhaseSemantics, EveryShardedScanKindOpensOnlyItsSpan) {
+  // Eight 100-key shards over [0, 800): every ranged query below lies in
+  // shard 3, so it must snapshot that shard alone (one phase there, none
+  // elsewhere); the unbounded ones snapshot all eight.
+  using Sharded = ShardedPnbMap<long, long, 8>;
+  constexpr std::size_t kShards = Sharded::shard_count();
+  constexpr std::size_t kSpan = 3;
+  Sharded m(RangeSplitter<long>{0, 800});
+  for (long k = 0; k < 800; k += 10) m.insert(k, k);
+  auto phases = [&m] {
+    std::array<std::uint64_t, kShards> out{};
+    for (std::size_t i = 0; i < kShards; ++i) {
+      out[i] = m.shard_ref(i).underlying().phase();
+    }
+    return out;
+  };
+  auto expect_opens = [&](const std::vector<std::function<void(Sharded&)>>&
+                              queries,
+                          bool whole) {
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const auto before = phases();
+      queries[q](m);
+      const auto after = phases();
+      for (std::size_t i = 0; i < kShards; ++i) {
+        const std::uint64_t opened = whole || i == kSpan ? 1 : 0;
+        EXPECT_EQ(after[i], before[i] + opened)
+            << "query #" << q << " shard " << i;
+      }
+    }
+  };
+  const scan::ParallelScanOptions two_chunks(2);
+  expect_opens(
+      {
+          [](Sharded& c) { c.range_scan(310, 390); },
+          [](Sharded& c) { c.range_count(310, 390); },
+          [](Sharded& c) { c.range_visit(310, 390, [](long, long) {}); },
+          [](Sharded& c) {
+            c.range_visit(310, 390, [](long, long) { return false; });
+          },
+          [](Sharded& c) { c.range_first(310, 390, 1); },
+          [&](Sharded& c) { c.parallel_range_count(310, 390, two_chunks); },
+      },
+      /*whole=*/false);
+  expect_opens(
+      {
+          [](Sharded& c) { c.size(); },
+          [](Sharded& c) { auto s = c.snapshot(); },
+      },
+      /*whole=*/true);
 }
 
 TEST(PhaseSemantics, UpdatesInOnePhaseShareSequenceNumbers) {

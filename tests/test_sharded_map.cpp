@@ -209,7 +209,7 @@ TEST(ShardedMap, PointOpsAndGetOr) {
   EXPECT_FALSE(m.erase(10));
 }
 
-TEST(ShardedMap, RangeFirstAndVisitWhile) {
+TEST(ShardedMap, RangeFirstAndStoppingRangeVisit) {
   // Four 50-key shards over [0, 200).
   ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 200});
   for (long k = 0; k < 200; ++k) m.insert(k, k);
@@ -223,7 +223,7 @@ TEST(ShardedMap, RangeFirstAndVisitWhile) {
   EXPECT_TRUE(m.range_first(0, 199, 0).empty());
 
   std::vector<long> seen;
-  m.range_visit_while(0, 199, [&seen](long k, long) {
+  m.range_visit(0, 199, [&seen](long k, long) {
     seen.push_back(k);
     return k < 2;
   });
@@ -231,7 +231,7 @@ TEST(ShardedMap, RangeFirstAndVisitWhile) {
 
   // A stop in shard 3 after walking shards 0..2 in full.
   seen.clear();
-  m.range_visit_while(0, 199, [&seen](long k, long) {
+  m.range_visit(0, 199, [&seen](long k, long) {
     seen.push_back(k);
     return k < 160;
   });
@@ -260,14 +260,14 @@ TEST(ShardedMap, RangeFirstSpansShardsWhenTheFirstRunsShort) {
                                                 want.begin() + 4)));
 }
 
-TEST(ShardedMap, RangeVisitWhileCrossesShardsWithoutDupOrSkip) {
+TEST(ShardedMap, RangeVisitCrossesShardsWithoutDupOrSkip) {
   // Four 250-key shards over [0, 1000): a full visit emits every key once
   // and in order across the three boundaries.
   ShardedPnbMap<long, long, 4> m(RangeSplitter<long>{0, 1000});
   constexpr long kN = 1000;
   for (long k = 0; k < kN; ++k) m.insert(k, k);
   std::vector<long> seen;
-  m.range_visit_while(0, kN - 1, [&seen](long k, long v) {
+  m.range_visit(0, kN - 1, [&seen](long k, long v) {
     EXPECT_EQ(v, k);
     seen.push_back(k);
     return true;
@@ -277,16 +277,16 @@ TEST(ShardedMap, RangeVisitWhileCrossesShardsWithoutDupOrSkip) {
 
   // Early exit on the last key of shard 0: no later shard is visited.
   seen.clear();
-  m.range_visit_while(0, kN - 1, [&seen](long k, long) {
+  m.range_visit(0, kN - 1, [&seen](long k, long) {
     seen.push_back(k);
     return seen.size() < 250;
   });
   EXPECT_EQ(seen.size(), 250u);
   EXPECT_EQ(seen.back(), 249);
 
-  // visit_range (no early exit) agrees with the scan.
+  // A void visitor (no early exit) agrees with the scan.
   std::vector<std::pair<long, long>> visited;
-  m.visit_range(100, 900, [&visited](long k, long v) {
+  m.range_visit(100, 900, [&visited](long k, long v) {
     visited.emplace_back(k, v);
   });
   EXPECT_EQ(visited, m.range_scan(100, 900));
@@ -374,8 +374,13 @@ TEST(ShardedMap, SingleShardSpanIsExactAndRoutedWithinSpan) {
 
   // Shard 1 owns [100, 200). A composite snapshot over that span has one
   // shard snapshot; route() answers inside the span, nullptr outside.
-  // (Snapshot handles are span-restricted internally via snapshot_span —
-  // range queries below exercise the same path.)
+  // The one-shot range queries below run on the same snapshot(lo, hi).
+  auto span = m.snapshot(100, 199);
+  EXPECT_EQ(span.phases().size(), 1u);
+  EXPECT_TRUE(span.contains(150));
+  EXPECT_FALSE(span.contains(50));   // shard 0: outside the span
+  EXPECT_FALSE(span.contains(250));  // shard 2: outside the span
+  EXPECT_EQ(span.range_count(0, 399), 50u);
   EXPECT_EQ(m.range_count(100, 199), 50u);
   const auto scan = m.range_scan(100, 199);
   ASSERT_EQ(scan.size(), 50u);
@@ -399,14 +404,14 @@ TEST(ShardedMap, EmptySpanQueriesAreEmptyNotUB) {
   for (long k = 0; k < 400; ++k) m.insert(k, k);
 
   // lo > hi: the splitter yields the empty span {0, 0}; every merged
-  // query must come back empty (and visit_while must not loop).
+  // query must come back empty (and range_visit must not loop).
   EXPECT_EQ(m.splitter().shard_span(300, 200, 4),
             (std::pair<std::size_t, std::size_t>{0, 0}));
   EXPECT_EQ(m.range_count(300, 200), 0u);
   EXPECT_TRUE(m.range_scan(300, 200).empty());
   EXPECT_TRUE(m.range_first(300, 200, 10).empty());
   std::size_t visited = 0;
-  m.range_visit_while(300, 200, [&visited](long, long) {
+  m.range_visit(300, 200, [&visited](long, long) {
     ++visited;
     return true;
   });
