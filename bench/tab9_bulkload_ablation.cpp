@@ -20,6 +20,18 @@
 //                the ordinary lock-free paths (locality + parallel issue;
 //                per-op linearizability untouched).
 //
+// SPARSE BURST (rows seq-update-sparse / apply_batch-sparse): n/16 of the
+// same burst keys in 256-op batches, the serving BATCH frame's size, into
+// a fresh established tree of n keys, one thread. A batch's sorted keys
+// lie far apart, so its ops share only the top of their paths and each
+// op's descent is its own chain of cold misses.
+//
+//   seq-update-sparse   one insert per key, in batch order — the vs_seq_x
+//                       baseline for the sparse rows;
+//   apply_batch-sparse  one apply_batch per 256-op batch: the lockstep
+//                       descent of each 16-op group overlaps the group's
+//                       misses before its ops run (ingest/batch_apply.h).
+//
 // apply_batch is deliberately NOT benched as a cold-load mechanism: the
 // batch normalizer sorts its ops, and sorted insertion into an empty
 // unbalanced tree builds the degenerate Θ(n)-depth shape (quadratic total
@@ -69,8 +81,9 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   const bool smoke = smoke_mode(cli);
   Reporter rep(cli, "Tab.E9",
-               "bulk ingest ablation: cold load (seq-insert vs bulk_build) "
-               "and update burst (seq-update vs apply_batch)");
+               "bulk ingest ablation: cold load (seq-insert vs bulk_build), "
+               "update burst (seq-update vs apply_batch) and sparse burst "
+               "(256-op batches)");
   const auto sizes =
       sweep_list(cli, "sizes", smoke, {1L << 20}, {1L << 20, 1L << 22});
   auto threads = sweep_list(cli, "threads", smoke, {1, 4}, {1, 2, 4, 8});
@@ -224,6 +237,34 @@ int main(int argc, char** argv) {
       Timer t;
       tree->apply_batch(std::move(ops), opts);
       emit_row("apply_batch", th, t.elapsed_ms(), sequp_ms, u, *tree);
+    }
+
+    // --- sparse burst: 256-op batches against an established tree -----------
+    constexpr std::size_t kSparseBatch = 256;
+    const long sparse = n / 16;
+    double seqsp_ms;
+    {
+      auto tree = make_loaded();
+      Timer t;
+      for (long i = 0; i < sparse; ++i) {
+        tree->insert(burst[static_cast<std::size_t>(i)]);
+      }
+      seqsp_ms = t.elapsed_ms();
+      emit_row("seq-update-sparse", 1, seqsp_ms, seqsp_ms, sparse, *tree);
+    }
+    {
+      auto tree = make_loaded();
+      std::vector<std::vector<ingest::BatchOp<long>>> batches(1);
+      for (long i = 0; i < sparse; ++i) {
+        if (batches.back().size() == kSparseBatch) batches.emplace_back();
+        batches.back().push_back(
+            ingest::BatchOp<long>::insert(burst[static_cast<std::size_t>(i)]));
+      }
+      const scan::ParallelScanOptions opts(1, executor);
+      Timer t;
+      for (auto& batch : batches) tree->apply_batch(std::move(batch), opts);
+      emit_row("apply_batch-sparse", 1, t.elapsed_ms(), seqsp_ms, sparse,
+               *tree);
     }
   }
   rep.emit(table);

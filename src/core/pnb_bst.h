@@ -33,6 +33,8 @@
 // updates, so the API is non-const throughout.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <concepts>
 #include <cstdint>
@@ -40,6 +42,7 @@
 #include <cstdlib>
 #include <functional>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -514,6 +517,33 @@ class PnbBst
       return less_.cmp(a, b);
     });
     return ingest::apply_runs(*this, ops, opts);
+  }
+
+  // apply_runs' overlapped descents (ingest/batch_apply.h): one read-only
+  // lockstep walk of up to ingest::kDescentGroup ops' keys from the root,
+  // each key one level per round, round-robin, prefetching every next
+  // node, so the group's cache misses overlap and the ops' own searches
+  // then hit the cache. A hint outside the paper's protocol: it only loads
+  // child pointers and immutable node fields — no helping, no phase read,
+  // no CAS — so no op's linearizability changes. It takes its own pin
+  // because apply_batch may run unpinned, and a node on a warmed path can
+  // be unlinked and retired while the walk still holds it.
+  template <class Op>
+  void prefetch_paths(std::span<const Op> ops) {
+    auto guard = reclaimer_->pin();
+    std::array<Node*, ingest::kDescentGroup> at{};
+    const std::size_t n = std::min(ops.size(), at.size());
+    std::fill_n(at.begin(), n, root_);
+    for (bool descending = true; descending;) {
+      descending = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (at[i]->is_leaf()) continue;
+        Internal* p = as_internal(at[i]);
+        at[i] = p->load_child(less_(ops[i].key, p->key));
+        __builtin_prefetch(at[i]);
+        descending = true;
+      }
+    }
   }
 
   // --- Introspection ---------------------------------------------------------

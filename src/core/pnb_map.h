@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -196,6 +197,12 @@ class PnbMap
       return cmp(a, b);
     });
     return ingest::apply_runs(*this, ops, opts);
+  }
+
+  // apply_runs' overlapped descents, probing the tree by key
+  // (PnbBst::prefetch_paths).
+  void prefetch_paths(std::span<const batch_op> ops) {
+    tree_.prefetch_paths(ops);
   }
 
   // --- Snapshots -----------------------------------------------------------

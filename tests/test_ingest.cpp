@@ -7,7 +7,8 @@
 //    (depth bound), shape identity with the sequential bulk constructor,
 //    thread-count independence of the result;
 //  * apply_batch: differential vs a last-op-wins model on PnbBst, PnbMap
-//    and ShardedPnbMap, result counters, insert-if-absent semantics;
+//    and ShardedPnbMap, result counters, insert-if-absent semantics, and
+//    batch sizes around the descent-group and grain boundaries;
 //  * resharding: reshard preserves contents and rebalances, retired
 //    generations reclaim automatically, pre-reshard snapshots stay valid;
 //  * BatchIngestible concept coverage (positive and negative).
@@ -338,6 +339,116 @@ TEST(ApplyBatch, ShardedDifferentialAndCounts) {
     EXPECT_EQ(sharded.range_scan(0, kRange - 1),
               single.range_scan(0, kRange - 1))
         << "round " << round;
+  }
+}
+
+// Sparse keyspace for the group-boundary tests: a batch's keys land far
+// apart in an established tree, so no two ops of a descent group share
+// more than the top of their paths.
+constexpr long kSparseSpace = 1L << 24;
+
+// Batch sizes around the descent-group and ingest-grain boundaries: a lone
+// op, a short and an exact group, one and two groups plus a straggler, the
+// serving batch size, one run either side of a grain, and two runs whose
+// boundary falls inside a group.
+std::vector<std::size_t> group_boundary_sizes() {
+  constexpr std::size_t kG = ingest::kDescentGroup;
+  constexpr std::size_t kGrain = scan::kIngestGrain;
+  return {1,   kG - 1,     kG,         kG + 1,        2 * kG + 1,
+          256, kGrain - 1, kGrain + 1, 2 * kGrain + 1};
+}
+
+// n (key, kind) ops on distinct sparse keys: about half the keys are
+// present in `model` (erases hit, inserts collide), half are fresh.
+std::vector<std::pair<long, BatchOpKind>> sparse_ops(
+    const std::map<long, long>& model, std::size_t n, Xoshiro256& rng) {
+  std::set<long> used;
+  std::vector<std::pair<long, BatchOpKind>> ops;
+  while (ops.size() < n) {
+    long k = static_cast<long>(rng.next_bounded(kSparseSpace));
+    if (rng.next_bounded(2) != 0) {
+      const auto it = model.lower_bound(k);
+      if (it != model.end()) k = it->first;
+    }
+    if (!used.insert(k).second) continue;
+    ops.emplace_back(k, rng.next_bounded(2) != 0 ? BatchOpKind::kInsert
+                                                 : BatchOpKind::kErase);
+  }
+  return ops;
+}
+
+// An established tree of 2^14 sparse random keys, and its model.
+std::map<long, long> sparse_base(Xoshiro256& rng) {
+  std::map<long, long> model;
+  while (model.size() < (1u << 14)) {
+    const long k = static_cast<long>(rng.next_bounded(kSparseSpace));
+    model.emplace(k, k * 3);
+  }
+  return model;
+}
+
+TEST(ApplyBatch, GroupBoundariesOnTree) {
+  scan::ScanExecutor ex(4);
+  Xoshiro256 rng(2304);
+  std::map<long, long> model = sparse_base(rng);
+  PnbBst<long> tree;
+  std::vector<long> base;
+  for (const auto& [k, v] : model) base.push_back(k);
+  tree.bulk_load(base);
+  for (const std::size_t n : group_boundary_sizes()) {
+    std::vector<BatchOp<long>> ops;
+    std::size_t inserted = 0;
+    std::size_t erased = 0;
+    for (const auto& [k, kind] : sparse_ops(model, n, rng)) {
+      if (kind == BatchOpKind::kInsert) {
+        ops.push_back(BatchOp<long>::insert(k));
+        inserted += model.emplace(k, k * 3).second;
+      } else {
+        ops.push_back(BatchOp<long>::erase(k));
+        erased += model.erase(k);
+      }
+    }
+    const auto got =
+        tree.apply_batch(std::move(ops), ParallelScanOptions(4, ex));
+    EXPECT_EQ(got.applied, n) << "n=" << n;
+    EXPECT_EQ(got.inserted, inserted) << "n=" << n;
+    EXPECT_EQ(got.erased, erased) << "n=" << n;
+    std::vector<long> want;
+    for (const auto& [k, v] : model) want.push_back(k);
+    EXPECT_EQ(tree.range_scan(0, kSparseSpace), want) << "n=" << n;
+  }
+  auto rep = check_current(tree);
+  EXPECT_TRUE(rep.ok) << rep.error;
+}
+
+TEST(ApplyBatch, GroupBoundariesOnMap) {
+  scan::ScanExecutor ex(4);
+  Xoshiro256 rng(2305);
+  std::map<long, long> model = sparse_base(rng);
+  PnbMap<long, long> map;
+  map.bulk_load(std::vector<std::pair<long, long>>(model.begin(), model.end()));
+  for (const std::size_t n : group_boundary_sizes()) {
+    std::vector<BatchOp<long, long>> ops;
+    std::size_t inserted = 0;
+    std::size_t erased = 0;
+    // Values differ per batch, so insert-if-absent shows in the contents.
+    const long tag = static_cast<long>(n);
+    for (const auto& [k, kind] : sparse_ops(model, n, rng)) {
+      if (kind == BatchOpKind::kInsert) {
+        ops.push_back(BatchOp<long, long>::insert(k, k + tag));
+        inserted += model.emplace(k, k + tag).second;
+      } else {
+        ops.push_back(BatchOp<long, long>::erase(k));
+        erased += model.erase(k);
+      }
+    }
+    const auto got =
+        map.apply_batch(std::move(ops), ParallelScanOptions(4, ex));
+    EXPECT_EQ(got.applied, n) << "n=" << n;
+    EXPECT_EQ(got.inserted, inserted) << "n=" << n;
+    EXPECT_EQ(got.erased, erased) << "n=" << n;
+    const std::vector<std::pair<long, long>> want(model.begin(), model.end());
+    EXPECT_EQ(map.range_scan(0, kSparseSpace), want) << "n=" << n;
   }
 }
 

@@ -11,7 +11,9 @@
 //    snapshots stay answerable;
 //  * same-splitter reshards racing writers on the other shards — a static
 //    shard is never disturbed, and the writers' traffic survives every
-//    cutover through the write-intent ledger.
+//    cutover through the write-intent ledger;
+//  * apply_batch's lockstep descents racing churners that retire the
+//    nodes on the warmed paths — the walk's own pin keeps them allocated.
 //
 // Swept under ASan+UBSan and TSan (CI runs the stress label in the
 // sanitizer jobs).
@@ -27,7 +29,9 @@
 #include "common.h"
 #include "core/pnb_bst.h"
 #include "core/pnb_map.h"
+#include "core/validate.h"
 #include "ingest/batch_apply.h"
+#include "mem/alloc_policy.h"
 #include "shard/sharded_map.h"
 #include "util/random.h"
 
@@ -349,6 +353,93 @@ TEST(IngestConcurrent, SameSplitterReshardKeepsOtherShardWritesLossFree) {
       ASSERT_EQ(v, k);
     }
   }
+}
+
+TEST(IngestConcurrent, DescentWalkRacesRetirementOnWarmedPaths) {
+  // apply_batch's lockstep descents (PnbBst::prefetch_paths) run on
+  // executor workers that hold no pin of their own between ops. Two
+  // churners erase and re-insert the batches' hot keys, so nodes on the
+  // paths a walk is warming are unlinked and retired while it holds them;
+  // only the walk's own pin keeps them allocated. Four runs per batch and
+  // two churners outnumber a 4-CPU host's cores, so a walk is sometimes
+  // preempted for long enough that the epoch moves on around it (with one
+  // run per batch, a walk without the pin went unreported). HeapAlloc: a
+  // freed node goes back to malloc, where ASan reports a read of it
+  // (ArenaAlloc recycles slots into its own freelist, which ASan cannot
+  // see). The tree has its own reclaimer, so epochs advance with this
+  // test's threads alone.
+  constexpr long kSpace = 1L << 17;
+  constexpr long kHot = 64;  // hot keys: even, spread over the keyspace
+  constexpr std::size_t kBatch = 4 * scan::kIngestGrain;  // four runs
+  constexpr int kRounds = 150;
+  EpochReclaimer rec;
+  PnbBst<long, std::less<long>, EpochReclaimer, NullOpStats, mem::HeapAlloc>
+      tree(rec);
+  std::vector<long> hot;
+  for (long i = 0; i < kHot; ++i) hot.push_back(i * (kSpace / kHot));
+  {
+    // Established base: 2^14 sparse even keys plus the hot keys.
+    Xoshiro256 rng(77);
+    std::vector<long> base = hot;
+    for (int i = 0; i < (1 << 14); ++i) {
+      base.push_back(2 * static_cast<long>(rng.next_bounded(kSpace / 2)));
+    }
+    tree.bulk_load(std::move(base));
+  }
+  std::atomic<bool> stop{false};
+  auto churn = [&tree, &hot, &stop](std::size_t offset) {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (std::size_t i = 0; i < hot.size(); ++i) {
+        const long k = hot[(i + offset) % hot.size()];
+        tree.erase(k);
+        tree.insert(k);
+      }
+    }
+  };
+  std::thread c1(churn, 0);
+  std::thread c2(churn, hot.size() / 2);
+
+  // Each batch: every hot key (racing the churners) plus random odd keys
+  // only this thread touches, whose outcome the model tracks exactly.
+  scan::ScanExecutor ex(4);
+  std::set<long> odd_model;
+  Xoshiro256 rng(78);
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<BatchOp<long>> ops;
+    for (long k : hot) {
+      ops.push_back(rng.next_bounded(2) != 0 ? BatchOp<long>::insert(k)
+                                             : BatchOp<long>::erase(k));
+    }
+    std::map<long, BatchOpKind> last;
+    while (ops.size() < kBatch) {
+      const long k = 2 * static_cast<long>(rng.next_bounded(kSpace / 2)) + 1;
+      const BatchOpKind kind = rng.next_bounded(2) != 0 ? BatchOpKind::kInsert
+                                                        : BatchOpKind::kErase;
+      ops.push_back(kind == BatchOpKind::kInsert ? BatchOp<long>::insert(k)
+                                                 : BatchOp<long>::erase(k));
+      last[k] = kind;
+    }
+    for (const auto& [k, kind] : last) {
+      if (kind == BatchOpKind::kInsert) {
+        odd_model.insert(k);
+      } else {
+        odd_model.erase(k);
+      }
+    }
+    tree.apply_batch(std::move(ops), ParallelScanOptions(4, ex));
+  }
+  stop.store(true, std::memory_order_release);
+  c1.join();
+  c2.join();
+  EXPECT_TRUE(test::pool_ran_tasks(ex, 0)) << "batches never fanned out";
+
+  std::vector<long> odd;
+  tree.range_visit(0, kSpace, [&odd](long k) {
+    if (k % 2 != 0) odd.push_back(k);
+  });
+  EXPECT_EQ(odd, std::vector<long>(odd_model.begin(), odd_model.end()));
+  auto rep = check_current(tree);
+  EXPECT_TRUE(rep.ok) << rep.error;
 }
 
 TEST(IngestConcurrent, ShardedBatchesRaceMergedParallelScans) {
