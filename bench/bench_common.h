@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "baseline/set_adapter.h"
 #include "benchsupport/runner.h"
 #include "util/cli.h"
 #include "util/timer.h"
@@ -34,27 +33,26 @@ RunResult run_mix(Tree& tree, const WorkloadMix& mix, const BenchConfig& cfg) {
       cfg.threads, cfg.seconds,
       [&tree, &mix, &cfg](unsigned tid, const std::atomic<bool>& stop,
                           ThreadCounters& c) {
-        auto set = adapt(tree);
         OpStream stream(mix, cfg.key_range, cfg.seed, tid, cfg.zipf_theta);
         while (!stop.load(std::memory_order_acquire)) {
           const Op op = stream.next();
           switch (op.kind) {
             case OpKind::kInsert:
               ++c.inserts;
-              c.update_successes += set.insert(op.key);
+              c.update_successes += tree.insert(op.key);
               break;
             case OpKind::kErase:
               ++c.erases;
-              c.update_successes += set.erase(op.key);
+              c.update_successes += tree.erase(op.key);
               break;
             case OpKind::kFind:
               ++c.finds;
-              set.contains(op.key);
+              tree.contains(op.key);
               break;
             case OpKind::kRangeScan: {
               ++c.scans;
               const auto t0 = now_ns();
-              c.scanned_keys += set.range_count(op.key, op.key2);
+              c.scanned_keys += tree.range_count(op.key, op.key2);
               c.scan_latency_ns.record(now_ns() - t0);
               break;
             }
@@ -68,8 +66,7 @@ RunResult run_mix(Tree& tree, const WorkloadMix& mix, const BenchConfig& cfg) {
 template <class Tree>
 RunResult bench_structure(Tree& tree, const WorkloadMix& mix,
                           const BenchConfig& cfg) {
-  auto set = adapt(tree);
-  prefill(set, cfg.key_range, cfg.prefill_density, cfg.seed);
+  prefill(tree, cfg.key_range, cfg.prefill_density, cfg.seed);
   return run_mix(tree, mix, cfg);
 }
 

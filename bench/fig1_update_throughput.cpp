@@ -8,8 +8,12 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "baseline/cow_bst.h"
 #include "baseline/lf_skiplist.h"
+#include "baseline/locked_bst.h"
 #include "benchsupport/reporter.h"
+#include "core/pnb_bst.h"
+#include "nbbst/nb_bst.h"
 #include "util/table.h"
 
 namespace {
@@ -26,7 +30,7 @@ void run_series(Table& table, const BenchConfig& base,
     cfg.key_range = key_range;
     Tree tree;
     const RunResult r = bench_structure(tree, WorkloadMix::updates_only(), cfg);
-    table.add_row({SetAdapter<Tree>::kName, Table::num(std::int64_t{key_range}),
+    table.add_row({Tree::kName, Table::num(std::int64_t{key_range}),
                    Table::num(std::int64_t{th}), Table::num(r.mops(), 3),
                    Table::num(r.update_successes),
                    Table::num(static_cast<double>(r.update_successes) /

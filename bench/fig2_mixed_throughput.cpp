@@ -8,8 +8,12 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "baseline/cow_bst.h"
 #include "baseline/lf_skiplist.h"
+#include "baseline/locked_bst.h"
 #include "benchsupport/reporter.h"
+#include "core/pnb_bst.h"
+#include "nbbst/nb_bst.h"
 #include "util/table.h"
 
 namespace {
@@ -31,7 +35,7 @@ void run_series(Table& table, const BenchConfig& base,
     cfg.threads = static_cast<unsigned>(th);
     Tree tree;
     const RunResult r = bench_structure(tree, nm.mix, cfg);
-    table.add_row({nm.name, SetAdapter<Tree>::kName,
+    table.add_row({nm.name, Tree::kName,
                    Table::num(std::int64_t{th}), Table::num(r.mops(), 3),
                    Table::num(r.finds), Table::num(r.inserts + r.erases)});
   }

@@ -9,7 +9,11 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "baseline/cow_bst.h"
+#include "baseline/locked_bst.h"
 #include "benchsupport/reporter.h"
+#include "core/pnb_bst.h"
+#include "nbbst/nb_bst.h"
 #include "util/table.h"
 
 namespace {
@@ -29,8 +33,8 @@ void run_series(Table& table, const BenchConfig& base,
     const double avg_scan_us =
         r.scans ? r.scan_latency_ns.mean() / 1000.0 : 0.0;
     table.add_row(
-        {SetAdapter<Tree>::kName,
-         SetAdapter<Tree>::kLinearizableScan ? "yes" : "NO",
+        {Tree::kName,
+         Tree::kLinearizableScan ? "yes" : "NO",
          Table::num(std::int64_t{w}), Table::num(r.update_mops(), 3),
          Table::num(r.scans_per_s(), 0), Table::num(avg_scan_us, 1),
          Table::num(r.scanned_keys)});

@@ -11,7 +11,10 @@
 #include <type_traits>
 
 #include "bench_common.h"
+#include "baseline/cow_bst.h"
+#include "baseline/locked_bst.h"
 #include "benchsupport/reporter.h"
+#include "core/pnb_bst.h"
 #include "mem/alloc_policy.h"
 #include "mem/arena.h"
 #include "util/table.h"
@@ -48,20 +51,18 @@ void run_series(Table& table, const BenchConfig& base,
     Box box;
     auto& tree = box.tree;
     using Tree = std::remove_reference_t<decltype(box.tree)>;
-    auto set = adapt(tree);
-    prefill(set, cfg.key_range, 0.5, cfg.seed);
+    prefill(tree, cfg.key_range, 0.5, cfg.seed);
 
     const RunResult r = run_timed(
         cfg.threads, cfg.seconds,
         [&](unsigned tid, const std::atomic<bool>& stop, ThreadCounters& c) {
-          auto local = adapt(tree);
           if (tid == 0) {  // scanner thread
             OpStream stream(WorkloadMix::with_scans(1.0, scan_width),
                             cfg.key_range, cfg.seed, tid);
             while (!stop.load(std::memory_order_acquire)) {
               const Op op = stream.next();
               const auto t0 = now_ns();
-              c.scanned_keys += local.range_count(op.key, op.key2);
+              c.scanned_keys += tree.range_count(op.key, op.key2);
               c.scan_latency_ns.record(now_ns() - t0);
               ++c.scans;
               ++c.ops;
@@ -72,16 +73,16 @@ void run_series(Table& table, const BenchConfig& base,
             while (!stop.load(std::memory_order_acquire)) {
               const Op op = stream.next();
               if (op.kind == OpKind::kInsert) {
-                local.insert(op.key);
+                tree.insert(op.key);
               } else {
-                local.erase(op.key);
+                tree.erase(op.key);
               }
               ++c.ops;
             }
           }
         });
     const auto& h = r.scan_latency_ns;
-    table.add_row({SetAdapter<Tree>::kName, Table::num(updaters),
+    table.add_row({Tree::kName, Table::num(updaters),
                    Table::num(r.scans), Table::num(h.mean() / 1000.0, 1),
                    Table::num(h.p50() / 1000), Table::num(h.p99() / 1000),
                    Table::num(h.p999() / 1000), Table::num(h.max() / 1000)});

@@ -27,6 +27,7 @@
 
 #include "bench_common.h"
 #include "benchsupport/reporter.h"
+#include "core/pnb_bst.h"
 #include "scan/executor.h"
 #include "scan/parallel_scan.h"
 #include "util/stats.h"
@@ -66,9 +67,8 @@ int main(int argc, char** argv) {
             : std::vector<long>{1000L, 10000L, 100000L, 1000000L};
   for (long tree_size : tree_sizes) {
     PnbBst<long> tree;
-    auto set = adapt(tree);
     // Dense prefill of exactly tree_size keys out of 2*tree_size range.
-    prefill(set, 2 * tree_size, 0.5, seed);
+    prefill(tree, 2 * tree_size, 0.5, seed);
     for (long width : {100L, 1000L, 10000L}) {
       if (width > tree_size) continue;
       Histogram h;

@@ -29,7 +29,7 @@ using namespace pnbbst;
 using namespace pnbbst::bench;
 
 // Deterministic prefill to steady-state density (mirrors workload/prefill,
-// which talks to set adapters; the sharded map is a key/value store).
+// which takes a set; the sharded map is a key/value store).
 template <class Map>
 std::size_t prefill_map(Map& map, std::int64_t key_range, double density,
                         std::uint64_t seed) {

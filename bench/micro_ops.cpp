@@ -25,9 +25,13 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "baseline/cow_bst.h"
+#include "baseline/locked_bst.h"
 #include "benchsupport/reporter.h"
+#include "core/pnb_bst.h"
 #include "mem/alloc_policy.h"
 #include "mem/arena.h"
+#include "nbbst/nb_bst.h"
 #include "util/spin_barrier.h"
 #include "util/table.h"
 
@@ -61,10 +65,9 @@ double ns_per_op(std::uint64_t ops, std::uint64_t seed, F&& body) {
 template <class Tree>
 void run_rows(Table& table, Tree& tree, const char* alloc_name,
               const MicroCfg& m) {
-  auto set = adapt(tree);
-  prefill(set, m.key_range, 0.5, m.seed);
+  prefill(tree, m.key_range, 0.5, m.seed);
   const auto range = static_cast<std::uint64_t>(m.key_range);
-  const char* name = SetAdapter<Tree>::kName;
+  const char* name = Tree::kName;
   std::uint64_t sink = 0;
 
   // Paired insert/erase on a uniform key keeps density steady; the mean
@@ -74,8 +77,8 @@ void run_rows(Table& table, Tree& tree, const char* alloc_name,
                 [&](Xoshiro256& rng) {
                   const long k =
                       static_cast<long>(rng.next_bounded(range));
-                  sink += set.insert(k);
-                  sink += set.erase(k);
+                  sink += tree.insert(k);
+                  sink += tree.erase(k);
                 }) /
       2.0;
   table.add_row({name, alloc_name, "off", "1", "insert+erase",
@@ -83,7 +86,7 @@ void run_rows(Table& table, Tree& tree, const char* alloc_name,
 
   const double fnd = ns_per_op(m.ops, m.seed + 2, [&](Xoshiro256& rng) {
     const long k = static_cast<long>(rng.next_bounded(range));
-    sink += set.contains(k);
+    sink += tree.contains(k);
   });
   table.add_row({name, alloc_name, "off", "1", "contains",
                  Table::num(fnd, 1)});
@@ -94,7 +97,7 @@ void run_rows(Table& table, Tree& tree, const char* alloc_name,
     const double scn =
         ns_per_op(m.ops / 8 + 1, m.seed + 3, [&](Xoshiro256& rng) {
           const long lo = static_cast<long>(rng.next_bounded(lo_span));
-          sink += set.range_count(lo, lo + width - 1);
+          sink += tree.range_count(lo, lo + width - 1);
         });
     char op[48];
     std::snprintf(op, sizeof(op), "range_count(%ld)", width);
@@ -110,23 +113,21 @@ template <class Tree>
 void run_obs_row(Table& table, const char* obs_name, unsigned threads,
                  const MicroCfg& m) {
   Tree tree;
-  auto set = adapt(tree);
-  prefill(set, m.key_range, 0.5, m.seed);
+  prefill(tree, m.key_range, 0.5, m.seed);
   const auto range = static_cast<std::uint64_t>(m.key_range);
   std::vector<double> ns(threads);
   SpinBarrier start(threads);
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
-      auto local = adapt(tree);
       std::uint64_t sink = 0;
       start.arrive_and_wait();
       ns[t] = ns_per_op(m.ops, m.seed + 10 + t,
                         [&](Xoshiro256& rng) {
                           const long k =
                               static_cast<long>(rng.next_bounded(range));
-                          sink += local.insert(k);
-                          sink += local.erase(k);
+                          sink += tree.insert(k);
+                          sink += tree.erase(k);
                         }) /
               2.0;
       g_sink.fetch_add(sink, std::memory_order_relaxed);
@@ -135,7 +136,7 @@ void run_obs_row(Table& table, const char* obs_name, unsigned threads,
   for (auto& th : pool) th.join();
   double mean = 0.0;
   for (const double v : ns) mean += v / static_cast<double>(threads);
-  table.add_row({SetAdapter<Tree>::kName, mem::HeapAlloc::kName, obs_name,
+  table.add_row({Tree::kName, mem::HeapAlloc::kName, obs_name,
                  std::to_string(threads), "insert+erase",
                  Table::num(mean, 1)});
 }

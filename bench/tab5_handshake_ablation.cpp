@@ -10,6 +10,7 @@
 
 #include "bench_common.h"
 #include "benchsupport/reporter.h"
+#include "core/pnb_bst.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {

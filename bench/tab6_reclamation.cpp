@@ -43,6 +43,7 @@
 
 #include "bench_common.h"
 #include "benchsupport/reporter.h"
+#include "core/pnb_bst.h"
 #include "mem/alloc_policy.h"
 #include "mem/arena.h"
 #include "nbbst/nb_bst.h"
@@ -67,7 +68,7 @@ void run_one(Table& table, const char* policy, const BenchConfig& cfg) {
     Tree tree(dom);
     r = bench_structure(tree, WorkloadMix::updates_only(), cfg);
     const OpStatsSnapshot st = tree.stats().snapshot();
-    table.add_row({SetAdapter<Tree>::kName, policy, Table::num(r.mops(), 3),
+    table.add_row({Tree::kName, policy, Table::num(r.mops(), 3),
                    Table::num(dom.retired_count()),
                    Table::num(dom.freed_count()),
                    Table::num(dom.pending_count()),
@@ -103,7 +104,7 @@ void run_one_arena(Table& table, const char* policy,
     unpub = st.unpublished_frees;
   }
   const mem::AllocStats as = arena.stats();
-  table.add_row({SetAdapter<Tree>::kName, policy, Table::num(r.mops(), 3),
+  table.add_row({Tree::kName, policy, Table::num(r.mops(), 3),
                  Table::num(retired), Table::num(freed),
                  Table::num(pending), Table::num(nodes_retired),
                  Table::num(unpub), Table::num(as.slot_allocs),

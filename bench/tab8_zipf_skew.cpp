@@ -30,6 +30,7 @@
 
 #include "bench_common.h"
 #include "benchsupport/reporter.h"
+#include "core/pnb_bst.h"
 #include "nbbst/nb_bst.h"
 #include "obs/registry.h"
 #include "shard/rebalance.h"
@@ -52,7 +53,7 @@ void run_series(Table& table, const BenchConfig& base,
     const OpStatsSnapshot s = tree.stats().snapshot();
     const double commits = static_cast<double>(s.commits);
     table.add_row(
-        {SetAdapter<Tree>::kName, Table::num(theta, 2),
+        {Tree::kName, Table::num(theta, 2),
          Table::num(r.mops(), 3), Table::num(s.attempts),
          Table::num(s.helps),
          Table::num(commits > 0 ? static_cast<double>(s.helps) / commits
@@ -103,7 +104,7 @@ RangeSplitter<long> balanced_splitter(const BenchConfig& cfg) {
 }
 
 // Deterministic prefill to steady-state density (the sharded map is a
-// key/value store; workload/prefill talks to set adapters).
+// key/value store; workload/prefill takes a set).
 std::size_t prefill_map(ShardMap& map, long key_range, double density,
                         std::uint64_t seed) {
   Xoshiro256 rng(mix64(seed ^ 0xC0FFEE));

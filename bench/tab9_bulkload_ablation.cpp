@@ -56,6 +56,7 @@
 
 #include "bench_common.h"
 #include "benchsupport/reporter.h"
+#include "core/pnb_bst.h"
 #include "ingest/batch_apply.h"
 #include "mem/alloc_policy.h"
 #include "mem/arena.h"

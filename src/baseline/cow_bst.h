@@ -16,7 +16,9 @@
 #include <functional>
 #include <vector>
 
+#include "core/concepts.h"
 #include "core/keyspace.h"
+#include "core/one_shot_queries.h"
 #include "core/op_stats.h"
 #include "reclaim/epoch.h"
 #include "reclaim/leaky.h"
@@ -26,10 +28,12 @@ namespace pnbbst {
 
 template <class Key, class Compare = std::less<Key>,
           class R = EpochReclaimer, class Stats = NullOpStats>
-class CowBst {
+class CowBst : public RangeQueries<CowBst<Key, Compare, R, Stats>, Key> {
  public:
   using key_type = Key;
   using EK = ExtKey<Key>;
+  static constexpr const char* kName = "cow-bst";
+  static constexpr bool kLinearizableScan = true;  // snapshot at root load
 
   struct Node {
     EK key;
@@ -75,7 +79,9 @@ class CowBst {
     return less_.equal(n->key, k);
   }
 
-  // Wait-free, linearizable at the root load.
+  // Wait-free, linearizable at the root load. vis returns void (visit all)
+  // or bool (false stops); range_scan, range_count and range_first are
+  // folds over it (RangeQueries).
   template <class Visitor>
   void range_visit(const Key& lo, const Key& hi, Visitor&& vis) {
     auto guard = reclaimer_->pin();
@@ -86,26 +92,15 @@ class CowBst {
       stack.pop_back();
       if (n->is_leaf()) {
         if (n->key.is_finite() && !less_.cmp(n->key.key, lo) &&
-            !less_.cmp(hi, n->key.key)) {
-          vis(n->key.key);
+            !less_.cmp(hi, n->key.key) &&
+            !visit_continues(vis, n->key.key)) {
+          return;
         }
         continue;
       }
       if (!less_(hi, n->key)) stack.push_back(n->right);
       if (!less_(n->key, lo)) stack.push_back(n->left);
     }
-  }
-
-  std::vector<Key> range_scan(const Key& lo, const Key& hi) {
-    std::vector<Key> out;
-    range_visit(lo, hi, [&out](const Key& k) { out.push_back(k); });
-    return out;
-  }
-
-  std::size_t range_count(const Key& lo, const Key& hi) {
-    std::size_t n = 0;
-    range_visit(lo, hi, [&n](const Key&) { ++n; });
-    return n;
   }
 
   std::size_t size() {
@@ -212,5 +207,8 @@ class CowBst {
   alignas(kCacheLine) std::atomic<Node*> root_;
   Stats stats_{};
 };
+
+static_assert(OrderedSet<CowBst<long>, long>);
+static_assert(PrefixScannable<CowBst<long>, long>);
 
 }  // namespace pnbbst

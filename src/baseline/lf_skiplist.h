@@ -32,7 +32,9 @@
 #include <functional>
 #include <vector>
 
+#include "core/concepts.h"
 #include "core/keyspace.h"
+#include "core/one_shot_queries.h"
 #include "core/op_stats.h"
 #include "reclaim/epoch.h"
 #include "reclaim/leaky.h"
@@ -42,9 +44,12 @@ namespace pnbbst {
 
 template <class Key, class Compare = std::less<Key>,
           class R = EpochReclaimer, class Stats = NullOpStats>
-class LfSkipList {
+class LfSkipList
+    : public RangeQueries<LfSkipList<Key, Compare, R, Stats>, Key> {
  public:
   using key_type = Key;
+  static constexpr const char* kName = "lf-skiplist";
+  static constexpr bool kLinearizableScan = false;  // see range_visit
   static constexpr int kMaxLevel = 20;
 
   struct Node {
@@ -203,10 +208,12 @@ class LfSkipList {
            !marked(curr->next[0].load(std::memory_order_seq_cst));
   }
 
-  // NOT linearizable (like NbBst::range_scan_unsafe): walks the bottom
-  // level; concurrent updates may be missed or partially observed.
+  // NOT linearizable (like NbBst::range_visit): walks the bottom level;
+  // concurrent updates may be missed or partially observed. vis returns
+  // void (visit all) or bool (false stops); range_scan, range_count and
+  // range_first are folds over it (RangeQueries).
   template <class Visitor>
-  void range_visit_unsafe(const Key& lo, const Key& hi, Visitor&& vis) {
+  void range_visit(const Key& lo, const Key& hi, Visitor&& vis) {
     auto guard = reclaimer_->pin();
     stats_.inc_scans();
     Node* preds[kMaxLevel];
@@ -216,18 +223,13 @@ class LfSkipList {
     while (curr != tail_ && !key_less(hi, curr)) {
       const std::uintptr_t raw =
           curr->next[0].load(std::memory_order_seq_cst);
-      if (!marked(raw)) vis(curr->key);
+      if (!marked(raw) && !visit_continues(vis, curr->key)) return;
       curr = strip(raw);
     }
   }
 
-  std::vector<Key> range_scan_unsafe(const Key& lo, const Key& hi) {
-    std::vector<Key> out;
-    range_visit_unsafe(lo, hi, [&out](const Key& k) { out.push_back(k); });
-    return out;
-  }
-
-  std::size_t size_unsafe() {
+  // Like range_visit, not linearizable.
+  std::size_t size() {
     auto guard = reclaimer_->pin();
     std::size_t n = 0;
     Node* curr = strip(head_->next[0].load(std::memory_order_seq_cst));
@@ -377,5 +379,8 @@ class LfSkipList {
   Node* tail_ = nullptr;
   Stats stats_{};
 };
+
+static_assert(OrderedSet<LfSkipList<long>, long>);
+static_assert(PrefixScannable<LfSkipList<long>, long>);
 
 }  // namespace pnbbst

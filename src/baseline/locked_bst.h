@@ -13,16 +13,21 @@
 #include <shared_mutex>
 #include <vector>
 
+#include "core/concepts.h"
 #include "core/keyspace.h"
+#include "core/one_shot_queries.h"
 #include "core/op_stats.h"
 
 namespace pnbbst {
 
 template <class Key, class Compare = std::less<Key>, class Stats = NullOpStats>
-class LockedBst {
+class LockedBst
+    : public RangeQueries<LockedBst<Key, Compare, Stats>, Key> {
  public:
   using key_type = Key;
   using EK = ExtKey<Key>;
+  static constexpr const char* kName = "locked-bst";
+  static constexpr bool kLinearizableScan = true;  // blocking
 
   struct Node {
     EK key;
@@ -100,6 +105,8 @@ class LockedBst {
     return less_.equal(l->key, k);
   }
 
+  // vis returns void (visit all) or bool (false stops); range_scan,
+  // range_count and range_first are folds over it (RangeQueries).
   template <class Visitor>
   void range_visit(const Key& lo, const Key& hi, Visitor&& vis) {
     std::shared_lock lock(mutex_);
@@ -110,26 +117,15 @@ class LockedBst {
       stack.pop_back();
       if (n->is_leaf()) {
         if (n->key.is_finite() && !less_.cmp(n->key.key, lo) &&
-            !less_.cmp(hi, n->key.key)) {
-          vis(n->key.key);
+            !less_.cmp(hi, n->key.key) &&
+            !visit_continues(vis, n->key.key)) {
+          return;
         }
         continue;
       }
       if (!less_(hi, n->key)) stack.push_back(n->right);
       if (!less_(n->key, lo)) stack.push_back(n->left);
     }
-  }
-
-  std::vector<Key> range_scan(const Key& lo, const Key& hi) {
-    std::vector<Key> out;
-    range_visit(lo, hi, [&out](const Key& k) { out.push_back(k); });
-    return out;
-  }
-
-  std::size_t range_count(const Key& lo, const Key& hi) {
-    std::size_t n = 0;
-    range_visit(lo, hi, [&n](const Key&) { ++n; });
-    return n;
   }
 
   std::size_t size() {
@@ -172,5 +168,8 @@ class LockedBst {
   Node* root_;
   Stats stats_{};
 };
+
+static_assert(OrderedSet<LockedBst<long>, long>);
+static_assert(PrefixScannable<LockedBst<long>, long>);
 
 }  // namespace pnbbst

@@ -2,9 +2,12 @@
 //
 // Every structure in this repo — the paper's PNB-BST, the baselines, the
 // PnbMap key/value layer and the sharded front-end — is written against one
-// of these surfaces, and baseline/set_adapter.h static_asserts each adapter
-// specialization against them, so an API drift is a compile error instead of
-// a duck-typing surprise deep inside a bench.
+// of these surfaces and answers it itself: benches, tests and tools drive
+// the structures directly. Each structure's header static_asserts the
+// surfaces it models, so an API drift is a compile error at the definition
+// instead of a duck-typing surprise deep inside a bench. The range answers
+// (range_scan / range_count / range_first) are folds over range_visit,
+// written once in RangeQueries (core/one_shot_queries.h).
 //
 //   OrderedSet<S, K>        point ops: insert / erase / contains
 //   Scannable<S, K>         linear range queries: range_count / range_scan

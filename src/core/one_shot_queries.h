@@ -1,22 +1,32 @@
-// OneShotQueries — the one place the one-shot query policy is written.
+// The two CRTP bases every range query is written in, once.
 //
 // In the paper every range query is one RangeScan: bump Counter to open a
-// phase, then run ScanHelper over T_seq (Fig. 4). Here that reads "a
-// one-shot query is a fresh snapshot asked once". PnbBst, PnbMap,
-// ShardedPnbMap and SetAdapter<PnbBst> inherit this CRTP base and supply
-// only snapshot() and snapshot(lo, hi), the snapshot a query over [lo, hi]
-// runs on: the whole tree for PnbBst and PnbMap, only the shards in the
-// span for ShardedPnbMap.
+// phase, then run ScanHelper over T_seq (Fig. 4), visiting the keys of
+// [lo, hi] in order. Every other scan answer is a fold over that visit.
 //
-// A query the container's Snapshot lacks (ShardedPnbMap's has no successor
-// or min) drops out by SFINAE: each return type names the call the body
-// makes, through the defaulted parameter D so that the expression is not
-// formed while Derived is still incomplete.
+// RangeQueries<Derived, Elem> writes those folds: range_scan, range_count
+// and range_first over Derived's own range_visit(lo, hi, vis). The three
+// Snapshot classes and the baselines (LockedBst, CowBst, NbBst, LfSkipList)
+// inherit it and write only range_visit.
+//
+// OneShotQueries<Derived> is the one-shot query policy: "a one-shot query
+// is a fresh snapshot asked once". PnbBst, PnbMap and ShardedPnbMap
+// inherit it and supply only snapshot() and snapshot(lo, hi), the snapshot
+// a query over [lo, hi] runs on: the whole tree for PnbBst and PnbMap, only
+// the shards in the span for ShardedPnbMap.
+//
+// A query the structure cannot answer drops out by SFINAE instead of
+// failing hard: a bound that is no ProbeFor of the key, a structure
+// without range_visit, a Snapshot without successor or min (ShardedPnbMap's
+// has neither). Each return type names the call the body makes, through the
+// defaulted parameter D so that the expression is not formed while Derived
+// is still incomplete.
 #pragma once
 
 #include <cstddef>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "scan/parallel_scan.h"
 
@@ -34,6 +44,104 @@ bool visit_continues(Vis& vis, const Args&... args) {
     return static_cast<bool>(vis(args...));
   }
 }
+
+namespace detail {
+
+// range_count's visitor; a named type, so the return types below can spell
+// the range_visit call a fold makes.
+struct CountVisitor {
+  std::size_t* n;
+  template <class... Args>
+  void operator()(const Args&...) const {
+    ++*n;
+  }
+};
+
+// Result when an S can visit [lo, hi] with bounds of types Lo and Hi; no
+// type otherwise, so the fold drops out.
+template <class S, class Lo, class Hi, class Result>
+using VisitFold = decltype(void(std::declval<S&>().range_visit(
+                               std::declval<const Lo&>(),
+                               std::declval<const Hi&>(),
+                               std::declval<CountVisitor&>())),
+                           Result());
+
+}  // namespace detail
+
+// Elem is what range_scan and range_first collect, one per visited element,
+// built from the visitor's arguments: K for a set, std::pair<K, V> for a
+// map. Each fold comes twice: const for the snapshots, whose range_visit is
+// const, and mutable for the baselines, whose scans are not.
+template <class Derived, class Elem>
+class RangeQueries {
+ public:
+  // The elements of [lo, hi] in ascending order.
+  template <class Lo, class Hi, class D = Derived>
+  auto range_scan(const Lo& lo, const Hi& hi)
+      -> detail::VisitFold<D, Lo, Hi, std::vector<Elem>> {
+    return scan_fold(self(), lo, hi);
+  }
+  template <class Lo, class Hi, class D = Derived>
+  auto range_scan(const Lo& lo, const Hi& hi) const
+      -> detail::VisitFold<const D, Lo, Hi, std::vector<Elem>> {
+    return scan_fold(self(), lo, hi);
+  }
+
+  template <class Lo, class Hi, class D = Derived>
+  auto range_count(const Lo& lo, const Hi& hi)
+      -> detail::VisitFold<D, Lo, Hi, std::size_t> {
+    return count_fold(self(), lo, hi);
+  }
+  template <class Lo, class Hi, class D = Derived>
+  auto range_count(const Lo& lo, const Hi& hi) const
+      -> detail::VisitFold<const D, Lo, Hi, std::size_t> {
+    return count_fold(self(), lo, hi);
+  }
+
+  // First (at most) n elements of [lo, hi] in ascending order. The visit
+  // stops at the n-th, so this costs O(n + depth), not the whole range.
+  template <class Lo, class Hi, class D = Derived>
+  auto range_first(const Lo& lo, const Hi& hi, std::size_t n)
+      -> detail::VisitFold<D, Lo, Hi, std::vector<Elem>> {
+    return first_fold(self(), lo, hi, n);
+  }
+  template <class Lo, class Hi, class D = Derived>
+  auto range_first(const Lo& lo, const Hi& hi, std::size_t n) const
+      -> detail::VisitFold<const D, Lo, Hi, std::vector<Elem>> {
+    return first_fold(self(), lo, hi, n);
+  }
+
+ private:
+  template <class S, class Lo, class Hi>
+  static std::vector<Elem> scan_fold(S& s, const Lo& lo, const Hi& hi) {
+    std::vector<Elem> out;
+    s.range_visit(lo, hi, [&out](const auto&... e) { out.emplace_back(e...); });
+    return out;
+  }
+
+  template <class S, class Lo, class Hi>
+  static std::size_t count_fold(S& s, const Lo& lo, const Hi& hi) {
+    std::size_t n = 0;
+    detail::CountVisitor vis{&n};
+    s.range_visit(lo, hi, vis);
+    return n;
+  }
+
+  template <class S, class Lo, class Hi>
+  static std::vector<Elem> first_fold(S& s, const Lo& lo, const Hi& hi,
+                                      std::size_t n) {
+    std::vector<Elem> out;
+    if (n == 0) return out;
+    s.range_visit(lo, hi, [&out, n](const auto&... e) {
+      out.emplace_back(e...);
+      return out.size() < n;
+    });
+    return out;
+  }
+
+  Derived& self() { return static_cast<Derived&>(*this); }
+  const Derived& self() const { return static_cast<const Derived&>(*this); }
+};
 
 template <class Derived>
 class OneShotQueries {

@@ -47,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/concepts.h"
 #include "core/info.h"
 #include "core/keyspace.h"
 #include "core/node.h"
@@ -81,6 +82,11 @@ class PnbBst
   // Batch ingest shapes (src/ingest/, BatchIngestible in core/concepts.h).
   using bulk_item = Key;
   using batch_op = ingest::BatchOp<Key>;
+  // Bench rows name the arena build apart, so the two configurations
+  // (fig4, tab9, micro_ops) diff side by side.
+  static constexpr const char* kName =
+      Alloc::kIsArena ? "pnb-bst-arena" : "pnb-bst";
+  static constexpr bool kLinearizableScan = true;
 
   explicit PnbBst(R& reclaimer = R::shared(), Alloc alloc = Alloc())
       : reclaimer_(&reclaimer), alloc_(alloc) {
@@ -267,13 +273,7 @@ class PnbBst
     requires ProbeFor<LK, Key, Compare>
   bool contains(const LK& k) {
     auto guard = reclaimer_->pin();
-    for (;;) {
-      const std::uint64_t seq = counter_.load(std::memory_order_seq_cst);
-      const SearchResult sr = search(k, seq);
-      const LeafCheck chk = validate_leaf(sr.gp, sr.p, sr.l, k);
-      if (chk.ok) return less_.equal(sr.l->key, k);
-      stats_.inc_validate_fails();
-    }
+    return find(k) != nullptr;
   }
 
   // Like contains(), but returns the stored key object. With a comparator
@@ -283,16 +283,9 @@ class PnbBst
     requires ProbeFor<LK, Key, Compare>
   std::optional<Key> get(const LK& k) {
     auto guard = reclaimer_->pin();
-    for (;;) {
-      const std::uint64_t seq = counter_.load(std::memory_order_seq_cst);
-      const SearchResult sr = search(k, seq);
-      const LeafCheck chk = validate_leaf(sr.gp, sr.p, sr.l, k);
-      if (chk.ok) {
-        if (less_.equal(sr.l->key, k)) return sr.l->key.key;
-        return std::nullopt;
-      }
-      stats_.inc_validate_fails();
-    }
+    const Key* stored = find(k);
+    if (stored == nullptr) return std::nullopt;
+    return *stored;
   }
 
   // --- Snapshots ------------------------------------------------------------
@@ -302,7 +295,7 @@ class PnbBst
   // pin for its whole lifetime — that pin is what keeps T_seq's nodes
   // alive: destroy snapshots promptly, or memory reclamation stalls
   // (documented limitation, DESIGN.md §6).
-  class Snapshot {
+  class Snapshot : public RangeQueries<Snapshot, Key> {
    public:
     Snapshot(Snapshot&&) noexcept = default;
     Snapshot& operator=(Snapshot&&) noexcept = default;
@@ -314,65 +307,25 @@ class PnbBst
     template <class LK = Key>
       requires ProbeFor<LK, Key, Compare>
     bool contains(const LK& k) const {
-      Node* l = tree_->root_;
-      while (!l->is_leaf()) {
-        Internal* in = as_internal(l);
-        tree_->help_if_in_progress(in);
-        l = tree_->read_child(in, tree_->less_(k, in->key), seq_);
-      }
-      return tree_->less_.equal(l->key, k);
+      return find(k) != nullptr;
     }
 
     // The stored key equal to probe k in this version, or nullopt.
     template <class LK = Key>
       requires ProbeFor<LK, Key, Compare>
     std::optional<Key> get(const LK& k) const {
-      Node* l = tree_->root_;
-      while (!l->is_leaf()) {
-        Internal* in = as_internal(l);
-        tree_->help_if_in_progress(in);
-        l = tree_->read_child(in, tree_->less_(k, in->key), seq_);
-      }
-      if (!tree_->less_.equal(l->key, k)) return std::nullopt;
-      return l->key.key;
+      const Key* stored = find(k);
+      if (stored == nullptr) return std::nullopt;
+      return *stored;
     }
 
     // vis returns void (visit all) or bool (false stops; see scan_tree).
+    // range_scan, range_count and range_first are folds over it
+    // (RangeQueries, core/one_shot_queries.h).
     template <class BLo = Key, class BHi = Key, class Visitor>
       requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
     void range_visit(const BLo& lo, const BHi& hi, Visitor&& vis) const {
       tree_->scan_tree(seq_, &lo, &hi, vis);
-    }
-
-    template <class BLo = Key, class BHi = Key>
-      requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
-    std::vector<Key> range_scan(const BLo& lo, const BHi& hi) const {
-      std::vector<Key> out;
-      range_visit(lo, hi, [&out](const Key& k) { out.push_back(k); });
-      return out;
-    }
-
-    template <class BLo = Key, class BHi = Key>
-      requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
-    std::size_t range_count(const BLo& lo, const BHi& hi) const {
-      std::size_t n = 0;
-      range_visit(lo, hi, [&n](const Key&) { ++n; });
-      return n;
-    }
-
-    // First (at most) n keys of [lo, hi] at this phase.
-    template <class BLo = Key, class BHi = Key>
-      requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
-    std::vector<Key> range_first(const BLo& lo, const BHi& hi,
-                                 std::size_t n) const {
-      std::vector<Key> out;
-      if (n == 0) return out;
-      auto take = [&out, n](const Key& k) {
-        out.push_back(k);
-        return out.size() < n;
-      };
-      tree_->scan_tree(seq_, &lo, &hi, take);
-      return out;
     }
 
     std::size_t size() const {
@@ -434,6 +387,19 @@ class PnbBst
     friend class PnbBst;
     Snapshot(PnbBst* tree, std::uint64_t seq, typename R::Guard&& guard)
         : tree_(tree), seq_(seq), guard_(std::move(guard)) {}
+
+    // The version-seq descent of both lookups, helping in-progress updates
+    // on the way: the stored key equal to k, or nullptr.
+    template <class LK>
+    const Key* find(const LK& k) const {
+      Node* l = tree_->root_;
+      while (!l->is_leaf()) {
+        Internal* in = as_internal(l);
+        tree_->help_if_in_progress(in);
+        l = tree_->read_child(in, tree_->less_(k, in->key), seq_);
+      }
+      return tree_->less_.equal(l->key, k) ? &l->key.key : nullptr;
+    }
 
     PnbBst* tree_;
     std::uint64_t seq_;
@@ -606,6 +572,22 @@ class PnbBst
       l = read_child(p, less_(k, p->key), seq);
     }
     return {gp, p, l};
+  }
+
+  // The loop of Find (Fig. 3, lines 69–82) behind contains and get: search
+  // T_seq, retrying until validate_leaf passes, whose final re-read
+  // linearizes the lookup. Returns the stored key equal to k, or nullptr;
+  // the caller's pin keeps it alive.
+  template <class LK>
+  const Key* find(const LK& k) {
+    for (;;) {
+      const std::uint64_t seq = counter_.load(std::memory_order_seq_cst);
+      const SearchResult sr = search(k, seq);
+      if (validate_leaf(sr.gp, sr.p, sr.l, k).ok) {
+        return less_.equal(sr.l->key, k) ? &sr.l->key.key : nullptr;
+      }
+      stats_.inc_validate_fails();
+    }
   }
 
   // ValidateLink (Fig. 3, lines 49–59).
@@ -965,5 +947,13 @@ class PnbBst
   alignas(kCacheLine) std::atomic<std::uint64_t> counter_{0};
   Stats stats_{};
 };
+
+// The tree models the set surface it is written against (core/concepts.h);
+// checked here so any signature drift fails at the definition.
+static_assert(OrderedSet<PnbBst<long>, long>);
+static_assert(PrefixScannable<PnbBst<long>, long>);
+static_assert(ParallelScannable<PnbBst<long>, long>);
+static_assert(PhasedSnapshottable<PnbBst<long>>);
+static_assert(BatchIngestible<PnbBst<long>>);
 
 }  // namespace pnbbst

@@ -209,7 +209,7 @@ class PnbMap
 
   // Snapshot of the map at one phase; mirrors PnbBst::Snapshot. Holds only
   // an epoch pin, for its lifetime — destroy promptly.
-  class Snapshot {
+  class Snapshot : public RangeQueries<Snapshot, std::pair<K, V>> {
    public:
     std::uint64_t phase() const { return snap_.phase(); }
 
@@ -230,42 +230,14 @@ class PnbMap
     std::size_t size() const { return snap_.size(); }
 
     // vis(key, value) returns void (visit all) or bool (false stops).
+    // range_scan, range_count and range_first are folds over it that
+    // collect (key, value) pairs (RangeQueries, core/one_shot_queries.h).
     template <class QLo = K, class QHi = K, class Visitor>
       requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
     void range_visit(const QLo& lo, const QHi& hi, Visitor&& vis) const {
       snap_.range_visit(lo, hi, [&vis](const Entry& e) -> decltype(auto) {
         return vis(e.key, e.value());
       });
-    }
-
-    template <class QLo = K, class QHi = K>
-      requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-    std::vector<std::pair<K, V>> range_scan(const QLo& lo,
-                                            const QHi& hi) const {
-      std::vector<std::pair<K, V>> out;
-      range_visit(lo, hi,
-                  [&out](const K& k, const V& v) { out.emplace_back(k, v); });
-      return out;
-    }
-
-    template <class QLo = K, class QHi = K>
-      requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-    std::size_t range_count(const QLo& lo, const QHi& hi) const {
-      return snap_.range_count(lo, hi);
-    }
-
-    // First (at most) n pairs of [lo, hi] at this phase.
-    template <class QLo = K, class QHi = K>
-      requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
-    std::vector<std::pair<K, V>> range_first(const QLo& lo, const QHi& hi,
-                                             std::size_t n) const {
-      std::vector<std::pair<K, V>> out;
-      if (n == 0) return out;
-      range_visit(lo, hi, [&out, n](const K& k, const V& v) {
-        out.emplace_back(k, v);
-        return out.size() < n;
-      });
-      return out;
     }
 
     // Parallel chunked count at this snapshot's phase (src/scan/ engine):

@@ -1,7 +1,8 @@
 // Concurrent-safe batched updates against a *live* structure.
 //
-// apply_batch (surfaced on PnbBst / PnbMap / ShardedPnbMap / SetAdapter via
-// the BatchIngestible concept) takes a vector of insert/erase ops and:
+// apply_batch (surfaced on PnbBst / PnbMap / ShardedPnbMap via the
+// BatchIngestible concept; the baselines have no batch path) takes a vector
+// of insert/erase ops and:
 //
 //   1. normalizes it — stable sort by key, keep the LAST op per key, so the
 //      batch behaves as if its ops were applied in order with later ops

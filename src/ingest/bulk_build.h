@@ -1,8 +1,8 @@
 // Parallel sorted bulk construction of a PNB-BST.
 //
-// bulk_load (surfaced on PnbBst / PnbMap / ShardedPnbMap / SetAdapter via
-// the BatchIngestible concept) turns a key vector into a perfectly balanced
-// phase-0 tree:
+// bulk_load (surfaced on PnbBst / PnbMap / ShardedPnbMap via the
+// BatchIngestible concept; the baselines have no bulk constructor) turns a
+// key vector into a perfectly balanced phase-0 tree:
 //
 //   1. the input is sorted and de-duplicated (stable sort + keep-last, so a
 //      map batch with repeated keys keeps the final value — batch order

@@ -3,8 +3,8 @@
 //
 // Implemented as a baseline: identical leaf-oriented structure and sentinel
 // discipline as PNB-BST, but no persistence (no prev/seq fields) and hence
-// no linearizable range queries. `range_scan_unsafe` does a plain traversal
-// and is NOT linearizable (it may miss concurrent updates or observe
+// no linearizable range queries. `range_visit` does a plain traversal and
+// is NOT linearizable (it may miss concurrent updates or observe
 // half-applied deletes) — exactly the gap the paper fills.
 //
 // Update-word encoding: 2 low bits of the Info pointer carry the state
@@ -19,7 +19,9 @@
 #include <functional>
 #include <vector>
 
+#include "core/concepts.h"
 #include "core/keyspace.h"
+#include "core/one_shot_queries.h"
 #include "core/op_stats.h"
 #include "mem/alloc_policy.h"
 #include "reclaim/epoch.h"
@@ -31,10 +33,13 @@ namespace pnbbst {
 template <class Key, class Compare = std::less<Key>,
           class R = EpochReclaimer, class Stats = NullOpStats,
           class Alloc = mem::HeapAlloc>
-class NbBst {
+class NbBst : public RangeQueries<NbBst<Key, Compare, R, Stats, Alloc>, Key> {
  public:
   using key_type = Key;
   using EK = ExtKey<Key>;
+  static constexpr const char* kName =
+      Alloc::kIsArena ? "nb-bst-arena" : "nb-bst";
+  static constexpr bool kLinearizableScan = false;  // see range_visit
 
   enum class UState : std::uintptr_t {
     kClean = 0,
@@ -253,9 +258,11 @@ class NbBst {
 
   // NOT linearizable: a plain traversal of the live tree. Concurrent
   // updates may be missed or doubly observed. Provided only so benchmarks
-  // can quantify what the paper's linearizable RangeScan costs.
+  // can quantify what the paper's linearizable RangeScan costs. vis
+  // returns void (visit all) or bool (false stops); range_scan,
+  // range_count and range_first are folds over it (RangeQueries).
   template <class Visitor>
-  void range_visit_unsafe(const Key& lo, const Key& hi, Visitor&& vis) {
+  void range_visit(const Key& lo, const Key& hi, Visitor&& vis) {
     auto guard = reclaimer_->pin();
     stats_.inc_scans();
     std::vector<Node*> stack;
@@ -265,8 +272,9 @@ class NbBst {
       stack.pop_back();
       if (n->is_leaf()) {
         if (n->key.is_finite() && !less_.cmp(n->key.key, lo) &&
-            !less_.cmp(hi, n->key.key)) {
-          vis(n->key.key);
+            !less_.cmp(hi, n->key.key) &&
+            !visit_continues(vis, n->key.key)) {
+          return;
         }
         continue;
       }
@@ -282,13 +290,8 @@ class NbBst {
     }
   }
 
-  std::vector<Key> range_scan_unsafe(const Key& lo, const Key& hi) {
-    std::vector<Key> out;
-    range_visit_unsafe(lo, hi, [&out](const Key& k) { out.push_back(k); });
-    return out;
-  }
-
-  std::size_t size_unsafe() {
+  // Like range_visit, not linearizable.
+  std::size_t size() {
     auto guard = reclaimer_->pin();
     std::size_t n = 0;
     std::vector<Node*> stack{root_};
@@ -467,5 +470,8 @@ class NbBst {
   NbInfo* dummy_ = nullptr;
   Stats stats_{};
 };
+
+static_assert(OrderedSet<NbBst<long>, long>);
+static_assert(PrefixScannable<NbBst<long>, long>);
 
 }  // namespace pnbbst

@@ -486,7 +486,7 @@ class ShardedPnbMap : public OneShotQueries<ShardedPnbMap<K, V, NumShards, R,
   // an epoch pin taken before it loaded that table, so it keeps answering
   // from the pre-reshard world across any number of reshards; the retired
   // generations it references are freed after it drops.
-  class Snapshot {
+  class Snapshot : public RangeQueries<Snapshot, std::pair<K, V>> {
    public:
     bool contains(const K& k) const {
       const auto* snap = route(k);
@@ -505,37 +505,14 @@ class ShardedPnbMap : public OneShotQueries<ShardedPnbMap<K, V, NumShards, R,
       return n;
     }
 
-    std::size_t range_count(const K& lo, const K& hi) const {
-      std::size_t n = 0;
-      for (const auto& s : snaps_) n += s.range_count(lo, hi);
-      return n;
-    }
-
-    std::vector<std::pair<K, V>> range_scan(const K& lo, const K& hi) const {
-      std::vector<std::pair<K, V>> out;
-      range_visit(lo, hi,
-                  [&out](const K& k, const V& v) { out.emplace_back(k, v); });
-      return out;
-    }
-
-    // Shards are walked in order, each asked only for the pairs still
-    // missing; the walk stops once n pairs are in hand.
-    std::vector<std::pair<K, V>> range_first(const K& lo, const K& hi,
-                                             std::size_t n) const {
-      std::vector<std::pair<K, V>> out;
-      if (n == 0) return out;
-      range_visit(lo, hi, [&out, n](const K& k, const V& v) {
-        out.emplace_back(k, v);
-        return out.size() < n;
-      });
-      return out;
-    }
-
     // Merged visit, streamed as each shard's scan reaches the pairs, never
     // materialized. vis(key, value) returns void (visit all) or bool
     // (false stops): the visited pairs are then an ascending prefix of the
     // merged range, the walk ends, and later shards are never scanned, so
     // stopping after p pairs costs O(p + depth) per shard touched.
+    // range_scan, range_count and range_first are folds over it
+    // (RangeQueries, core/one_shot_queries.h); range_first thus asks each
+    // shard only for the pairs still missing.
     template <class Visitor>
     void range_visit(const K& lo, const K& hi, Visitor&& vis) const {
       bool more = true;

@@ -104,10 +104,10 @@ class OpStream {
   std::unique_ptr<ZipfSampler> zipf_;
 };
 
-// Prefills a set adapter to the expected steady-state density (half the key
-// range for symmetric insert/erase mixes). Deterministic.
-template <class Adapter>
-std::size_t prefill(Adapter&& set, std::int64_t key_range, double density,
+// Prefills a set (any OrderedSet) to the expected steady-state density (half
+// the key range for symmetric insert/erase mixes). Deterministic.
+template <class Set>
+std::size_t prefill(Set&& set, std::int64_t key_range, double density,
                     std::uint64_t seed) {
   Xoshiro256 rng(mix64(seed ^ 0xC0FFEE));
   std::size_t inserted = 0;

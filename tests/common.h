@@ -15,7 +15,7 @@
 namespace pnbbst::test {
 
 // Applies a deterministic random op stream to both `set` (the implementation
-// under test, via its adapter-like interface) and a std::set model, checking
+// under test, any OrderedSet) and a std::set model, checking
 // every return value. Returns the final model.
 template <class SetLike>
 std::set<long> run_model_ops(SetLike& set, std::uint64_t seed, int ops,

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/set_adapter.h"
 #include "common.h"
 #include "core/pnb_bst.h"
 #include "mem/alloc_policy.h"
@@ -136,8 +135,7 @@ TEST(ArenaTree, PnbBstModelAgreementOnScopedDomain) {
   EpochReclaimer rec;
   PnbBst<long, std::less<long>, EpochReclaimer, NullOpStats, ArenaAlloc>
       tree(rec, ArenaAlloc(dom));
-  auto set = adapt(tree);
-  const std::set<long> model = test::run_model_ops(set, 77, 6000, 256);
+  const std::set<long> model = test::run_model_ops(tree, 77, 6000, 256);
   const auto scanned = tree.range_scan(0L, 255L);
   EXPECT_TRUE(test::is_sorted_unique(scanned));
   EXPECT_EQ(scanned, std::vector<long>(model.begin(), model.end()));
@@ -149,8 +147,7 @@ TEST(ArenaTree, NbBstModelAgreementOnScopedDomain) {
   EpochReclaimer rec;
   NbBst<long, std::less<long>, EpochReclaimer, NullOpStats, ArenaAlloc>
       tree(rec, ArenaAlloc(dom));
-  auto set = adapt(tree);
-  test::run_model_ops(set, 78, 6000, 256);
+  test::run_model_ops(tree, 78, 6000, 256);
   EXPECT_GT(dom.stats().slot_allocs, 0u);
 }
 
@@ -185,15 +182,14 @@ TEST(ArenaTree, ArenaHeapDifferentialUnderConcurrentChurn) {
     std::vector<std::thread> pool;
     for (unsigned ti = 0; ti < kThreads; ++ti) {
       pool.emplace_back([&, ti] {
-        auto set = adapt(tree);
         Xoshiro256 rng(thread_seed(9191, ti));
         const long base = static_cast<long>(ti) * kRange;
         for (int i = 0; i < 10000; ++i) {
           const long k = base + static_cast<long>(rng.next_bounded(kRange));
           if (rng.next_bounded(2)) {
-            set.insert(k);
+            tree.insert(k);
           } else {
-            set.erase(k);
+            tree.erase(k);
           }
         }
       });

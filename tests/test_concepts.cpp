@@ -1,5 +1,5 @@
-// Compile-time contract suite for core/concepts.h: every container and
-// adapter in the repo is checked against the concept surface it claims, and
+// Compile-time contract suite for core/concepts.h: every container in the
+// repo is checked against the concept surface it claims, and
 // representative *negative* cases prove the concepts actually discriminate
 // (a concept that accepts everything enforces nothing).
 #include "core/concepts.h"
@@ -10,8 +10,13 @@
 #include <string>
 #include <string_view>
 
-#include "baseline/set_adapter.h"
+#include "baseline/cow_bst.h"
+#include "baseline/lf_skiplist.h"
+#include "baseline/locked_bst.h"
+#include "core/one_shot_queries.h"
+#include "core/pnb_bst.h"
 #include "core/pnb_map.h"
+#include "nbbst/nb_bst.h"
 #include "shard/sharded_map.h"
 
 namespace pnbbst {
@@ -25,8 +30,13 @@ static_assert(OrderedSet<LockedBst<long>, long>);
 static_assert(OrderedSet<CowBst<long>, long>);
 static_assert(OrderedSet<LfSkipList<long>, long>);
 
-static_assert(Scannable<PnbBst<long>, long>);
+// Every set structure answers the whole set surface itself (also asserted
+// in each structure's header; restated here as the test-suite ledger).
 static_assert(PrefixScannable<PnbBst<long>, long>);
+static_assert(PrefixScannable<NbBst<long>, long>);
+static_assert(PrefixScannable<LockedBst<long>, long>);
+static_assert(PrefixScannable<CowBst<long>, long>);
+static_assert(PrefixScannable<LfSkipList<long>, long>);
 static_assert(Snapshottable<PnbBst<long>>);
 static_assert(PhasedSnapshottable<PnbBst<long>>);
 
@@ -38,17 +48,6 @@ static_assert(PhasedSnapshottable<PnbMap<long, long>>);
 static_assert(OrderedMap<ShardedPnbMap<long, long, 4>, long, long>);
 static_assert(MapScannable<ShardedPnbMap<long, long, 4>, long, long>);
 static_assert(Snapshottable<ShardedPnbMap<long, long, 4>>);
-
-// Every adapter specialization models the full set surface (also asserted
-// in baseline/set_adapter.h; restated here as the test-suite ledger).
-static_assert(OrderedSet<SetAdapter<PnbBst<long>>, long> &&
-              Scannable<SetAdapter<PnbBst<long>>, long> &&
-              PrefixScannable<SetAdapter<PnbBst<long>>, long> &&
-              Snapshottable<SetAdapter<PnbBst<long>>>);
-static_assert(PrefixScannable<SetAdapter<NbBst<long>>, long>);
-static_assert(PrefixScannable<SetAdapter<LockedBst<long>>, long>);
-static_assert(PrefixScannable<SetAdapter<CowBst<long>>, long>);
-static_assert(PrefixScannable<SetAdapter<LfSkipList<long>>, long>);
 
 // --- Negative: the concepts reject non-conforming types ---------------------
 
@@ -65,6 +64,26 @@ static_assert(!OrderedSet<PnbMap<long, long>, long>);
 // Sharded snapshots have per-shard phases, not one global phase.
 static_assert(!PhasedSnapshottable<ShardedPnbMap<long, long, 4>>);
 
+// Only the PNB-BST has a snapshot; the baselines answer live.
+static_assert(!Snapshottable<NbBst<long>>);
+static_assert(!Snapshottable<LockedBst<long>>);
+static_assert(!Snapshottable<CowBst<long>>);
+static_assert(!Snapshottable<LfSkipList<long>>);
+
+// The range folds (RangeQueries, core/one_shot_queries.h) drop out where
+// the call they make is ill-formed instead of failing hard: a type that
+// inherits them but has no range_visit has no range_scan / range_count,
+// and a bound the structure cannot order is rejected.
+struct NoVisit : RangeQueries<NoVisit, long> {
+  bool insert(const long&) { return false; }
+  bool erase(const long&) { return false; }
+  bool contains(const long&) { return false; }
+};
+static_assert(OrderedSet<NoVisit, long>);
+static_assert(!Scannable<NoVisit, long>);
+static_assert(!Scannable<LockedBst<long>, std::string>);
+static_assert(!Scannable<PnbBst<std::string>, long>);
+
 // The one-shot queries (core/one_shot_queries.h) exist only where the
 // container's Snapshot answers them: the sharded snapshot has no ordered
 // queries, and chunked counts need integral keys.
@@ -77,7 +96,7 @@ concept HasOrderedQueries = requires(M m, const long& k) {
 };
 static_assert(HasOrderedQueries<PnbBst<long>>);
 static_assert(HasOrderedQueries<PnbMap<long, long>>);
-static_assert(HasOrderedQueries<SetAdapter<PnbBst<long>>>);
+static_assert(!HasOrderedQueries<LockedBst<long>>);
 static_assert(!HasOrderedQueries<ShardedPnbMap<long, long, 4>>);
 static_assert(ParallelScannable<PnbBst<long>, long>);
 static_assert(!ParallelScannable<PnbBst<std::string>, std::string>);

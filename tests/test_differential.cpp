@@ -4,12 +4,17 @@
 // systematic misunderstandings shared between a structure and its test.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "baseline/set_adapter.h"
+#include "baseline/cow_bst.h"
+#include "baseline/lf_skiplist.h"
+#include "baseline/locked_bst.h"
 #include "common.h"
+#include "core/pnb_bst.h"
+#include "nbbst/nb_bst.h"
 
 namespace pnbbst {
 namespace {
@@ -31,12 +36,6 @@ TEST_P(DifferentialFuzz, AllStructuresAgreeSequentially) {
   LfSkipList<long> skip;
   std::set<long> model;
 
-  auto a_pnb = adapt(pnb);
-  auto a_nb = adapt(nb);
-  auto a_locked = adapt(locked);
-  auto a_cow = adapt(cow);
-  auto a_skip = adapt(skip);
-
   Xoshiro256 rng(p.seed);
   for (int i = 0; i < p.ops; ++i) {
     const long k = static_cast<long>(
@@ -44,39 +43,49 @@ TEST_P(DifferentialFuzz, AllStructuresAgreeSequentially) {
     switch (rng.next_bounded(4)) {
       case 0: {
         const bool expect = model.insert(k).second;
-        ASSERT_EQ(a_pnb.insert(k), expect) << "pnb op " << i;
-        ASSERT_EQ(a_nb.insert(k), expect) << "nb op " << i;
-        ASSERT_EQ(a_locked.insert(k), expect) << "locked op " << i;
-        ASSERT_EQ(a_cow.insert(k), expect) << "cow op " << i;
-        ASSERT_EQ(a_skip.insert(k), expect) << "skip op " << i;
+        ASSERT_EQ(pnb.insert(k), expect) << "pnb op " << i;
+        ASSERT_EQ(nb.insert(k), expect) << "nb op " << i;
+        ASSERT_EQ(locked.insert(k), expect) << "locked op " << i;
+        ASSERT_EQ(cow.insert(k), expect) << "cow op " << i;
+        ASSERT_EQ(skip.insert(k), expect) << "skip op " << i;
         break;
       }
       case 1: {
         const bool expect = model.erase(k) > 0;
-        ASSERT_EQ(a_pnb.erase(k), expect) << "pnb op " << i;
-        ASSERT_EQ(a_nb.erase(k), expect) << "nb op " << i;
-        ASSERT_EQ(a_locked.erase(k), expect) << "locked op " << i;
-        ASSERT_EQ(a_cow.erase(k), expect) << "cow op " << i;
-        ASSERT_EQ(a_skip.erase(k), expect) << "skip op " << i;
+        ASSERT_EQ(pnb.erase(k), expect) << "pnb op " << i;
+        ASSERT_EQ(nb.erase(k), expect) << "nb op " << i;
+        ASSERT_EQ(locked.erase(k), expect) << "locked op " << i;
+        ASSERT_EQ(cow.erase(k), expect) << "cow op " << i;
+        ASSERT_EQ(skip.erase(k), expect) << "skip op " << i;
         break;
       }
       case 2: {
         const bool expect = model.count(k) > 0;
-        ASSERT_EQ(a_pnb.contains(k), expect) << "pnb op " << i;
-        ASSERT_EQ(a_nb.contains(k), expect) << "nb op " << i;
-        ASSERT_EQ(a_locked.contains(k), expect) << "locked op " << i;
-        ASSERT_EQ(a_cow.contains(k), expect) << "cow op " << i;
-        ASSERT_EQ(a_skip.contains(k), expect) << "skip op " << i;
+        ASSERT_EQ(pnb.contains(k), expect) << "pnb op " << i;
+        ASSERT_EQ(nb.contains(k), expect) << "nb op " << i;
+        ASSERT_EQ(locked.contains(k), expect) << "locked op " << i;
+        ASSERT_EQ(cow.contains(k), expect) << "cow op " << i;
+        ASSERT_EQ(skip.contains(k), expect) << "skip op " << i;
         break;
       }
       default: {
         const long hi = k + static_cast<long>(rng.next_bounded(64));
         const auto expect = test::model_range(model, k, hi).size();
-        ASSERT_EQ(a_pnb.range_count(k, hi), expect) << "pnb op " << i;
-        ASSERT_EQ(a_nb.range_count(k, hi), expect) << "nb op " << i;
-        ASSERT_EQ(a_locked.range_count(k, hi), expect) << "locked op " << i;
-        ASSERT_EQ(a_cow.range_count(k, hi), expect) << "cow op " << i;
-        ASSERT_EQ(a_skip.range_count(k, hi), expect) << "skip op " << i;
+        ASSERT_EQ(pnb.range_count(k, hi), expect) << "pnb op " << i;
+        ASSERT_EQ(nb.range_count(k, hi), expect) << "nb op " << i;
+        ASSERT_EQ(locked.range_count(k, hi), expect) << "locked op " << i;
+        ASSERT_EQ(cow.range_count(k, hi), expect) << "cow op " << i;
+        ASSERT_EQ(skip.range_count(k, hi), expect) << "skip op " << i;
+        // range_first with n = 0, a limit inside the range and one past
+        // it, cycling with the op index so the streams stay unchanged.
+        const auto n = static_cast<std::size_t>(i % 9);
+        auto first = test::model_range(model, k, hi);
+        first.resize(std::min(n, first.size()));
+        ASSERT_EQ(pnb.range_first(k, hi, n), first) << "pnb op " << i;
+        ASSERT_EQ(nb.range_first(k, hi, n), first) << "nb op " << i;
+        ASSERT_EQ(locked.range_first(k, hi, n), first) << "locked op " << i;
+        ASSERT_EQ(cow.range_first(k, hi, n), first) << "cow op " << i;
+        ASSERT_EQ(skip.range_first(k, hi, n), first) << "skip op " << i;
         break;
       }
     }
@@ -102,15 +111,14 @@ TEST(DifferentialConcurrent, FinalContentsAgree) {
     std::vector<std::thread> pool;
     for (unsigned ti = 0; ti < kThreads; ++ti) {
       pool.emplace_back([&, ti] {
-        auto set = adapt(tree);
         Xoshiro256 rng(thread_seed(4242, ti));
         const long base = static_cast<long>(ti) * kRange;
         for (int i = 0; i < 10000; ++i) {
           const long k = base + static_cast<long>(rng.next_bounded(kRange));
           if (rng.next_bounded(2)) {
-            set.insert(k);
+            tree.insert(k);
           } else {
-            set.erase(k);
+            tree.erase(k);
           }
         }
       });

@@ -20,13 +20,16 @@
 #include <utility>
 #include <vector>
 
-#include "baseline/set_adapter.h"
+#include "baseline/cow_bst.h"
+#include "baseline/lf_skiplist.h"
+#include "baseline/locked_bst.h"
 #include "common.h"
 #include "core/pnb_bst.h"
 #include "core/pnb_map.h"
 #include "core/validate.h"
 #include "ingest/batch_apply.h"
 #include "ingest/bulk_build.h"
+#include "nbbst/nb_bst.h"
 #include "shard/sharded_map.h"
 #include "util/random.h"
 
@@ -518,18 +521,16 @@ TEST(Reshard, WriteAfterReshardLandsInNewShards) {
 static_assert(BatchIngestible<PnbBst<long>>);
 static_assert(BatchIngestible<PnbMap<long, long>>);
 static_assert(BatchIngestible<ShardedPnbMap<long, long, 4>>);
-static_assert(BatchIngestible<SetAdapter<PnbBst<long>>>);
 static_assert(!BatchIngestible<NbBst<long>>);
 static_assert(!BatchIngestible<LockedBst<long>>);
 static_assert(!BatchIngestible<CowBst<long>>);
 static_assert(!BatchIngestible<LfSkipList<long>>);
 
-TEST(IngestConcepts, AdapterBatchSurfaceMatchesTree) {
+TEST(IngestConcepts, TreeBatchSurfaceRoundTrips) {
   PnbBst<long> tree;
-  auto set = adapt(tree);
-  EXPECT_EQ(set.bulk_load({3, 1, 2}), 3u);
-  const auto r = set.apply_batch({BatchOp<long>::insert(9),
-                                  BatchOp<long>::erase(1)});
+  EXPECT_EQ(tree.bulk_load({3, 1, 2}), 3u);
+  const auto r = tree.apply_batch({BatchOp<long>::insert(9),
+                                   BatchOp<long>::erase(1)});
   EXPECT_EQ(r.inserted, 1u);
   EXPECT_EQ(r.erased, 1u);
   EXPECT_EQ(tree.range_scan(0, 10), (std::vector<long>{2, 3, 9}));

@@ -18,7 +18,7 @@ TEST(LfSkipList, Empty) {
   List s;
   EXPECT_FALSE(s.contains(0));
   EXPECT_FALSE(s.erase(0));
-  EXPECT_EQ(s.size_unsafe(), 0u);
+  EXPECT_EQ(s.size(), 0u);
 }
 
 TEST(LfSkipList, BasicOps) {
@@ -46,9 +46,9 @@ class SkipModelFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SkipModelFuzz, MatchesStdSet) {
   List s;
   const auto model = test::run_model_ops(s, GetParam(), 6000, 200);
-  EXPECT_EQ(s.size_unsafe(), model.size());
+  EXPECT_EQ(s.size(), model.size());
   std::vector<long> expect(model.begin(), model.end());
-  EXPECT_EQ(s.range_scan_unsafe(0, 200), expect);
+  EXPECT_EQ(s.range_scan(0, 200), expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SkipModelFuzz,
@@ -57,10 +57,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SkipModelFuzz,
 TEST(LfSkipList, RangeScanBounds) {
   List s;
   for (long k = 0; k < 100; k += 5) s.insert(k);
-  EXPECT_EQ(s.range_scan_unsafe(10, 30),
+  EXPECT_EQ(s.range_scan(10, 30),
             (std::vector<long>{10, 15, 20, 25, 30}));
-  EXPECT_EQ(s.range_scan_unsafe(11, 14), (std::vector<long>{}));
-  EXPECT_EQ(s.range_scan_unsafe(95, 1000), (std::vector<long>{95}));
+  EXPECT_EQ(s.range_scan(11, 14), (std::vector<long>{}));
+  EXPECT_EQ(s.range_scan(95, 1000), (std::vector<long>{95}));
 }
 
 TEST(LfSkipList, PartitionedConcurrentStress) {
@@ -143,7 +143,7 @@ TEST(LfSkipList, ReinsertionChurn) {
       });
     }
     for (auto& th : pool) th.join();
-    EXPECT_LE(s.size_unsafe(), 8u);
+    EXPECT_LE(s.size(), 8u);
   }
   dom.quiescent_flush();
   EXPECT_EQ(dom.pending_count(), 0u);
@@ -164,7 +164,7 @@ TEST(LfSkipList, ExactlyOneWinnerPerKey) {
   }
   for (auto& th : pool) th.join();
   EXPECT_EQ(wins.load(), 300);
-  EXPECT_EQ(s.size_unsafe(), 300u);
+  EXPECT_EQ(s.size(), 300u);
 }
 
 TEST(LfSkipList, ReclamationBoundedUnderChurn) {

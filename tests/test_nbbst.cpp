@@ -19,7 +19,7 @@ TEST(NbBst, EmptyTree) {
   Tree t;
   EXPECT_FALSE(t.contains(0));
   EXPECT_FALSE(t.erase(0));
-  EXPECT_EQ(t.size_unsafe(), 0u);
+  EXPECT_EQ(t.size(), 0u);
 }
 
 TEST(NbBst, BasicInsertEraseFind) {
@@ -45,11 +45,11 @@ class NbModelFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(NbModelFuzz, MatchesStdSet) {
   Tree t;
   const auto model = test::run_model_ops(t, GetParam(), 5000, 200);
-  EXPECT_EQ(t.size_unsafe(), model.size());
+  EXPECT_EQ(t.size(), model.size());
   for (long k : model) EXPECT_TRUE(t.contains(k));
   // Quiescent scan (safe when no updates run) must match exactly.
   std::vector<long> expect(model.begin(), model.end());
-  EXPECT_EQ(t.range_scan_unsafe(0, 200), expect);
+  EXPECT_EQ(t.range_scan(0, 200), expect);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NbModelFuzz,
@@ -130,7 +130,7 @@ TEST(NbBst, ExactlyOneWinnerPerKey) {
   }
   for (auto& th : pool) th.join();
   EXPECT_EQ(wins.load(), 300);
-  EXPECT_EQ(t.size_unsafe(), 300u);
+  EXPECT_EQ(t.size(), 300u);
 }
 
 TEST(NbBst, ReclamationUnderChurn) {

@@ -12,7 +12,7 @@
 //    participation, width-0 and saturated-pool degradation, nesting;
 //  * HelperPool: steady-state scans stop allocating traversal stacks;
 //  * differential equality: parallel chunked counts == sequential counts
-//    on the same snapshot, across tree / map / sharded front-end / adapter;
+//    on the same snapshot, across tree / map / sharded front-end;
 //  * concept surface: ParallelScannable modeled exactly where documented.
 #include <gtest/gtest.h>
 
@@ -22,9 +22,12 @@
 #include <string>
 #include <vector>
 
-#include "baseline/set_adapter.h"
+#include "baseline/cow_bst.h"
+#include "baseline/lf_skiplist.h"
+#include "baseline/locked_bst.h"
 #include "common.h"
 #include "core/pnb_map.h"
+#include "nbbst/nb_bst.h"
 #include "scan/executor.h"
 #include "scan/helper_pool.h"
 #include "scan/parallel_scan.h"
@@ -44,12 +47,13 @@ using scan::partition_range;
 static_assert(ParallelScannable<PnbBst<long>, long>);
 static_assert(ParallelScannable<PnbMap<long, long>, long>);
 static_assert(ParallelScannable<ShardedPnbMap<long, long, 4>, long>);
-static_assert(ParallelScannable<SetAdapter<PnbBst<long>>, long>);
 // Non-integral keys cannot be chunked by key arithmetic.
 static_assert(!ParallelScannable<PnbBst<std::string>, std::string>);
 // Baselines have no multi-version snapshot to chunk.
-static_assert(!ParallelScannable<SetAdapter<LockedBst<long>>, long>);
-static_assert(!ParallelScannable<SetAdapter<CowBst<long>>, long>);
+static_assert(!ParallelScannable<LockedBst<long>, long>);
+static_assert(!ParallelScannable<CowBst<long>, long>);
+static_assert(!ParallelScannable<NbBst<long>, long>);
+static_assert(!ParallelScannable<LfSkipList<long>, long>);
 
 // --- partition_range ---------------------------------------------------------
 
@@ -297,11 +301,11 @@ TEST_F(ParallelScanDifferential, LiveTreeParallelCountMatchesSequential) {
             tree_.range_count(0L, (1L << 15) - 1));
 }
 
-TEST_F(ParallelScanDifferential, AdapterExposesParallelCount) {
+TEST_F(ParallelScanDifferential, LiveTreeSubrangeParallelCount) {
   ScanExecutor ex(3);
-  auto set = adapt(tree_);
-  EXPECT_EQ(set.parallel_range_count(100L, 9000L, ParallelScanOptions(3u, ex)),
-            set.range_count(100L, 9000L));
+  EXPECT_EQ(
+      tree_.parallel_range_count(100L, 9000L, ParallelScanOptions(3u, ex)),
+      tree_.range_count(100L, 9000L));
 }
 
 TEST(ParallelScanMap, CountsMatchSequential) {

@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/set_adapter.h"
 #include "core/pnb_bst.h"
 
 namespace pnbbst {
@@ -131,18 +130,15 @@ TEST(OpStream, ZipfKeysSkewed) {
 
 TEST(Prefill, ReachesTargetDensity) {
   PnbBst<long> t;
-  auto set = adapt(t);
-  const auto inserted = prefill(set, 1000, 0.5, 123);
+  const auto inserted = prefill(t, 1000, 0.5, 123);
   EXPECT_EQ(inserted, 500u);
   EXPECT_EQ(t.size(), 500u);
 }
 
 TEST(Prefill, DeterministicContents) {
   PnbBst<long> a, b;
-  auto sa = adapt(a);
-  auto sb = adapt(b);
-  prefill(sa, 500, 0.4, 9);
-  prefill(sb, 500, 0.4, 9);
+  prefill(a, 500, 0.4, 9);
+  prefill(b, 500, 0.4, 9);
   EXPECT_EQ(a.range_scan(0, 500), b.range_scan(0, 500));
 }
 

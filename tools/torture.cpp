@@ -18,8 +18,12 @@
 #include <thread>
 #include <vector>
 
-#include "baseline/set_adapter.h"
+#include "baseline/cow_bst.h"
+#include "baseline/lf_skiplist.h"
+#include "baseline/locked_bst.h"
+#include "core/pnb_bst.h"
 #include "core/validate.h"
+#include "nbbst/nb_bst.h"
 #include "util/cli.h"
 #include "util/timer.h"
 #include "workload/workload.h"
@@ -58,14 +62,13 @@ class NetCounters {
 template <class Tree>
 int run_round(const TortureConfig& cfg, int round) {
   Tree tree;
-  auto set = adapt(tree);
   NetCounters nets(cfg.key_range);
   {
     Xoshiro256 rng(mix64(cfg.seed + static_cast<std::uint64_t>(round)));
     for (long i = 0; i < cfg.key_range / 2; ++i) {
       const long k = static_cast<long>(
           rng.next_bounded(static_cast<std::uint64_t>(cfg.key_range)));
-      if (set.insert(k)) nets.add(k, 1);
+      if (tree.insert(k)) nets.add(k, 1);
     }
   }
 
@@ -75,7 +78,6 @@ int run_round(const TortureConfig& cfg, int round) {
   std::vector<std::thread> pool;
   for (unsigned ti = 0; ti < cfg.threads; ++ti) {
     pool.emplace_back([&, ti] {
-      auto local = adapt(tree);
       Xoshiro256 rng(thread_seed(cfg.seed + static_cast<std::uint64_t>(round),
                                  ti));
       std::uint64_t local_ops = 0;
@@ -85,7 +87,7 @@ int run_round(const TortureConfig& cfg, int round) {
         const double r = rng.next_double();
         if (r < cfg.scan_fraction) {
           long lo = k, hi = k + 64 < cfg.key_range ? k + 64 : cfg.key_range;
-          const std::size_t n = local.range_count(lo, hi);
+          const std::size_t n = tree.range_count(lo, hi);
           if (n > static_cast<std::size_t>(hi - lo + 1)) {
             std::fprintf(stderr,
                          "FAIL: scan returned %zu keys from a %ld-wide "
@@ -94,11 +96,11 @@ int run_round(const TortureConfig& cfg, int round) {
             failures.fetch_add(1);
           }
         } else if (r < cfg.scan_fraction + 0.45) {
-          if (local.insert(k)) nets.add(k, 1);
+          if (tree.insert(k)) nets.add(k, 1);
         } else if (r < cfg.scan_fraction + 0.9) {
-          if (local.erase(k)) nets.add(k, -1);
+          if (tree.erase(k)) nets.add(k, -1);
         } else {
-          local.contains(k);
+          tree.contains(k);
         }
         ++local_ops;
       }
@@ -119,7 +121,7 @@ int run_round(const TortureConfig& cfg, int round) {
       ++bad;
       continue;
     }
-    if (set.contains(k) != (net == 1)) {
+    if (tree.contains(k) != (net == 1)) {
       std::fprintf(stderr, "FAIL: key %ld membership mismatch (net=%ld)\n", k,
                    net);
       ++bad;
