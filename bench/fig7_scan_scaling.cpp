@@ -30,7 +30,6 @@
 #include "core/pnb_bst.h"
 #include "scan/executor.h"
 #include "scan/parallel_scan.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {

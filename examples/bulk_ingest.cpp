@@ -7,7 +7,7 @@
 //      sorted, deduplicated, fanned across the executor through the
 //      ordinary lock-free paths) while an auditor thread scans merged
 //      snapshots, checks every observed pair, and checks each snapshot's
-//      parallel per-shard count against its contents.
+//      parallel count against its contents.
 //   3. LIVE RESHARD — migrate the whole store to a wider routing function
 //      while the auditor keeps reading: readers see the pre- or
 //      post-reshard table, never a mix, and any write racing the cutover
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   std::atomic<long> audits{0};
   std::thread auditor([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      // One composite snapshot: its contents, and its per-shard count
-      // fanned across the executor, which must agree.
+      // One composite snapshot: its contents, and its count fanned across
+      // the executor in key chunks, which must agree.
       auto snap = store.snapshot();
       const auto all = snap.range_scan(0, keyspace - 1);
       if (snap.parallel_range_count(0, keyspace - 1, 4) != all.size()) {

@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // Keyspace-wide audit through the parallel scan engine: the same frozen
-  // composite snapshot, its per-shard counts executed concurrently on the
-  // shared worker pool — identical result, less wall-clock on multi-core
+  // composite snapshot, counted in key chunks concurrently on the shared
+  // worker pool — identical result, less wall-clock on multi-core
   // machines.
   const std::size_t all = snap.parallel_range_count(
       0, kUserSpace - 1, pnbbst::scan::ParallelScanOptions(8));

@@ -6,8 +6,8 @@
 // the structures directly. Each structure's header static_asserts the
 // surfaces it models, so an API drift is a compile error at the definition
 // instead of a duck-typing surprise deep inside a bench. The range answers
-// (range_scan / range_count / range_first) are folds over range_visit,
-// written once in RangeQueries (core/one_shot_queries.h).
+// (range_scan / range_count / range_first / parallel_range_count) are folds
+// over range_visit, written once in RangeQueries (core/one_shot_queries.h).
 //
 //   OrderedSet<S, K>        point ops: insert / erase / contains
 //   Scannable<S, K>         linear range queries: range_count / range_scan
@@ -69,10 +69,10 @@ concept PrefixScannable =
     };
 
 // Multi-threaded snapshot counts (the src/scan/ engine): the same count as
-// the sequential scan surface, produced by chunking one snapshot (or one
-// task per shard snapshot) across a worker pool. The unsigned argument is
-// the scan-thread count; structures take a scan::ParallelScanOptions that
-// converts implicitly from it. Contents come from snapshot().range_scan.
+// the sequential scan surface, produced by counting key chunks of one
+// snapshot across a worker pool. The unsigned argument is the scan-thread
+// count; structures take a scan::ParallelScanOptions that converts
+// implicitly from it. Contents come from snapshot().range_scan.
 template <class S, class K>
 concept ParallelScannable =
     requires(S s, const K& lo, const K& hi, unsigned n) {

@@ -7,7 +7,9 @@
 // RangeQueries<Derived, Elem> writes those folds: range_scan, range_count
 // and range_first over Derived's own range_visit(lo, hi, vis). The three
 // Snapshot classes and the baselines (LockedBst, CowBst, NbBst, LfSkipList)
-// inherit it and write only range_visit.
+// inherit it and write only range_visit. parallel_range_count is the same
+// count split into key chunks; it is offered where Derived is a snapshot
+// (a const range_visit and a pin()) and the bounds are integral.
 //
 // OneShotQueries<Derived> is the one-shot query policy: "a one-shot query
 // is a fresh snapshot asked once". PnbBst, PnbMap and ShardedPnbMap
@@ -23,6 +25,7 @@
 // is still incomplete.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <type_traits>
 #include <utility>
@@ -109,6 +112,31 @@ class RangeQueries {
   auto range_first(const Lo& lo, const Hi& hi, std::size_t n) const
       -> detail::VisitFold<const D, Lo, Hi, std::vector<Elem>> {
     return first_fold(self(), lo, hi, n);
+  }
+
+  // range_count's result, counted by several threads (src/scan/ engine):
+  // plan_chunks tiles [lo, hi] into disjoint key chunks, each chunk is
+  // range_counted on this same snapshot, and the parts are summed. Every
+  // chunk reads the same frozen phases, so the sum is exactly the
+  // sequential count. Each task holds its own epoch pin (self().pin()): a
+  // helping scan may retire nodes (docs/DESIGN.md §7.1). Chunk bounds are
+  // key arithmetic, so the bounds must be integral.
+  template <std::integral Lo, std::integral Hi, class D = Derived,
+            class B = std::common_type_t<Lo, Hi>>
+    requires requires(const D& d) { d.pin(); }
+  auto parallel_range_count(const Lo& lo, const Hi& hi,
+                            const scan::ParallelScanOptions& opts = {}) const
+      -> detail::VisitFold<const D, B, B, std::size_t> {
+    const auto chunks =
+        scan::plan_chunks(opts, static_cast<B>(lo), static_cast<B>(hi));
+    std::vector<std::size_t> parts(chunks.size(), 0);
+    scan::run_tasks(opts, chunks.size(), [&](std::size_t i) {
+      auto guard = self().pin();
+      parts[i] = count_fold(self(), chunks[i].first, chunks[i].second);
+    });
+    std::size_t total = 0;
+    for (const std::size_t n : parts) total += n;
+    return total;
   }
 
  private:

@@ -37,10 +37,12 @@
 #include <array>
 #include <atomic>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory_resource>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -60,7 +62,6 @@
 #include "reclaim/epoch.h"
 #include "reclaim/leaky.h"
 #include "reclaim/reclaimer.h"
-#include "scan/helper_pool.h"
 #include "scan/parallel_scan.h"
 #include "util/cacheline.h"
 
@@ -320,8 +321,8 @@ class PnbBst
     }
 
     // vis returns void (visit all) or bool (false stops; see scan_tree).
-    // range_scan, range_count and range_first are folds over it
-    // (RangeQueries, core/one_shot_queries.h).
+    // range_scan, range_count, range_first and parallel_range_count are
+    // folds over it (RangeQueries, core/one_shot_queries.h).
     template <class BLo = Key, class BHi = Key, class Visitor>
       requires ProbeFor<BLo, Key, Compare> && ProbeFor<BHi, Key, Compare>
     void range_visit(const BLo& lo, const BHi& hi, Visitor&& vis) const {
@@ -335,35 +336,11 @@ class PnbBst
       return n;
     }
 
-    // --- Parallel count (src/scan/ engine) ---------------------------------
-    //
-    // [lo, hi] is tiled into disjoint key-range chunks, each counted at this
-    // snapshot's phase by a ScanExecutor task (the caller participates, see
-    // scan/parallel_scan.h). Every chunk traverses the same version tree
-    // T_seq, so the summed count is exactly the sequential range_count at
-    // this phase — same linearizability, more cores. Worker threads pin the
-    // reclaimer for their chunk: the snapshot's own guard keeps version-seq
-    // nodes alive, and the per-task pin covers the retirements a helping
-    // worker may itself trigger. Integral probes only (chunk boundaries are
-    // computed by key arithmetic).
-    template <class B = Key>
-      requires ProbeFor<B, Key, Compare> && std::integral<B>
-    std::size_t parallel_range_count(
-        const B& lo, const B& hi,
-        const scan::ParallelScanOptions& opts = {}) const {
-      const auto chunks = scan::plan_chunks(opts, lo, hi);
-      std::vector<std::size_t> parts(chunks.size(), 0);
-      scan::run_tasks(opts, chunks.size(), [&](std::size_t i) {
-        auto guard = tree_->reclaimer_->pin();
-        std::size_t n = 0;
-        auto count = [&n](const Key&) { ++n; };
-        tree_->scan_tree(seq_, &chunks[i].first, &chunks[i].second, count);
-        parts[i] = n;
-      });
-      std::size_t total = 0;
-      for (std::size_t c : parts) total += c;
-      return total;
-    }
+    // An epoch pin on the tree's reclaimer, for a thread that scans this
+    // snapshot on the caller's behalf: the snapshot's own guard keeps the
+    // version-seq nodes alive, and this pin covers the retirements that
+    // thread's helping may trigger (parallel_range_count, RangeQueries).
+    typename R::Guard pin() const { return tree_->reclaimer_->pin(); }
 
     // Smallest key >= k in this version, or nullopt. Wait-free.
     template <class LK = Key>
@@ -526,7 +503,6 @@ class PnbBst
   // Debug/validation access (quiescent use only; see core/validate.h).
   Internal* debug_root() noexcept { return root_; }
   const Internal* debug_root() const noexcept { return root_; }
-  const Info* debug_dummy() const noexcept { return dummy_; }
 
  private:
   // Bulk construction (ingest/bulk_build.h) uses the node factories and
@@ -737,15 +713,19 @@ class PnbBst
   template <class BLo, class BHi, class Visitor>
   void scan_tree(std::uint64_t seq, const BLo* lo, const BHi* hi,
                  Visitor& vis) {
-    // Traversal stack leased from the per-thread HelperPool: steady-state
-    // scans reuse a warm buffer instead of allocating one per scan.
-    auto lease = scan::HelperPool::acquire();
-    std::vector<void*>& stack = lease.stack();
-    // Always store a Node* in the type-erased stack so the pop-side
-    // static_cast<Node*> is an exact void* round trip.
-    stack.push_back(static_cast<Node*>(root_));
+    // The DFS stack lives in this frame: it holds about one node per level
+    // (23 for a bulk-loaded 1M-key tree), so kScanStackSlots covers every
+    // balanced tree without a heap allocation, and only a degenerate, deeper
+    // tree spills past it to the heap. A nested scan (a visitor that scans
+    // again) gets its own frame and so its own stack.
+    constexpr std::size_t kScanStackSlots = 64;
+    alignas(Node*) std::byte buf[kScanStackSlots * sizeof(Node*)];
+    std::pmr::monotonic_buffer_resource arena(buf, sizeof buf);
+    std::pmr::vector<Node*> stack(&arena);
+    stack.reserve(kScanStackSlots);
+    stack.push_back(root_);
     while (!stack.empty()) {
-      Node* node = static_cast<Node*>(stack.back());
+      Node* node = stack.back();
       stack.pop_back();
       if (node->is_leaf()) {
         if (node->key.is_finite() &&

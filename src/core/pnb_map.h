@@ -230,8 +230,9 @@ class PnbMap
     std::size_t size() const { return snap_.size(); }
 
     // vis(key, value) returns void (visit all) or bool (false stops).
-    // range_scan, range_count and range_first are folds over it that
-    // collect (key, value) pairs (RangeQueries, core/one_shot_queries.h).
+    // range_scan, range_count, range_first and parallel_range_count are
+    // folds over it; the scans collect (key, value) pairs (RangeQueries,
+    // core/one_shot_queries.h).
     template <class QLo = K, class QHi = K, class Visitor>
       requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
     void range_visit(const QLo& lo, const QHi& hi, Visitor&& vis) const {
@@ -240,16 +241,8 @@ class PnbMap
       });
     }
 
-    // Parallel chunked count at this snapshot's phase (src/scan/ engine):
-    // exactly range_count's result, produced by multiple threads. Integral
-    // keys only (chunk bounds are key arithmetic).
-    std::size_t parallel_range_count(
-        const K& lo, const K& hi,
-        const scan::ParallelScanOptions& opts = {}) const
-      requires std::integral<K>
-    {
-      return snap_.parallel_range_count(lo, hi, opts);
-    }
+    // The tree snapshot's pin (PnbBst::Snapshot::pin).
+    auto pin() const { return snap_.pin(); }
 
     template <class Q = K>
       requires ProbeFor<Q, K, Compare>

@@ -1,21 +1,18 @@
 // Parallel scan engine: fan-out options, task planning, and the fan-out
-// driver. Every parallel path in the repo — chunked and per-shard counts,
-// bulk_load, apply_batch, reshard — is described by the one
+// driver. Every parallel path in the repo — chunked counts, bulk_load,
+// apply_batch, reshard — is described by the one
 // ParallelScanOptions{threads, executor} and split by the one plan_tasks.
 //
 // The engine turns one wait-free snapshot scan into many independent tasks
-// executed on a ScanExecutor:
-//
-//   * chunked counts (PnbBst / PnbMap): plan_chunks() tiles the inclusive
-//     probe interval [lo, hi] into disjoint ascending key-range chunks (see
-//     partition.h); every chunk scans the SAME snapshot phase, so the
-//     summed count is exactly the sequential count at that phase —
-//     parallelism does not weaken linearizability (docs/DESIGN.md §7 has
-//     the argument);
-//   * per-shard counts (ShardedPnbMap): run_tasks() executes one task per
-//     shard snapshot. The cross-shard consistency contract is unchanged
-//     because the per-shard snapshots are still taken sequentially before
-//     any task runs.
+// executed on a ScanExecutor: plan_chunks() tiles the inclusive probe
+// interval [lo, hi] into disjoint ascending key-range chunks (see
+// partition.h), and every chunk scans the SAME snapshot, so the summed
+// count is exactly the sequential count at that snapshot — parallelism
+// does not weaken linearizability (docs/DESIGN.md §7 has the argument).
+// That count is written once, as RangeQueries::parallel_range_count
+// (core/one_shot_queries.h); on a ShardedPnbMap snapshot each chunk walks
+// only the shards it spans, and the per-shard snapshots were all taken
+// before any task runs, so the cross-shard contract is unchanged.
 //
 // run_tasks() is the single fan-out primitive. The calling thread always
 // participates: it claims task indices from the same atomic counter the

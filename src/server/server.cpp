@@ -584,7 +584,7 @@ void Server::handle_frame(Conn& c, const std::vector<std::uint8_t>& body) {
       if (!req.done()) break;
       w.u8(static_cast<std::uint8_t>(Status::kOk));
       if (limit == 0) {
-        // Pure merged count: per-shard snapshot counts fan out across
+        // Pure merged count: key chunks of one snapshot fan out across
         // the server's scan executor.
         const std::size_t count =
             lo > hi ? 0

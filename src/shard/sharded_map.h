@@ -506,53 +506,34 @@ class ShardedPnbMap : public OneShotQueries<ShardedPnbMap<K, V, NumShards, R,
     }
 
     // Merged visit, streamed as each shard's scan reaches the pairs, never
-    // materialized. vis(key, value) returns void (visit all) or bool
-    // (false stops): the visited pairs are then an ascending prefix of the
-    // merged range, the walk ends, and later shards are never scanned, so
-    // stopping after p pairs costs O(p + depth) per shard touched.
-    // range_scan, range_count and range_first are folds over it
-    // (RangeQueries, core/one_shot_queries.h); range_first thus asks each
-    // shard only for the pairs still missing.
+    // materialized. Only the held shards that can own keys of [lo, hi]
+    // (the snapshot table's shard_span) are walked. vis(key, value) returns
+    // void (visit all) or bool (false stops): the visited pairs are then an
+    // ascending prefix of the merged range, the walk ends, and later shards
+    // are never scanned, so stopping after p pairs costs O(p + depth) per
+    // shard touched. range_scan, range_count, range_first and
+    // parallel_range_count are folds over it (RangeQueries,
+    // core/one_shot_queries.h): range_first asks each shard only for the
+    // pairs still missing, and a parallel count's key chunk pays only for
+    // the shards it spans.
     template <class Visitor>
     void range_visit(const K& lo, const K& hi, Visitor&& vis) const {
+      const auto [a, b] = table_->splitter.shard_span(lo, hi, NumShards);
+      const std::size_t end = std::min(b, first_ + snaps_.size());
       bool more = true;
-      for (const auto& s : snaps_) {
-        s.range_visit(lo, hi, [&](const K& k, const V& v) {
+      for (std::size_t i = std::max(a, first_); i < end && more; ++i) {
+        snaps_[i - first_].range_visit(lo, hi, [&](const K& k, const V& v) {
           more = visit_continues(vis, k, v);
           return more;
         });
-        if (!more) return;
       }
     }
 
-    // Parallel merged count: one executor task per shard snapshot (the
-    // caller participates), summed — identical to the sequential merged
-    // count on this same Snapshot (same frozen phases). Each task pins the
-    // shared reclaimer for the duration of its count: the composite
-    // snapshot's per-shard guards keep the frozen versions alive, and the
-    // task pin covers retirements a helping worker may trigger.
-    //
-    // A snapshot whose span is a SINGLE shard (common for point-like or
-    // hot-range queries) has nothing to fan out at the shard level, so it
-    // delegates to the per-map chunked count (core/pnb_map.h): [lo, hi] is
-    // tiled with scan::plan_chunks and each chunk counts at the SAME frozen
-    // shard phase — same contract, intra-shard parallelism.
-    std::size_t parallel_range_count(
-        const K& lo, const K& hi,
-        const scan::ParallelScanOptions& opts = {}) const {
-      if (snaps_.size() == 1) {
-        auto guard = owner_->reclaimer_->pin();
-        return snaps_[0].parallel_range_count(lo, hi, opts);
-      }
-      std::vector<std::size_t> parts(snaps_.size(), 0);
-      scan::run_tasks(opts, snaps_.size(), [&](std::size_t i) {
-        auto guard = owner_->reclaimer_->pin();
-        parts[i] = snaps_[i].range_count(lo, hi);
-      });
-      std::size_t total = 0;
-      for (std::size_t c : parts) total += c;
-      return total;
-    }
+    // An epoch pin on the map's shared reclaimer, for a thread that scans
+    // this snapshot on the caller's behalf: the composite's own pin keeps
+    // the frozen versions alive, and this one covers the retirements that
+    // thread's helping may trigger (parallel_range_count, RangeQueries).
+    typename R::Guard pin() const { return owner_->reclaimer_->pin(); }
 
     // Per-shard phases frozen by this snapshot (one entry per shard in the
     // snapshot's span); phases of different shards are not comparable.

@@ -10,15 +10,21 @@
 //    concatenate into the sequential scan;
 //  * ScanExecutor / run_tasks: exactly-once execution, caller
 //    participation, width-0 and saturated-pool degradation, nesting;
-//  * HelperPool: steady-state scans stop allocating traversal stacks;
+//  * the scan's on-frame DFS stack: steady-state scans make no heap
+//    allocation, nested scans are exact, a deep spine spills and stays
+//    exact;
 //  * differential equality: parallel chunked counts == sequential counts
 //    on the same snapshot, across tree / map / sharded front-end;
 //  * concept surface: ParallelScannable modeled exactly where documented.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -29,11 +35,87 @@
 #include "core/pnb_map.h"
 #include "nbbst/nb_bst.h"
 #include "scan/executor.h"
-#include "scan/helper_pool.h"
 #include "scan/parallel_scan.h"
 #include "scan/partition.h"
 #include "shard/sharded_map.h"
 #include "util/random.h"
+
+// Heap allocations made by this thread, counted by the replacement global
+// allocation functions below (the stack tests read it around a scan loop).
+// Every form is replaced, so each pointer is freed by the family that
+// allocated it (a sanitizer runtime would otherwise serve the forms left
+// out). std::pmr's default upstream, where a spilling scan stack gets its
+// memory, allocates through the aligned forms. They stay out of line:
+// inlined, GCC pairs a malloc with a caller's delete and warns of a
+// mismatch that is not there.
+thread_local std::size_t t_heap_allocs = 0;
+
+namespace {
+
+[[gnu::noinline]] void* counted_alloc(std::size_t n,
+                                      std::size_t align) noexcept {
+  ++t_heap_allocs;
+  if (n == 0) n = 1;
+  if (align <= alignof(std::max_align_t)) return std::malloc(n);
+  return std::aligned_alloc(align, (n + align - 1) / align * align);
+}
+
+[[gnu::noinline]] void* counted_alloc_or_throw(std::size_t n,
+                                               std::size_t align) {
+  if (void* p = counted_alloc(n, align)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }
+
+}  // namespace
+
+using std::align_val_t;
+using std::nothrow_t;
+using std::size_t;
+
+void* operator new(size_t n) { return counted_alloc_or_throw(n, 0); }
+void* operator new[](size_t n) { return counted_alloc_or_throw(n, 0); }
+void* operator new(size_t n, align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<size_t>(a));
+}
+void* operator new[](size_t n, align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<size_t>(a));
+}
+void* operator new(size_t n, const nothrow_t&) noexcept {
+  return counted_alloc(n, 0);
+}
+void* operator new[](size_t n, const nothrow_t&) noexcept {
+  return counted_alloc(n, 0);
+}
+void* operator new(size_t n, align_val_t a, const nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<size_t>(a));
+}
+void* operator new[](size_t n, align_val_t a, const nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<size_t>(a));
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, size_t) noexcept { counted_free(p); }
+void operator delete(void* p, align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p, size_t, align_val_t) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, size_t, align_val_t) noexcept {
+  counted_free(p);
+}
+void operator delete(void* p, const nothrow_t&) noexcept { counted_free(p); }
+void operator delete[](void* p, const nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete(void* p, align_val_t, const nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, align_val_t, const nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace pnbbst {
 namespace {
@@ -209,27 +291,63 @@ TEST(ScanExecutorTest, DefaultWidthIsBounded) {
   EXPECT_EQ(ScanExecutor::shared().width(), w);
 }
 
-// --- HelperPool --------------------------------------------------------------
+// --- The scan's DFS stack ----------------------------------------------------
 
-TEST(HelperPoolTest, SteadyStateScansStopAllocating) {
-  PnbBst<long> tree;
-  for (long k = 0; k < 2000; ++k) tree.insert(k);
-  tree.range_count(0L, 1999L);  // warm this thread's pool
-  const auto before = scan::HelperPool::thread_stats();
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(tree.range_count(0L, 1999L), 2000u);
-  }
-  const auto after = scan::HelperPool::thread_stats();
-  EXPECT_EQ(after.acquires, before.acquires + 100);
-  EXPECT_EQ(after.fresh_allocations, before.fresh_allocations);
+std::vector<long> ascending(long n) {
+  std::vector<long> keys(static_cast<std::size_t>(n));
+  std::iota(keys.begin(), keys.end(), 0L);
+  return keys;
 }
 
-TEST(HelperPoolTest, NestedLeasesGetDistinctBuffers) {
-  auto a = scan::HelperPool::acquire();
-  auto b = scan::HelperPool::acquire();
-  EXPECT_NE(&a.stack(), &b.stack());
-  a.stack().push_back(nullptr);
-  EXPECT_TRUE(b.stack().empty());
+TEST(ScanStack, SteadyStateScansMakeNoHeapAllocation) {
+  const std::vector<long> keys = ascending(1 << 16);
+  PnbBst<long> tree;
+  tree.bulk_load(keys);
+  // Warm-up: this thread's first pin registers it with the reclaimer.
+  ASSERT_EQ(tree.range_count(0L, (1L << 16) - 1), keys.size());
+  std::size_t counted = 0;
+  const std::size_t before = t_heap_allocs;
+  for (int i = 0; i < 100; ++i) {
+    counted += tree.range_count(static_cast<long>(i), (1L << 16) - 1);
+  }
+  const std::size_t allocs = t_heap_allocs - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(counted, 100 * keys.size() - 99 * 100 / 2);
+}
+
+TEST(ScanStack, NestedScanOnTheSameTreeIsExact) {
+  const std::vector<long> keys = ascending(4096);
+  PnbBst<long> tree;
+  tree.bulk_load(keys);
+  std::vector<long> outer;
+  std::vector<std::size_t> inner;
+  tree.range_visit(1000L, 1199L, [&](const long& k) {
+    outer.push_back(k);
+    inner.push_back(tree.range_count(k, k + 99));
+  });
+  ASSERT_EQ(outer.size(), 200u);
+  for (std::size_t i = 0; i < outer.size(); ++i) {
+    EXPECT_EQ(outer[i], 1000 + static_cast<long>(i));
+    EXPECT_EQ(inner[i], 100u) << "inner scan from " << outer[i];
+  }
+}
+
+TEST(ScanStack, DeepLeftSpineSpillsAndScansExactly) {
+  // Descending inserts hang each new key left of the last: a left spine
+  // about as deep as the key count, so the DFS stack outgrows its 64
+  // on-frame slots and spills to the heap.
+  constexpr long kKeys = 500;
+  PnbBst<long> tree;
+  for (long k = kKeys - 1; k >= 0; --k) ASSERT_TRUE(tree.insert(k));
+  const std::size_t before = t_heap_allocs;
+  EXPECT_EQ(tree.range_count(0L, kKeys - 1), static_cast<std::size_t>(kKeys));
+  EXPECT_GT(t_heap_allocs - before, 0u);  // a count allocates only to spill
+  EXPECT_EQ(tree.range_scan(0L, kKeys - 1), ascending(kKeys));
+  EXPECT_EQ(tree.range_count(100L, 399L), 300u);
+  ScanExecutor ex(4);
+  EXPECT_EQ(tree.parallel_range_count(0L, kKeys - 1,
+                                      ParallelScanOptions(4u, ex)),
+            static_cast<std::size_t>(kKeys));
 }
 
 // --- Differential: parallel == sequential ------------------------------------
@@ -359,11 +477,10 @@ TEST(ParallelScanSharded, MergedParallelCountMatchesSequential) {
 }
 
 TEST(ParallelScanSharded, WideSingleShardSpanChunksAndMatchesSequential) {
-  // A span that never crosses a shard boundary would degenerate to one
-  // executor task (run_tasks over a single per-shard snapshot); it
-  // delegates to that shard snapshot's chunked count instead, so a wide
-  // hot-range query fans out anyway. The count must match the sequential
-  // one at every width, and the pool must have run chunks.
+  // A span that never crosses a shard boundary still fans out: the count
+  // is tiled into key chunks, not into shards, so a wide hot-range query
+  // inside one shard is split like any other. The count must match the
+  // sequential one at every width, and the pool must have run chunks.
   ShardedPnbMap<long, long, 4> map(RangeSplitter<long>{0, 1 << 16});
   Xoshiro256 rng(29);
   for (int i = 0; i < 8000; ++i) {
@@ -383,9 +500,9 @@ TEST(ParallelScanSharded, WideSingleShardSpanChunksAndMatchesSequential) {
   }
   EXPECT_TRUE(test::pool_ran_tasks(ex, 0));
 
-  // NumShards == 1 front-end: the composite Snapshot itself delegates, so
-  // the differential runs against one held handle (bit-identical by the
-  // snapshot contract, not just by quiescence).
+  // NumShards == 1 front-end: the composite Snapshot is chunked the same
+  // way, so the differential runs against one held handle (bit-identical
+  // by the snapshot contract, not just by quiescence).
   ShardedPnbMap<long, long, 1> one(RangeSplitter<long>{0, 1 << 14});
   for (long k = 0; k < (1 << 14); k += 3) one.insert(k, k + 7);
   auto snap = one.snapshot();

@@ -13,7 +13,7 @@
 //    scan must satisfy;
 //  * sharded front-end: merged snapshots under multi-writer churn keep the
 //    documented per-key-atomic contract on the reserved stripe, and their
-//    per-shard parallel count agrees with their contents.
+//    parallel count agrees with their contents.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -218,7 +218,7 @@ TEST(ParallelScanConcurrent, ShardedMergedParallelCountsUnderChurn) {
         ASSERT_EQ(snap.parallel_range_count(0L, kKeyRange - 1,
                                             ParallelScanOptions(8u, ex)),
                   pairs.size())
-            << "per-shard count disagrees with the snapshot's contents";
+            << "parallel count disagrees with the snapshot's contents";
         long prev = -1;
         long stripe_seen = 0;
         for (const auto& [k, v] : pairs) {

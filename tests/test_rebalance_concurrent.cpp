@@ -14,8 +14,8 @@
 //    writers quiesce every retired generation must reclaim itself.
 //
 //  * SINGLE-SHARD CHUNKED SCANS — with the whole keyspace on one shard,
-//    the composite snapshot's parallel scan delegates to the shard
-//    snapshot's chunked executor path. Against the SAME snapshot handle
+//    the composite snapshot's parallel count still splits [lo, hi] into
+//    key chunks on the executor. Against the SAME snapshot handle
 //    the chunked result must stay bit-identical to the sequential scan
 //    while writers churn underneath — the snapshot contract does not
 //    bend just because the scan fanned out.
@@ -213,7 +213,7 @@ TEST(RebalanceConcurrent, BackgroundLoopRacesWritersWithoutLosingAcks) {
 
 TEST(RebalanceConcurrent, SingleShardChunkedCountStaysExactUnderChurn) {
   // NumShards == 1: every composite snapshot holds exactly one shard
-  // snapshot, so parallel counts take the chunked-delegation path. Exact
+  // snapshot, and parallel counts split it into key chunks. Exact
   // means EQ against the sequential scan of the SAME handle (its size,
   // and the contents a second scan returns), round after round, while
   // writers mutate the live map.

@@ -84,7 +84,6 @@ SMOKE_BENCHES = [
     "fig3_rangescan_mix",
     "fig4_scan_latency",
     "fig7_scan_scaling",
-    "fig_sharded_throughput",
     "micro_ops",
     "tab5_handshake_ablation",
     "tab6_reclamation",

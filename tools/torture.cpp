@@ -7,12 +7,14 @@
 //
 // Each round: prefill, run a mixed workload for S seconds with per-thread
 // result checking where possible, then stop the world and audit:
-//   - tree invariants (PNB-BST: every-version BST check when feasible),
 //   - per-key reconciliation (net successful inserts == final membership),
-//   - reclamation accounting (epoch domain fully drains at quiescence).
+//   - PNB-BST only: the current version's tree invariants (check_current,
+//     core/validate.h) and reclamation accounting (the round's own epoch
+//     domain drains to zero pending retirements at quiescence).
 // Exit code 0 = all rounds clean.
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <thread>
@@ -59,9 +61,10 @@ class NetCounters {
   std::vector<std::atomic<long>> counters_;
 };
 
-template <class Tree>
-int run_round(const TortureConfig& cfg, int round) {
-  Tree tree;
+// One round on `tree`; `audit(tree)` runs after the workers join and the
+// reconciliation, and returns its own failure count.
+template <class Tree, class Audit>
+int run_round(const TortureConfig& cfg, int round, Tree& tree, Audit audit) {
   NetCounters nets(cfg.key_range);
   {
     Xoshiro256 rng(mix64(cfg.seed + static_cast<std::uint64_t>(round)));
@@ -127,18 +130,38 @@ int run_round(const TortureConfig& cfg, int round) {
       ++bad;
     }
   }
+  bad += audit(tree);
   std::printf("  round %d: %llu ops, %s\n", round,
               static_cast<unsigned long long>(ops.load()),
               bad == 0 ? "clean" : "FAILURES");
   return bad;
 }
 
-// PNB-specific extra audit: current-version BST invariants.
+template <class Tree>
+int run_round(const TortureConfig& cfg, int round) {
+  Tree tree;
+  return run_round(cfg, round, tree, [](Tree&) { return 0; });
+}
+
+// PNB-BST round over a round-local epoch domain, so the drain audit counts
+// only this round's retirements.
 int run_round_pnb(const TortureConfig& cfg, int round) {
-  int bad = run_round<PnbBst<long>>(cfg, round);
-  PnbBst<long> probe;  // structural checker exercised on a fresh instance
-  (void)probe;
-  return bad;
+  EpochReclaimer domain;
+  PnbBst<long> tree(domain);
+  return run_round(cfg, round, tree, [&domain](PnbBst<long>& t) {
+    int bad = 0;
+    if (const ValidationReport rep = check_current(t); !rep) {
+      std::fprintf(stderr, "FAIL: current version: %s\n", rep.error.c_str());
+      ++bad;
+    }
+    domain.quiescent_flush();
+    if (const std::uint64_t left = domain.pending_count(); left != 0) {
+      std::fprintf(stderr, "FAIL: %llu retirements pending at quiescence\n",
+                   static_cast<unsigned long long>(left));
+      ++bad;
+    }
+    return bad;
+  });
 }
 
 }  // namespace
