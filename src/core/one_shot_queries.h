@@ -48,11 +48,22 @@ bool visit_continues(Vis& vis, const Args&... args) {
   }
 }
 
+// Whether a visitor declares `static constexpr bool kOrderFree = true`: it
+// takes the range's elements in any order and never stops a walk (it
+// returns void). A walk may then visit the version tree out of key order,
+// as PnbBst::scan_tree's window does, and a wrapper that only adapts the
+// element's shape may hand such a visitor on unwrapped.
+template <class Vis>
+inline constexpr bool kOrderFreeVisitor =
+    requires { requires std::remove_cvref_t<Vis>::kOrderFree; };
+
 namespace detail {
 
-// range_count's visitor; a named type, so the return types below can spell
-// the range_visit call a fold makes.
+// range_count's visitor, the one count fold (size() uses it too); a named
+// type, so the return types below can spell the range_visit call a fold
+// makes. A count does not depend on visit order.
 struct CountVisitor {
+  static constexpr bool kOrderFree = true;
   std::size_t* n;
   template <class... Args>
   void operator()(const Args&...) const {

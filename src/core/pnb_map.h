@@ -232,13 +232,18 @@ class PnbMap
     // vis(key, value) returns void (visit all) or bool (false stops).
     // range_scan, range_count, range_first and parallel_range_count are
     // folds over it; the scans collect (key, value) pairs (RangeQueries,
-    // core/one_shot_queries.h).
+    // core/one_shot_queries.h). An order-free visitor (a count) takes the
+    // entry as it is, so it goes to the tree unwrapped, to its windowed walk.
     template <class QLo = K, class QHi = K, class Visitor>
       requires ProbeFor<QLo, K, Compare> && ProbeFor<QHi, K, Compare>
     void range_visit(const QLo& lo, const QHi& hi, Visitor&& vis) const {
-      snap_.range_visit(lo, hi, [&vis](const Entry& e) -> decltype(auto) {
-        return vis(e.key, e.value());
-      });
+      if constexpr (kOrderFreeVisitor<Visitor>) {
+        snap_.range_visit(lo, hi, vis);
+      } else {
+        snap_.range_visit(lo, hi, [&vis](const Entry& e) -> decltype(auto) {
+          return vis(e.key, e.value());
+        });
+      }
     }
 
     // The tree snapshot's pin (PnbBst::Snapshot::pin).

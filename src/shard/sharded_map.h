@@ -520,12 +520,19 @@ class ShardedPnbMap : public OneShotQueries<ShardedPnbMap<K, V, NumShards, R,
     void range_visit(const K& lo, const K& hi, Visitor&& vis) const {
       const auto [a, b] = table_->splitter.shard_span(lo, hi, NumShards);
       const std::size_t end = std::min(b, first_ + snaps_.size());
-      bool more = true;
-      for (std::size_t i = std::max(a, first_); i < end && more; ++i) {
-        snaps_[i - first_].range_visit(lo, hi, [&](const K& k, const V& v) {
-          more = visit_continues(vis, k, v);
-          return more;
-        });
+      if constexpr (kOrderFreeVisitor<Visitor>) {
+        // Never stops, so each shard gets the visitor itself.
+        for (std::size_t i = std::max(a, first_); i < end; ++i) {
+          snaps_[i - first_].range_visit(lo, hi, vis);
+        }
+      } else {
+        bool more = true;
+        for (std::size_t i = std::max(a, first_); i < end && more; ++i) {
+          snaps_[i - first_].range_visit(lo, hi, [&](const K& k, const V& v) {
+            more = visit_continues(vis, k, v);
+            return more;
+          });
+        }
       }
     }
 

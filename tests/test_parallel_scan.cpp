@@ -10,9 +10,9 @@
 //    concatenate into the sequential scan;
 //  * ScanExecutor / run_tasks: exactly-once execution, caller
 //    participation, width-0 and saturated-pool degradation, nesting;
-//  * the scan's on-frame DFS stack: steady-state scans make no heap
-//    allocation, nested scans are exact, a deep spine spills and stays
-//    exact;
+//  * the scan's on-frame DFS stack and window: steady-state counts on a
+//    tree, map and sharded snapshot make no heap allocation, nested scans
+//    are exact, a deep spine spills and stays exact;
 //  * differential equality: parallel chunked counts == sequential counts
 //    on the same snapshot, across tree / map / sharded front-end;
 //  * concept surface: ParallelScannable modeled exactly where documented.
@@ -300,19 +300,37 @@ std::vector<long> ascending(long n) {
 }
 
 TEST(ScanStack, SteadyStateScansMakeNoHeapAllocation) {
+  // The windowed count's stack and ring live in scan_tree's frame too, for
+  // the tree and for the map and sharded snapshots that hand it the count.
   const std::vector<long> keys = ascending(1 << 16);
   PnbBst<long> tree;
   tree.bulk_load(keys);
+  PnbMap<long, long> map;
+  std::vector<std::pair<long, long>> items;
+  for (long k : keys) items.emplace_back(k, k);
+  map.bulk_load(items);
+  ShardedPnbMap<long, long, 8> sharded(RangeSplitter<long>{0, 1L << 16});
+  sharded.bulk_load(items);
+  const auto msnap = map.snapshot();
+  const auto ssnap = sharded.snapshot();
   // Warm-up: this thread's first pin registers it with the reclaimer.
   ASSERT_EQ(tree.range_count(0L, (1L << 16) - 1), keys.size());
+  ASSERT_EQ(msnap.range_count(0L, (1L << 16) - 1), keys.size());
+  ASSERT_EQ(ssnap.range_count(0L, (1L << 16) - 1), keys.size());
   std::size_t counted = 0;
+  std::size_t map_counted = 0;
+  std::size_t sharded_counted = 0;
   const std::size_t before = t_heap_allocs;
   for (int i = 0; i < 100; ++i) {
     counted += tree.range_count(static_cast<long>(i), (1L << 16) - 1);
+    map_counted += msnap.range_count(static_cast<long>(i), (1L << 16) - 1);
+    sharded_counted += ssnap.range_count(static_cast<long>(i), (1L << 16) - 1);
   }
   const std::size_t allocs = t_heap_allocs - before;
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(counted, 100 * keys.size() - 99 * 100 / 2);
+  EXPECT_EQ(map_counted, counted);
+  EXPECT_EQ(sharded_counted, counted);
 }
 
 TEST(ScanStack, NestedScanOnTheSameTreeIsExact) {
@@ -334,14 +352,21 @@ TEST(ScanStack, NestedScanOnTheSameTreeIsExact) {
 
 TEST(ScanStack, DeepLeftSpineSpillsAndScansExactly) {
   // Descending inserts hang each new key left of the last: a left spine
-  // about as deep as the key count, so the DFS stack outgrows its 64
-  // on-frame slots and spills to the heap.
+  // about as deep as the key count, so the ordered walk's DFS stack
+  // outgrows its 64 on-frame slots and spills to the heap. (A count's
+  // window takes the spine's pending right leaves as fast as they are
+  // pushed, so its stack stays short and does not spill.)
   constexpr long kKeys = 500;
   PnbBst<long> tree;
   for (long k = kKeys - 1; k >= 0; --k) ASSERT_TRUE(tree.insert(k));
+  auto snap = tree.snapshot();
+  std::vector<long> visited;
+  visited.reserve(kKeys);
   const std::size_t before = t_heap_allocs;
+  snap.range_visit(0L, kKeys - 1, [&visited](long k) { visited.push_back(k); });
+  EXPECT_GT(t_heap_allocs - before, 0u);  // a visit allocates only to spill
+  EXPECT_EQ(visited, ascending(kKeys));
   EXPECT_EQ(tree.range_count(0L, kKeys - 1), static_cast<std::size_t>(kKeys));
-  EXPECT_GT(t_heap_allocs - before, 0u);  // a count allocates only to spill
   EXPECT_EQ(tree.range_scan(0L, kKeys - 1), ascending(kKeys));
   EXPECT_EQ(tree.range_count(100L, 399L), 300u);
   ScanExecutor ex(4);

@@ -13,7 +13,10 @@
 //    scan must satisfy;
 //  * sharded front-end: merged snapshots under multi-writer churn keep the
 //    documented per-key-atomic contract on the reserved stripe, and their
-//    parallel count agrees with their contents.
+//    parallel count agrees with their contents;
+//  * windowed counts against reclamation: parallel counts of aging
+//    snapshots race churners that retire the nodes a count's window still
+//    holds (the ASan CI job runs this test five more times).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +25,8 @@
 
 #include "core/pnb_bst.h"
 #include "core/pnb_map.h"
+#include "mem/alloc_policy.h"
+#include "reclaim/epoch.h"
 #include "scan/executor.h"
 #include "scan/parallel_scan.h"
 #include "shard/sharded_map.h"
@@ -240,6 +245,65 @@ TEST(ParallelScanConcurrent, ShardedMergedParallelCountsUnderChurn) {
   EXPECT_EQ(snap.parallel_range_count(0L, kKeyRange - 1,
                                       ParallelScanOptions(8u, ex)),
             snap.range_count(0L, kKeyRange - 1));
+}
+
+TEST(ParallelScanConcurrent, WindowedCountsRaceRetirement) {
+  // A count's walk keeps up to PnbBst::kScanWindow pushed child pointers
+  // in flight before it resolves them, and follows prev chains into
+  // versions the live tree has already unlinked. Two churners erase and
+  // re-insert odd keys all over the range, so nodes a window holds are
+  // retired while it holds them; only the snapshot's epoch pin (and each
+  // chunk task's own) keeps them allocated. Each snapshot ages while the
+  // churners run before it is counted. HeapAlloc: a freed node goes back
+  // to malloc, where ASan reports a read of it. The tree has its own
+  // reclaimer, so epochs advance with this test's threads alone.
+  constexpr long kSpace = 1L << 15;
+  constexpr int kRounds = 60;
+  EpochReclaimer rec;
+  PnbBst<long, std::less<long>, EpochReclaimer, NullOpStats, mem::HeapAlloc>
+      tree(rec);
+  std::vector<long> evens;
+  for (long k = 0; k < kSpace; k += 2) evens.push_back(k);
+  tree.bulk_load(evens);
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> churned{0};
+  auto churn = [&tree, &stop, &churned](unsigned ti) {
+    Xoshiro256 rng(thread_seed(909, ti));
+    while (!stop.load(std::memory_order_acquire)) {
+      const long k = static_cast<long>(rng.next_bounded(kSpace)) | 1;
+      tree.insert(k);
+      tree.erase(k);
+      churned.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread c1(churn, 0);
+  std::thread c2(churn, 1);
+
+  ScanExecutor ex(4);
+  Xoshiro256 rng(910);
+  for (int round = 0; round < kRounds; ++round) {
+    const long lo = static_cast<long>(rng.next_bounded(kSpace / 2));
+    const long hi = lo + static_cast<long>(rng.next_bounded(kSpace / 2));
+    const auto snap = tree.snapshot();
+    // Let the churners retire part of this snapshot's version first.
+    const std::uint64_t start = churned.load(std::memory_order_relaxed);
+    while (churned.load(std::memory_order_relaxed) < start + 200) {
+      std::this_thread::yield();
+    }
+    const std::size_t count =
+        snap.parallel_range_count(lo, hi, ParallelScanOptions(4u, ex));
+    EXPECT_EQ(count, snap.range_scan(lo, hi).size()) << "round " << round;
+    EXPECT_EQ(snap.range_count(lo, hi), count) << "round " << round;
+    const auto evens_in = static_cast<std::size_t>(hi / 2 - (lo + 1) / 2 + 1);
+    EXPECT_GE(count, evens_in) << "even keys lost, round " << round;
+    EXPECT_GE(tree.parallel_range_count(lo, hi, ParallelScanOptions(4u, ex)),
+              evens_in)
+        << "round " << round;
+    if (HasFailure()) break;  // the churners must still be joined
+  }
+  stop.store(true, std::memory_order_release);
+  c1.join();
+  c2.join();
 }
 
 }  // namespace
