@@ -739,9 +739,10 @@ class PnbBst
     constexpr std::size_t kWindow = kOrderFree ? kScanWindow : 1;
     // The DFS stack lives in this frame. An ordered walk holds about one
     // node per level (23 for a bulk-loaded 1M-key tree); the window's W
-    // interleaved descents hold about W times that (482). kScanStackSlots covers
-    // every balanced tree without a heap allocation, and only a degenerate,
-    // deeper tree spills past it to the heap. A nested scan (a visitor that
+    // interleaved descents hold about W times that (482). kScanStackSlots
+    // covers every balanced tree without a heap allocation, and only a
+    // degenerate tree (a deep spine, or many deep spines side by side for a
+    // count) spills past it to the heap. A nested scan (a visitor that
     // scans again) gets its own frame and so its own stack and ring.
     constexpr std::size_t kScanStackSlots = kOrderFree ? 1024 : 64;
     alignas(Node*) std::byte buf[kScanStackSlots * sizeof(Node*)];

@@ -12,7 +12,8 @@
 //    participation, width-0 and saturated-pool degradation, nesting;
 //  * the scan's on-frame DFS stack and window: steady-state counts on a
 //    tree, map and sharded snapshot make no heap allocation, nested scans
-//    are exact, a deep spine spills and stays exact;
+//    are exact, a deep spine spills an ordered walk's stack and a spine
+//    forest spills a count's, and both stay exact;
 //  * differential equality: parallel chunked counts == sequential counts
 //    on the same snapshot, across tree / map / sharded front-end;
 //  * concept surface: ParallelScannable modeled exactly where documented.
@@ -371,6 +372,48 @@ TEST(ScanStack, DeepLeftSpineSpillsAndScansExactly) {
   EXPECT_EQ(tree.range_count(100L, 399L), 300u);
   ScanExecutor ex(4);
   EXPECT_EQ(tree.parallel_range_count(0L, kKeys - 1,
+                                      ParallelScanOptions(4u, ex)),
+            static_cast<std::size_t>(kKeys));
+}
+
+// Inserts lo + (hi - lo) / 2 first, then each half the same way: a balanced
+// top over the given keys.
+void insert_bisecting(PnbBst<long>& tree, const std::vector<long>& keys,
+                      std::size_t lo, std::size_t hi) {
+  if (lo >= hi) return;
+  const std::size_t mid = lo + (hi - lo) / 2;
+  ASSERT_TRUE(tree.insert(keys[mid]));
+  insert_bisecting(tree, keys, lo, mid);
+  insert_bisecting(tree, keys, mid + 1, hi);
+}
+
+TEST(ScanStack, SpineForestSpillsTheCountWindowAndCountsExactly) {
+  // A balanced top over 64 group keys, each group then filled by
+  // descending inserts: 64 left spines 63 deep. The count's window runs 32
+  // of those spines at once, and each leaves its pending right leaves on
+  // the one stack, so the stack outgrows its 1024 on-frame slots (about
+  // 2000 by a model of the walk) and spills to the heap.
+  constexpr long kGroups = 64;
+  constexpr long kGroupKeys = 64;
+  constexpr long kKeys = kGroups * kGroupKeys;
+  PnbBst<long> tree;
+  std::vector<long> tops;
+  for (long g = 0; g < kGroups; ++g) tops.push_back(g * kGroupKeys);
+  insert_bisecting(tree, tops, 0, tops.size());
+  for (long g = 0; g < kGroups; ++g) {
+    for (long k = (g + 1) * kGroupKeys - 1; k > g * kGroupKeys; --k) {
+      ASSERT_TRUE(tree.insert(k));
+    }
+  }
+  auto snap = tree.snapshot();
+  const std::size_t before = t_heap_allocs;
+  EXPECT_EQ(snap.range_count(0L, kKeys - 1), static_cast<std::size_t>(kKeys));
+  EXPECT_GT(t_heap_allocs - before, 0u);  // a count allocates only to spill
+  EXPECT_EQ(snap.size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(snap.range_scan(0L, kKeys - 1), ascending(kKeys));
+  EXPECT_EQ(snap.range_count(100L, 3999L), 3900u);
+  ScanExecutor ex(4);
+  EXPECT_EQ(snap.parallel_range_count(0L, kKeys - 1,
                                       ParallelScanOptions(4u, ex)),
             static_cast<std::size_t>(kKeys));
 }
