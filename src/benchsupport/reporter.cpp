@@ -8,7 +8,6 @@ Reporter::Reporter(const Cli& cli, std::string experiment_id,
                    std::string title)
     : id_(std::move(experiment_id)),
       title_(std::move(title)),
-      csv_(cli.get_bool("csv", false)),
       json_(cli.get_bool("json", false)) {}
 
 void Reporter::preamble(const std::string& params) {
@@ -28,10 +27,6 @@ void Reporter::emit(const Table& table) const {
     return;
   }
   table.print(stdout);
-  if (csv_) {
-    std::printf("\n-- csv --\n");
-    table.print_csv(stdout);
-  }
   std::printf("\n");
 }
 

@@ -1,9 +1,9 @@
 // Shared output conventions for the figure/table bench binaries.
 //
 // Every bench prints a titled, aligned table (the "figure" the paper would
-// plot) and, with --csv, the same data as CSV for external plotting. With
-// --json the banner is suppressed and emit() prints a single JSON document
-// instead — the format of the committed BENCH_*.json baselines:
+// plot). With --json the banner is suppressed and emit() prints a single
+// JSON document instead — the format of the committed BENCH_*.json
+// baselines:
 //
 //   {
 //     "experiment": "Fig.E1",
@@ -28,8 +28,7 @@ class Reporter {
   // --json mode prints nothing and records `params` for emit().
   void preamble(const std::string& params);
 
-  // Prints the aligned table (plus CSV with --csv), or the JSON document
-  // with --json.
+  // Prints the aligned table, or the JSON document with --json.
   void emit(const Table& table) const;
 
   bool json() const noexcept { return json_; }
@@ -38,7 +37,6 @@ class Reporter {
   std::string id_;
   std::string title_;
   std::string params_;
-  bool csv_;
   bool json_;
 };
 

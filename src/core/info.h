@@ -21,7 +21,7 @@
 // the transition idempotent against late helpers that transiently
 // resurrect the count (+1/-1 around a doomed CAS).
 //
-// Layout: the `retired` latch sits in the padding after the four one-byte
+// Layout: the `retired` latch sits in the padding after the three one-byte
 // header fields, so for the serving map (24-byte key) the record is 128 B,
 // exactly a two-line arena slot (DESIGN.md §11.3).
 #pragma once
@@ -60,7 +60,6 @@ struct PnbInfo {
   std::atomic<InfoState> state{InfoState::kUndecided};
   std::uint8_t num_nodes = 0;     // 2 for Insert, 4 for Delete
   bool is_dummy = false;          // the per-tree Dummy record (line 30)
-  bool from_delete = false;       // provenance (debug / stats only)
   std::atomic<bool> retired{false};  // lifetime latch (see ref_release)
   Node* nodes[kMaxNodes] = {};  // nodes to freeze; [0] flagged, rest marked
   Update old_update[kMaxNodes];   // expected values for the freeze CASes

@@ -166,8 +166,7 @@ class PnbBst
 
       Node* nodes[2] = {sr.p, sr.l};
       Update old_up[2] = {chk.pup, sr.l->load_update()};
-      switch (execute(nodes, old_up, 2, sr.p, sr.l, new_internal, seq,
-                      /*from_delete=*/false)) {
+      switch (execute(nodes, old_up, 2, sr.p, sr.l, new_internal, seq)) {
         case ExecResult::kSuccess:
           stats_.inc_commits();
           return true;
@@ -253,8 +252,7 @@ class PnbBst
 
       Node* nodes[4] = {sr.gp, sr.p, sr.l, sibling};
       Update old_up[4] = {chk.gpup, chk.pup, sr.l->load_update(), supdate};
-      switch (execute(nodes, old_up, 4, sr.gp, sr.p, new_node, seq,
-                      /*from_delete=*/true)) {
+      switch (execute(nodes, old_up, 4, sr.gp, sr.p, new_node, seq)) {
         case ExecResult::kSuccess:
           stats_.inc_commits();
           return true;
@@ -305,19 +303,19 @@ class PnbBst
 
     std::uint64_t phase() const noexcept { return seq_; }
 
+    // Whether this version holds a key equal to probe k, and (get) that
+    // stored key. These and the ordered reads below are first-stop
+    // ScanHelper walks (first_at).
     template <class LK = Key>
       requires ProbeFor<LK, Key, Compare>
     bool contains(const LK& k) const {
-      return find(k) != nullptr;
+      return tree_->first_at(seq_, &k, &k) != nullptr;
     }
 
-    // The stored key equal to probe k in this version, or nullopt.
     template <class LK = Key>
       requires ProbeFor<LK, Key, Compare>
     std::optional<Key> get(const LK& k) const {
-      const Key* stored = find(k);
-      if (stored == nullptr) return std::nullopt;
-      return *stored;
+      return value_of(tree_->first_at(seq_, &k, &k));
     }
 
     // vis returns void (visit all) or bool (false stops; see scan_tree).
@@ -333,7 +331,7 @@ class PnbBst
     std::size_t size() const {
       std::size_t n = 0;
       detail::CountVisitor count{&n};
-      tree_->template scan_tree<Key, Key>(seq_, nullptr, nullptr, count);
+      tree_->scan_tree(seq_, kOpen, kOpen, count);
       return n;
     }
 
@@ -347,36 +345,35 @@ class PnbBst
     template <class LK = Key>
       requires ProbeFor<LK, Key, Compare>
     std::optional<Key> successor(const LK& k) const {
-      return tree_->bound_query(seq_, k, /*forward=*/true);
+      return value_of(tree_->first_at(seq_, &k, kOpen));
     }
 
     // Largest key <= k in this version, or nullopt. Wait-free.
     template <class LK = Key>
       requires ProbeFor<LK, Key, Compare>
     std::optional<Key> predecessor(const LK& k) const {
-      return tree_->bound_query(seq_, k, /*forward=*/false);
+      return value_of(tree_->template first_at<true>(seq_, kOpen, &k));
     }
 
     // Smallest / largest key in this version.
-    std::optional<Key> min() const { return tree_->extreme(seq_, true); }
-    std::optional<Key> max() const { return tree_->extreme(seq_, false); }
+    std::optional<Key> min() const {
+      return value_of(tree_->first_at(seq_, kOpen, kOpen));
+    }
+    std::optional<Key> max() const {
+      return value_of(tree_->template first_at<true>(seq_, kOpen, kOpen));
+    }
 
    private:
     friend class PnbBst;
     Snapshot(PnbBst* tree, std::uint64_t seq, typename R::Guard&& guard)
         : tree_(tree), seq_(seq), guard_(std::move(guard)) {}
 
-    // The version-seq descent of both lookups, helping in-progress updates
-    // on the way: the stored key equal to k, or nullptr.
-    template <class LK>
-    const Key* find(const LK& k) const {
-      Node* l = tree_->root_;
-      while (!l->is_leaf()) {
-        Internal* in = as_internal(l);
-        tree_->help_if_in_progress(in);
-        l = tree_->read_child(in, tree_->less_(k, in->key), seq_);
-      }
-      return tree_->less_.equal(l->key, k) ? &l->key.key : nullptr;
+    static constexpr const Key* kOpen = nullptr;  // an unbounded side
+
+    // A copy of the key a walk stopped at; the guard keeps it alive.
+    static std::optional<Key> value_of(const Key* k) {
+      if (k == nullptr) return std::nullopt;
+      return *k;
     }
 
     PnbBst* tree_;
@@ -604,7 +601,7 @@ class PnbBst
   // Execute (Fig. 4, lines 92–106).
   ExecResult execute(Node* const* nodes, const Update* old_up, int n,
                      Internal* par, Node* old_child, Node* new_child,
-                     std::uint64_t seq, bool from_delete) {
+                     std::uint64_t seq) {
     for (int i = 0; i < n; ++i) {
       if (frozen<Key>(old_up[i])) {
         if (old_up[i].info()->state_in_progress()) {
@@ -617,7 +614,6 @@ class PnbBst
     Info* infp = alloc_.template create<Info>();
     stats_.inc_infos_allocated();
     infp->num_nodes = static_cast<std::uint8_t>(n);
-    infp->from_delete = from_delete;
     for (int i = 0; i < n; ++i) {
       infp->nodes[i] = nodes[i];
       infp->old_update[i] = old_up[i];
@@ -711,7 +707,8 @@ class PnbBst
   static constexpr std::size_t kScanWindow = 32;
 
   // ScanHelper (Fig. 4, lines 134–146), iterative, with a window of W node
-  // loads in flight. lo/hi may be null for an unbounded scan.
+  // loads in flight: the one walk behind every Snapshot read, and the only
+  // place a read helps an update. lo/hi may be null for an unbounded scan.
   //
   // Each internal node's children are read right after it is helped, as in
   // Fig. 4, and prefetched as they are pushed on the DFS stack. A node then
@@ -724,26 +721,29 @@ class PnbBst
   // allocated until then.
   //
   // W = 1 for an ordered visitor: the in-order DFS. It emits finite keys in
-  // ascending order, and the visitor may return void (visit everything) or
-  // bool (false stops the traversal — the emitted keys are then the
-  // smallest keys of the range, still a linearizable prefix of the
+  // ascending order (descending with kDescending, which only first_at
+  // uses), and the visitor may return void (visit everything) or bool
+  // (false stops the traversal — the emitted keys are then the smallest
+  // keys of the range, or the largest, still a linearizable prefix of the
   // version's range contents). W = kScanWindow for an order-free visitor
   // (kOrderFreeVisitor: a count): every key of the range is emitted once,
   // in no particular order.
-  template <class BLo, class BHi, class Visitor>
+  template <bool kDescending = false, class BLo, class BHi, class Visitor>
   void scan_tree(std::uint64_t seq, const BLo* lo, const BHi* hi,
                  Visitor& vis) {
     constexpr bool kOrderFree = kOrderFreeVisitor<Visitor>;
     static_assert(!kOrderFree ||
                   std::is_void_v<std::invoke_result_t<Visitor&, const Key&>>);
+    static_assert(!(kOrderFree && kDescending));
     constexpr std::size_t kWindow = kOrderFree ? kScanWindow : 1;
     // The DFS stack lives in this frame. An ordered walk holds about one
     // node per level (23 for a bulk-loaded 1M-key tree); the window's W
     // interleaved descents hold about W times that (482). kScanStackSlots
     // covers every balanced tree without a heap allocation, and only a
     // degenerate tree (a deep spine, or many deep spines side by side for a
-    // count) spills past it to the heap. A nested scan (a visitor that
-    // scans again) gets its own frame and so its own stack and ring.
+    // count) spills past it to the heap, first-stop walks (first_at)
+    // included. A nested scan (a visitor that scans again) gets its own
+    // frame and so its own stack and ring.
     constexpr std::size_t kScanStackSlots = kOrderFree ? 1024 : 64;
     alignas(Node*) std::byte buf[kScanStackSlots * sizeof(Node*)];
     std::pmr::monotonic_buffer_resource arena(buf, sizeof buf);
@@ -773,82 +773,40 @@ class PnbBst
       }
       Internal* in = as_internal(node);
       help_if_in_progress(in);
-      const bool skip_left = lo != nullptr && less_(in->key, *lo);   // a > key
+      // Left keys are below the routing key, right keys at or above it, so
+      // both skips are exact and a walk of [k, k] is one root-to-leaf path.
+      const bool skip_left = lo != nullptr && !less_(*lo, in->key);  // key <= a
       const bool skip_right = hi != nullptr && less_(*hi, in->key);  // b < key
       auto push = [&stack](Node* child) {
         __builtin_prefetch(child);
         stack.push_back(child);
       };
-      // Push right before left so an ordered walk visits leaves in key
-      // order.
-      if (!skip_right) push(in->load_child(false));
-      if (!skip_left) push(in->load_child(true));
+      // The side pushed last is walked first: left for ascending key order,
+      // right for descending.
+      if constexpr (kDescending) {
+        if (!skip_left) push(in->load_child(true));
+        if (!skip_right) push(in->load_child(false));
+      } else {
+        if (!skip_right) push(in->load_child(false));
+        if (!skip_left) push(in->load_child(true));
+      }
     }
   }
 
-  // --- Ordered queries -------------------------------------------------------
-
-  // Successor (forward=true: smallest key >= k) or predecessor
-  // (forward=false: largest key <= k) in T_seq. Helps in-progress updates
-  // along the traversed paths, exactly like ScanHelper.
-  template <class LK>
-  std::optional<Key> bound_query(std::uint64_t seq, const LK& k,
-                                 bool forward) {
-    Node* node = root_;
-    Internal* pivot = nullptr;  // deepest turn away from the answer side
-    while (!node->is_leaf()) {
-      Internal* in = as_internal(node);
-      help_if_in_progress(in);
-      const bool go_left = less_(k, in->key);
-      // Successor candidates live right of a left turn; predecessor
-      // candidates live left of a right turn.
-      if (forward == go_left) pivot = in;
-      node = read_child(in, go_left, seq);
-    }
-    if (node->key.is_finite()) {
-      const Key& leaf_key = node->key.key;
-      if (forward ? !less_.cmp(leaf_key, k) : !less_.cmp(k, leaf_key)) {
-        return leaf_key;
-      }
-    }
-    if (pivot == nullptr) return std::nullopt;
-    // Extreme leaf of the candidate subtree: leftmost for successor,
-    // rightmost for predecessor.
-    Node* cur = read_child(pivot, /*go_left=*/!forward, seq);
-    while (!cur->is_leaf()) {
-      Internal* in = as_internal(cur);
-      help_if_in_progress(in);
-      cur = read_child(in, /*go_left=*/forward, seq);
-    }
-    if (!cur->key.is_finite()) return std::nullopt;
-    return cur->key.key;
-  }
-
-  // Minimum / maximum finite key of T_seq.
-  std::optional<Key> extreme(std::uint64_t seq, bool minimum) {
-    if (minimum) {
-      Node* cur = root_;
-      while (!cur->is_leaf()) {
-        Internal* in = as_internal(cur);
-        help_if_in_progress(in);
-        cur = read_child(in, /*go_left=*/true, seq);
-      }
-      // The leftmost leaf is the smallest finite key, or ∞1 when empty.
-      if (!cur->key.is_finite()) return std::nullopt;
-      return cur->key.key;
-    }
-    // Maximum: inside the root's left subtree, ∞1-keyed internals hide the
-    // ∞1 sentinel in their right subtree, so the largest finite key is left
-    // of them and right of every finite-keyed internal.
-    help_if_in_progress(root_);
-    Node* cur = read_child(root_, /*go_left=*/true, seq);
-    while (!cur->is_leaf()) {
-      Internal* in = as_internal(cur);
-      help_if_in_progress(in);
-      cur = read_child(in, /*go_left=*/!in->key.is_finite(), seq);
-    }
-    if (!cur->key.is_finite()) return std::nullopt;
-    return cur->key.key;
+  // The first key a version-seq walk of [lo, hi] emits, where the walk
+  // stops, or nullptr: the range's smallest key, or with kDescending its
+  // largest. Null bounds are open. Every point and ordered Snapshot read is
+  // one: contains and get walk [k, k], successor [k, +inf), predecessor
+  // (-inf, k] descending, min and max the whole version.
+  template <bool kDescending = false, class BLo, class BHi>
+  const Key* first_at(std::uint64_t seq, const BLo* lo, const BHi* hi) {
+    const Key* first = nullptr;
+    auto stop = [&first](const Key& k) {
+      first = &k;
+      return false;
+    };
+    scan_tree<kDescending>(seq, lo, hi, stop);
+    return first;
   }
 
   // --- Memory management -----------------------------------------------------

@@ -56,35 +56,6 @@ void Table::print(std::FILE* out) const {
   for (const auto& r : rows_) print_row(r);
 }
 
-static std::string csv_escape(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += "\"\"";
-    else out += ch;
-  }
-  out += '"';
-  return out;
-}
-
-void Table::print_csv(std::FILE* out) const {
-  std::fputs(to_csv().c_str(), out);
-}
-
-std::string Table::to_csv() const {
-  std::string out;
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (std::size_t c = 0; c < header_.size(); ++c) {
-      if (c) out += ',';
-      out += csv_escape(c < r.size() ? r[c] : "");
-    }
-    out += '\n';
-  };
-  emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return out;
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);

@@ -1,8 +1,9 @@
-// Aligned-table and CSV reporters for benchmark output.
+// Aligned-table and JSON reporters for benchmark output.
 //
 // Every bench binary prints (a) a human-readable aligned table — the "figure
-// row/series" the paper would show — and (b) an optional CSV dump for
-// plotting. Both views are produced from the same Table object.
+// row/series" the paper would show — or (b) with --json, the same rows as a
+// machine-readable document. Both views are produced from the same Table
+// object.
 #pragma once
 
 #include <cstdio>
@@ -34,10 +35,6 @@ class Table {
 
   // Renders aligned columns to `out` (default stdout).
   void print(std::FILE* out = stdout) const;
-
-  // Renders RFC-4180-ish CSV.
-  void print_csv(std::FILE* out = stdout) const;
-  std::string to_csv() const;
 
   // Renders a JSON array of row objects keyed by the header; cells that
   // parse entirely as numbers are emitted unquoted. `indent` spaces prefix

@@ -28,8 +28,8 @@ TEST(Cli, SpaceSyntax) {
 }
 
 TEST(Cli, BooleanFlag) {
-  auto cli = make_cli({"--csv"});
-  EXPECT_TRUE(cli.get_bool("csv", false));
+  auto cli = make_cli({"--json"});
+  EXPECT_TRUE(cli.get_bool("json", false));
 }
 
 TEST(Cli, BooleanExplicitValues) {

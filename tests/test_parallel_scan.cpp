@@ -11,7 +11,8 @@
 //  * ScanExecutor / run_tasks: exactly-once execution, caller
 //    participation, width-0 and saturated-pool degradation, nesting;
 //  * the scan's on-frame DFS stack and window: steady-state counts on a
-//    tree, map and sharded snapshot make no heap allocation, nested scans
+//    tree, map and sharded snapshot, and point and ordered snapshot reads
+//    on a tree and map, make no heap allocation, nested scans
 //    are exact, a deep spine spills an ordered walk's stack and a spine
 //    forest spills a count's, and both stay exact;
 //  * differential equality: parallel chunked counts == sequential counts
@@ -302,7 +303,9 @@ std::vector<long> ascending(long n) {
 
 TEST(ScanStack, SteadyStateScansMakeNoHeapAllocation) {
   // The windowed count's stack and ring live in scan_tree's frame too, for
-  // the tree and for the map and sharded snapshots that hand it the count.
+  // the tree and for the map and sharded snapshots that hand it the count;
+  // so does the stack of the first-stop walks behind the snapshots' point
+  // and ordered reads.
   const std::vector<long> keys = ascending(1 << 16);
   PnbBst<long> tree;
   tree.bulk_load(keys);
@@ -312,6 +315,7 @@ TEST(ScanStack, SteadyStateScansMakeNoHeapAllocation) {
   map.bulk_load(items);
   ShardedPnbMap<long, long, 8> sharded(RangeSplitter<long>{0, 1L << 16});
   sharded.bulk_load(items);
+  const auto tsnap = tree.snapshot();
   const auto msnap = map.snapshot();
   const auto ssnap = sharded.snapshot();
   // Warm-up: this thread's first pin registers it with the reclaimer.
@@ -321,17 +325,28 @@ TEST(ScanStack, SteadyStateScansMakeNoHeapAllocation) {
   std::size_t counted = 0;
   std::size_t map_counted = 0;
   std::size_t sharded_counted = 0;
+  long read_sum = 0;
+  long map_read_sum = 0;
   const std::size_t before = t_heap_allocs;
   for (int i = 0; i < 100; ++i) {
-    counted += tree.range_count(static_cast<long>(i), (1L << 16) - 1);
-    map_counted += msnap.range_count(static_cast<long>(i), (1L << 16) - 1);
-    sharded_counted += ssnap.range_count(static_cast<long>(i), (1L << 16) - 1);
+    const long k = static_cast<long>(i);
+    counted += tree.range_count(k, (1L << 16) - 1);
+    map_counted += msnap.range_count(k, (1L << 16) - 1);
+    sharded_counted += ssnap.range_count(k, (1L << 16) - 1);
+    read_sum += static_cast<long>(tsnap.contains(k)) + *tsnap.successor(k) +
+                *tsnap.predecessor(k) + *tsnap.min() + *tsnap.max();
+    map_read_sum += static_cast<long>(msnap.contains(k)) +
+                    msnap.successor(k)->first + msnap.predecessor(k)->first +
+                    msnap.min()->first + msnap.max()->first;
   }
   const std::size_t allocs = t_heap_allocs - before;
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(counted, 100 * keys.size() - 99 * 100 / 2);
   EXPECT_EQ(map_counted, counted);
   EXPECT_EQ(sharded_counted, counted);
+  // Each round reads 1 + k + k + 0 + (2^16 - 1).
+  EXPECT_EQ(read_sum, 100 * (1 + (1L << 16) - 1) + 2 * (99 * 100 / 2));
+  EXPECT_EQ(map_read_sum, read_sum);
 }
 
 TEST(ScanStack, NestedScanOnTheSameTreeIsExact) {

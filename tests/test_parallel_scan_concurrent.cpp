@@ -14,11 +14,12 @@
 //  * sharded front-end: merged snapshots under multi-writer churn keep the
 //    documented per-key-atomic contract on the reserved stripe, and their
 //    parallel count agrees with their contents;
-//  * windowed counts against reclamation: parallel counts of aging
-//    snapshots race churners that retire the nodes a count's window still
-//    holds (the ASan CI job runs this test five more times).
+//  * windowed counts against reclamation: parallel counts and point and
+//    ordered reads of aging snapshots race churners that retire the nodes
+//    a walk still holds (the ASan CI job runs this test five more times).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -249,7 +250,8 @@ TEST(ParallelScanConcurrent, ShardedMergedParallelCountsUnderChurn) {
 
 TEST(ParallelScanConcurrent, WindowedCountsRaceRetirement) {
   // A count's walk keeps up to PnbBst::kScanWindow pushed child pointers
-  // in flight before it resolves them, and follows prev chains into
+  // in flight before it resolves them, and it and the first-stop walks of
+  // contains, successor, predecessor, min and max follow prev chains into
   // versions the live tree has already unlinked. Two churners erase and
   // re-insert odd keys all over the range, so nodes a window holds are
   // retired while it holds them; only the snapshot's epoch pin (and each
@@ -292,10 +294,26 @@ TEST(ParallelScanConcurrent, WindowedCountsRaceRetirement) {
     }
     const std::size_t count =
         snap.parallel_range_count(lo, hi, ParallelScanOptions(4u, ex));
-    EXPECT_EQ(count, snap.range_scan(lo, hi).size()) << "round " << round;
+    const std::vector<long> keys = snap.range_scan(lo, hi);
+    EXPECT_EQ(count, keys.size()) << "round " << round;
     EXPECT_EQ(snap.range_count(lo, hi), count) << "round " << round;
     const auto evens_in = static_cast<std::size_t>(hi / 2 - (lo + 1) / 2 + 1);
     EXPECT_GE(count, evens_in) << "even keys lost, round " << round;
+    ASSERT_FALSE(keys.empty()) << "round " << round;
+    // The point and ordered reads are first-stop walks of the same aged
+    // version, resolving prev chains at pop time as the count does; each
+    // agrees with the snapshot's own scan.
+    const long probe = keys[rng.next_bounded(keys.size())];
+    const long odd = std::min(probe | 1, hi);
+    EXPECT_TRUE(snap.contains(probe)) << "round " << round;
+    EXPECT_EQ(snap.contains(odd),
+              std::binary_search(keys.begin(), keys.end(), odd))
+        << "round " << round;
+    EXPECT_EQ(snap.successor(lo), keys.front()) << "round " << round;
+    EXPECT_EQ(snap.predecessor(hi), keys.back()) << "round " << round;
+    EXPECT_EQ(snap.min(), 0L) << "round " << round;
+    EXPECT_EQ(snap.max(), snap.range_scan(kSpace - 2, kSpace - 1).back())
+        << "round " << round;
     EXPECT_GE(tree.parallel_range_count(lo, hi, ParallelScanOptions(4u, ex)),
               evens_in)
         << "round " << round;

@@ -1,7 +1,13 @@
 // Ordered queries (successor/predecessor/min/max), bulk loading and the
 // map adapter — extension features layered on the persistence substrate.
+// Every point and ordered snapshot read is a first-stop ScanHelper walk;
+// the model sweeps check them on old snapshots, the spine tests on trees
+// deep enough to spill the walk's stack.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <memory_resource>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -81,6 +87,168 @@ TEST(OrderedQueries, SnapshotQueriesSeeOldPhase) {
   EXPECT_EQ(snap.predecessor(34), 30);
   EXPECT_EQ(snap.min(), 10);
   EXPECT_EQ(snap.max(), 50);
+}
+
+// The key of a read's result: the tree's reads return the key, the map's a
+// (key, value) pair.
+long key_of(long k) { return k; }
+long key_of(const std::pair<long, long>& kv) { return kv.first; }
+
+template <class T>
+std::optional<long> key_of(const std::optional<T>& r) {
+  if (!r) return std::nullopt;
+  return key_of(*r);
+}
+
+// Checks every point and ordered read of snap against model, the set it
+// froze, at each probe in [lo, hi]. value(k) is what get(k) returns for a
+// key k of the model.
+template <class Snap, class ValueOf>
+void expect_reads_match(const Snap& snap, const std::set<long>& model,
+                        long lo, long hi, ValueOf value) {
+  for (long q = lo; q <= hi; ++q) {
+    const bool present = model.count(q) > 0;
+    EXPECT_EQ(snap.contains(q), present) << q;
+    const auto got = snap.get(q);
+    EXPECT_EQ(got.has_value(), present) << q;
+    if (got && present) {
+      EXPECT_EQ(*got, value(q)) << q;
+    }
+    const auto succ = model.lower_bound(q);
+    EXPECT_EQ(key_of(snap.successor(q)),
+              succ == model.end() ? std::nullopt : std::optional<long>(*succ))
+        << q;
+    const auto after = model.upper_bound(q);
+    EXPECT_EQ(key_of(snap.predecessor(q)),
+              after == model.begin()
+                  ? std::nullopt
+                  : std::optional<long>(*std::prev(after)))
+        << q;
+  }
+  EXPECT_EQ(key_of(snap.min()), model.empty()
+                                    ? std::nullopt
+                                    : std::optional<long>(*model.begin()));
+  EXPECT_EQ(key_of(snap.max()), model.empty()
+                                    ? std::nullopt
+                                    : std::optional<long>(*model.rbegin()));
+}
+
+// Random inserts and erases of keys in [0, 300), applied to the structure
+// by apply(insert, k) and mirrored in model.
+template <class Apply>
+void churn(std::set<long>& model, std::uint64_t seed, int ops, Apply apply) {
+  Xoshiro256 rng(seed);
+  for (int i = 0; i < ops; ++i) {
+    const long k = static_cast<long>(rng.next_bounded(300));
+    const bool insert = rng.next_bounded(2) != 0;
+    apply(insert, k);
+    if (insert) {
+      model.insert(k);
+    } else {
+      model.erase(k);
+    }
+  }
+}
+
+TEST(OrderedQueries, OldSnapshotMatchesItsModelAfterChurn) {
+  // Every read of an old snapshot follows prev links back to its version:
+  // the set as it was at snapshot(), whatever the tree does afterwards.
+  Tree t;
+  std::set<long> live;
+  churn(live, 71, 1500, [&t](bool ins, long k) {
+    ins ? t.insert(k) : t.erase(k);
+  });
+  const std::set<long> frozen = live;
+  auto snap = t.snapshot();
+  churn(live, 72, 3000, [&t](bool ins, long k) {
+    ins ? t.insert(k) : t.erase(k);
+  });
+  ASSERT_NE(live, frozen);
+  expect_reads_match(snap, frozen, -5, 305, [](long k) { return k; });
+  expect_reads_match(t.snapshot(), live, -5, 305, [](long k) { return k; });
+}
+
+TEST(OrderedQueries, OldMapSnapshotMatchesItsModelAfterChurn) {
+  // As above through PnbMap, whose snapshot forwards to the tree's with a
+  // key probe; the churn re-inserts keys with new values, and the old
+  // snapshot still reads the old ones.
+  PnbMap<long, long> m;
+  std::set<long> live;
+  churn(live, 73, 1500, [&m](bool ins, long k) {
+    ins ? m.insert(k, 2 * k) : m.erase(k);
+  });
+  const std::set<long> frozen = live;
+  auto snap = m.snapshot();
+  churn(live, 74, 3000, [&m](bool ins, long k) {
+    if (!ins) {
+      m.erase(k);
+    } else if (!m.insert(k, 3 * k)) {
+      m.assign(k, 3 * k);
+    }
+  });
+  ASSERT_NE(live, frozen);
+  expect_reads_match(snap, frozen, -5, 305, [](long k) { return 2 * k; });
+  expect_reads_match(m.snapshot(), live, -5, 305,
+                     [](long k) { return 3 * k; });
+}
+
+// Counts the allocations of std::pmr's default resource while installed:
+// a scan stack that outgrows its on-frame slots spills there.
+class SpillCounter : public std::pmr::memory_resource {
+ public:
+  SpillCounter() : prev_(std::pmr::set_default_resource(this)) {}
+  ~SpillCounter() override { std::pmr::set_default_resource(prev_); }
+  std::size_t allocs = 0;
+
+ private:
+  void* do_allocate(std::size_t n, std::size_t align) override {
+    ++allocs;
+    return prev_->allocate(n, align);
+  }
+  void do_deallocate(void* p, std::size_t n, std::size_t align) override {
+    prev_->deallocate(p, n, align);
+  }
+  bool do_is_equal(const memory_resource& o) const noexcept override {
+    return this == &o;
+  }
+  std::pmr::memory_resource* prev_;
+};
+
+TEST(OrderedQueries, SpinesSpillFirstStopWalksAndAnswerExactly) {
+  // Descending inserts of 500 even keys build a left spine: each internal
+  // node's right child is a leaf. min and successor walk down it and leave
+  // that leaf pending at each level, so their stack outgrows its 64
+  // on-frame slots and spills. Ascending inserts build a right spine, where
+  // max and predecessor spill the same way. contains and get walk [k, k],
+  // one root-to-leaf path, and never spill. Every answer stays exact.
+  constexpr long kKeys = 500;
+  for (const bool left_spine : {true, false}) {
+    SCOPED_TRACE(left_spine ? "left spine" : "right spine");
+    Tree t;
+    std::set<long> model;
+    for (long i = 0; i < kKeys; ++i) {
+      const long k = 2 * (left_spine ? kKeys - 1 - i : i);
+      ASSERT_TRUE(t.insert(k));
+      model.insert(k);
+    }
+    auto snap = t.snapshot();
+    SpillCounter spills;
+    if (left_spine) {
+      EXPECT_EQ(snap.min(), 0L);
+      EXPECT_EQ(snap.successor(1L), 2L);
+    } else {
+      EXPECT_EQ(snap.max(), 2 * kKeys - 2);
+      EXPECT_EQ(snap.predecessor(2 * kKeys - 5), 2 * kKeys - 6);
+    }
+    EXPECT_GT(spills.allocs, 0u);
+    spills.allocs = 0;
+    for (long q = -1; q <= 2 * kKeys; ++q) {
+      EXPECT_EQ(snap.contains(q), model.count(q) > 0) << q;
+      EXPECT_EQ(snap.get(q).has_value(), model.count(q) > 0) << q;
+    }
+    EXPECT_EQ(spills.allocs, 0u);
+    expect_reads_match(snap, model, -1, 2 * kKeys, [](long k) { return k; });
+  }
 }
 
 TEST(OrderedQueries, IterationViaSuccessor) {

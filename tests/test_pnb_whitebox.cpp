@@ -95,7 +95,7 @@ TEST(Whitebox, CommittedInsertLeavesCommitState) {
   ASSERT_FALSE(u.info()->is_dummy);
   EXPECT_TRUE(u.is_flag());
   EXPECT_EQ(u.info()->load_state(), InfoState::kCommit);
-  EXPECT_FALSE(u.info()->from_delete);
+  EXPECT_EQ(u.info()->num_nodes, 2);  // an insert's p and l
   EXPECT_FALSE(frozen<long>(u));  // Flag+Commit is not frozen
 }
 
@@ -135,7 +135,7 @@ TEST(Whitebox, DeleteMarksParentLeafAndSibling) {
     const Update u = n->load_update();
     EXPECT_TRUE(u.is_mark()) << "removed node not marked";
     EXPECT_EQ(u.info()->load_state(), InfoState::kCommit);
-    EXPECT_TRUE(u.info()->from_delete);
+    EXPECT_EQ(u.info()->num_nodes, 4);  // a delete's Info
   }
 }
 
@@ -232,8 +232,7 @@ TEST(Whitebox, InfoRecordsFreezeSetShape) {
   auto* gp = as_internal(root->left.load());
   const Update u = gp->load_update();
   ASSERT_FALSE(u.info()->is_dummy);
-  ASSERT_TRUE(u.info()->from_delete);
-  EXPECT_EQ(u.info()->num_nodes, 4);  // gp, p, l, sibling
+  ASSERT_EQ(u.info()->num_nodes, 4);  // a delete's gp, p, l, sibling
   EXPECT_EQ(u.info()->nodes[0], static_cast<Node*>(gp));
   // oldChild is the parent (index 1), and is in the marked set.
   EXPECT_EQ(u.info()->old_child, u.info()->nodes[1]);

@@ -78,8 +78,8 @@ TEST(Runner, ZeroElapsedGuards) {
 }
 
 TEST(Reporter, EmitsWithoutCrashing) {
-  const char* argv[] = {"prog", "--csv"};
-  Cli cli(2, const_cast<char**>(argv));
+  const char* argv[] = {"prog"};
+  Cli cli(1, const_cast<char**>(argv));
   Reporter rep(cli, "TEST", "reporter smoke");
   rep.preamble("p=1");
   Table t({"a"});

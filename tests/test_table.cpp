@@ -5,31 +5,6 @@
 namespace pnbbst {
 namespace {
 
-TEST(Table, CsvBasic) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  t.add_row({"3", "4"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n3,4\n");
-}
-
-TEST(Table, CsvPadsShortRows) {
-  Table t({"a", "b", "c"});
-  t.add_row({"1"});
-  EXPECT_EQ(t.to_csv(), "a,b,c\n1,,\n");
-}
-
-TEST(Table, CsvEscapesCommas) {
-  Table t({"x"});
-  t.add_row({"a,b"});
-  EXPECT_EQ(t.to_csv(), "x\n\"a,b\"\n");
-}
-
-TEST(Table, CsvEscapesQuotes) {
-  Table t({"x"});
-  t.add_row({"say \"hi\""});
-  EXPECT_EQ(t.to_csv(), "x\n\"say \"\"hi\"\"\"\n");
-}
-
 TEST(Table, NumFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(3.14159, 0), "3");
@@ -51,7 +26,6 @@ TEST(Table, PrintAlignedDoesNotCrash) {
   FILE* dev_null = std::fopen("/dev/null", "w");
   ASSERT_NE(dev_null, nullptr);
   t.print(dev_null);
-  t.print_csv(dev_null);
   std::fclose(dev_null);
 }
 
